@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,13 +56,12 @@ COMMAND_KEYS = {
         | {"level", "burn_in", "fit_window", "h", "t_checks", "r_min",
            "outer_tol", "inner_level"},
     "interval": PATH_KEYS | GRID_KEYS | SOLVE_KEYS | U0_KEYS | OUT_KEYS
-        | {"c_grid", "shift_set", "t_probe", "thresholds", "n_jobs"},
+        | {"c_grid", "shift_set", "t_probe", "thresholds"},
     "stability": PATH_KEYS | GRID_KEYS | SOLVE_KEYS | OUT_KEYS
         | {"u0_inf", "u0_sup", "u0_wavelength", "slack"},
     "certify": PATH_KEYS | GRID_KEYS | SOLVE_KEYS | OUT_KEYS
         | {"mu", "mu_tilde", "delta", "d", "span", "r_min", "slack"},
-    "sweep": OUT_KEYS | {"sweep_command", "sweep_key", "sweep_values",
-                         "n_jobs", "base"},
+    "sweep": OUT_KEYS | {"sweep_command", "sweep_key", "sweep_values", "base"},
 }
 
 
@@ -127,20 +125,21 @@ def _solve_config(cfg, command):
                                 margin=float(cfg.get("margin", 50.0)))
 
 
-def _u0_from_config(cfg, grid):
-    kind = cfg.get("u0_kind", "heaviside")
-    params = {}
+def _u0_from_config(cfg, default_kind):
+    """Initial-data spec {"kind": ..., <init params>} from the u0_* keys."""
+    u0 = {"kind": cfg.get("u0_kind", default_kind)}
     for key, name in (("u0_x0", "x0"), ("u0_mu", "mu"), ("u0_height", "height"),
                       ("u0_lo", "lo"), ("u0_hi", "hi"), ("u0_value", "value")):
         if key in cfg:
-            params[name] = cfg[key]
-    return kppsolve.init(kind, grid, params)
+            u0[name] = cfg[key]
+    return u0
 
 
 def _round12(obj):
-    """Recursively round floats to 12 significant digits for stable output."""
+    """Recursively round floats to 12 significant digits for stable output;
+    non-finite floats become None (JSON null), keeping artifacts strict JSON."""
     if isinstance(obj, float):
-        return float("%.12g" % obj) if math.isfinite(obj) else obj
+        return float("%.12g" % obj) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -168,7 +167,7 @@ def _write_artifact(cfg, command, results):
         name = cfg.get("label", command)
         path = os.path.join(out_dir, "%s.json" % name)
         with open(path, "w") as fh:
-            json.dump(artifact, fh, indent=2, sort_keys=True)
+            json.dump(artifact, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     return artifact
 
@@ -203,7 +202,8 @@ def cmd_takeover(cfg):
     t_end = float(_require(cfg, "t_end", "takeover"))
     if t_end <= 0:
         raise ConfigError("t_end must be positive")
-    field0 = _u0_from_config(cfg, grid)
+    u0 = _u0_from_config(cfg, "heaviside")
+    field0 = kppsolve.init(u0.pop("kind"), grid, u0)
     try:
         traj = kppsolve.solve(field0, path, t_end, config)
     except kppsolve.FrontMarginError as exc:
@@ -250,12 +250,7 @@ def cmd_interval(cfg):
     c_grid = _require(cfg, "c_grid", "interval")
     shift_set = _require(cfg, "shift_set", "interval")
     t_probe = float(_require(cfg, "t_probe", "interval"))
-    kind = cfg.get("u0_kind", "front-like")
-    u0 = {"kind": kind}
-    for key, name in (("u0_x0", "x0"), ("u0_mu", "mu"), ("u0_height", "height"),
-                      ("u0_lo", "lo"), ("u0_hi", "hi")):
-        if key in cfg:
-            u0[name] = cfg[key]
+    u0 = _u0_from_config(cfg, "front-like")
     domain = None
     if "x_lo" in cfg or "x_hi" in cfg:
         domain = (float(_require(cfg, "x_lo", "interval")),
@@ -264,8 +259,7 @@ def cmd_interval(cfg):
         path, u0, c_grid, shift_set, t_probe,
         thresholds=tuple(cfg.get("thresholds", (0.9, 0.05))),
         dx=float(cfg.get("dx", 0.1)), dt=float(cfg.get("dt", 0.005)),
-        domain=domain, margin=float(cfg.get("margin", 50.0)),
-        n_jobs=cfg.get("n_jobs"))
+        domain=domain, margin=float(cfg.get("margin", 50.0)))
     results = interval.to_dict()
     found = math.isfinite(interval.c_lo) and math.isfinite(interval.c_hi) \
         and interval.c_lo <= interval.c_hi
@@ -358,15 +352,7 @@ def cmd_sweep(cfg):
         raise ConfigError("sweep_key %r is not a config key of %r" % (key, sub))
     base.pop("out_dir", None)   # cells stay in memory; only the sweep writes
     runner = COMMANDS[sub]
-
-    def run(value):
-        cell = dict(base)
-        cell[key] = value
-        return runner(cell)
-
-    jobs = cfg.get("n_jobs") or min(4, len(values))
-    with ThreadPoolExecutor(max_workers=int(jobs)) as ex:
-        outcomes = list(ex.map(run, values))
+    outcomes = [runner({**base, key: value}) for value in values]
     cells = {}
     for value, (code, artifact) in zip(values, outcomes):
         cells["%s=%s" % (key, value)] = {"exit_code": code,

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
+from ._files import opened
+
 __all__ = [
     "CoefficientPath", "ConstantPath", "PeriodicPath", "TwoLevelPath",
     "TabulatedPath", "NoisePath", "MeanEstimate", "PiecewiseB",
@@ -38,8 +40,8 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-class CoefficientPath:
-    """Base class for positive growth-rate paths.
+class _Signal:
+    """Time signal with an exact integral and a movable time origin.
 
     Subclasses implement `_eval`, `_primitive`, `_extrema_on` in the
     unshifted clock; the public methods apply the time offset so that
@@ -87,7 +89,7 @@ class CoefficientPath:
         other.offset = self.offset + float(s)
         return other
 
-    # domain: formula kinds are unbounded, tabulated kinds override
+    # domain: formula kinds are unbounded, sampled kinds override
     @property
     def t_lo(self):
         return -math.inf
@@ -103,8 +105,8 @@ class CoefficientPath:
     def to_csv(self, file, t0=None, t1=None, dt=None):
         """Write (t, value) rows with a leading comment line of parameters.
 
-        Formula kinds need an explicit sampling window; tabulated kinds
-        default to their native grid.
+        Formula kinds need an explicit sampling window; sampled kinds
+        default to their native grid.  `file` is a path or an open stream.
         """
         if t0 is None or t1 is None or dt is None:
             raise ValueError("sampling window (t0, t1, dt) required for kind %r" % self.kind)
@@ -112,18 +114,21 @@ class CoefficientPath:
         self._write_csv(file, ts, self(ts))
 
     def _write_csv(self, file, ts, vals):
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
+        with opened(file, "w") as fh:
             meta = " ".join("%s=%s" % (k, _fmt(v) if isinstance(v, (int, float, np.floating)) else v)
                             for k, v in self.describe().items())
             fh.write("# %s\n" % meta)
             fh.write("t,value\n")
             for t, v in zip(ts, vals):
                 fh.write("%s,%s\n" % (_fmt(t), _fmt(v)))
-        finally:
-            if own:
-                fh.close()
+
+
+class CoefficientPath(_Signal):
+    """Base class for positive growth-rate paths.
+
+    Positivity is the only contract added to `_Signal`: raw noise, which
+    may dip negative, is a signal but not a coefficient path.
+    """
 
 
 class ConstantPath(CoefficientPath):
@@ -279,8 +284,8 @@ class TwoLevelPath(CoefficientPath):
         return lo, hi
 
 
-class _UniformSamples:
-    """Shared machinery for paths stored as samples on a uniform grid.
+class _UniformSamples(_Signal):
+    """Shared machinery for signals stored as samples on a uniform grid.
 
     Evaluation is linear interpolation between samples; integrals are the
     exact integrals of that interpolant (cumulative trapezoid plus exact
@@ -304,6 +309,21 @@ class _UniformSamples:
     @property
     def sample_times(self):
         return self._t0 + self._dt * np.arange(self.values.size)
+
+    @property
+    def t_lo(self):
+        return self._t0 - self.offset
+
+    @property
+    def t_hi(self):
+        return self._t0 + self._dt * (self.values.size - 1) - self.offset
+
+    def to_csv(self, file, t0=None, t1=None, dt=None):
+        if t0 is None and t1 is None and dt is None:
+            ts = self.sample_times - self.offset
+            self._write_csv(file, ts, self(ts))
+        else:
+            super().to_csv(file, t0, t1, dt)
 
     def _check_range(self, t):
         hi = self._t0 + self._dt * (self.values.size - 1)
@@ -353,7 +373,7 @@ class TabulatedPath(_UniformSamples, CoefficientPath):
     kind = "tabulated"
 
     def __init__(self, t0, dt, values, offset=0.0, kind=None, meta=None):
-        CoefficientPath.__init__(self, offset)
+        super().__init__(offset)
         self._init_samples(t0, dt, values)
         if float(self.values.min()) <= 0.0:
             raise ValueError("coefficient samples must be positive (min=%g)"
@@ -362,37 +382,17 @@ class TabulatedPath(_UniformSamples, CoefficientPath):
             self.kind = kind
         self.meta = dict(meta or {})
 
-    @property
-    def t_lo(self):
-        return self._t0 - self.offset
-
-    @property
-    def t_hi(self):
-        return self._t0 + self._dt * (self.values.size - 1) - self.offset
-
     def describe(self):
         d = {"kind": self.kind, "t0": self._t0, "dt": self._dt,
              "n": self.values.size, "offset": self.offset}
         d.update(self.meta)
         return d
 
-    def to_csv(self, file, t0=None, t1=None, dt=None):
-        if t0 is None and t1 is None and dt is None:
-            ts = self.sample_times - self.offset
-            self._write_csv(file, ts, self(ts))
-        else:
-            CoefficientPath.to_csv(self, file, t0, t1, dt)
-
     @classmethod
     def from_csv(cls, file):
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "r") if own else file
-        try:
+        with opened(file, "r") as fh:
             rows = [ln for ln in fh if ln.strip() and not ln.startswith("#")
                     and not ln.lower().startswith("t,")]
-        finally:
-            if own:
-                fh.close()
         data = np.loadtxt(io.StringIO("".join(rows)), delimiter=",")
         ts, vals = data[:, 0], data[:, 1]
         dts = np.diff(ts)
@@ -426,7 +426,7 @@ class NoisePath(_UniformSamples):
         self.kappa = float(kappa)
         self.sigma = float(sigma)
         self.xi_max = float(xi_max)
-        self.offset = float(offset)
+        super().__init__(offset)
         n = int(round((t_hi - t_lo) / dt)) + 1
         rng = np.random.default_rng(self.seed)
         rho = math.exp(-self.kappa * dt)
@@ -441,35 +441,6 @@ class NoisePath(_UniformSamples):
             x = np.array([x0])
         self._init_samples(t_lo, dt, self.xi_max * np.tanh(x))
 
-    def __call__(self, t):
-        return self._eval(np.asarray(t, dtype=float) + self.offset)
-
-    def integral(self, s, t):
-        s = np.asarray(s, dtype=float) + self.offset
-        t = np.asarray(t, dtype=float) + self.offset
-        return self._primitive(t) - self._primitive(s)
-
-    def min_on(self, s, t):
-        return self._extrema_on(s + self.offset, t + self.offset)[0]
-
-    def max_on(self, s, t):
-        return self._extrema_on(s + self.offset, t + self.offset)[1]
-
-    def shift(self, s):
-        import copy
-
-        other = copy.copy(self)
-        other.offset = self.offset + float(s)
-        return other
-
-    @property
-    def t_lo(self):
-        return self._t0 - self.offset
-
-    @property
-    def t_hi(self):
-        return self._t0 + self._dt * (self.values.size - 1) - self.offset
-
     @property
     def dt(self):
         return self._dt
@@ -478,22 +449,6 @@ class NoisePath(_UniformSamples):
         return {"kind": self.kind, "seed": self.seed, "kappa": self.kappa,
                 "sigma": self.sigma, "xi_max": self.xi_max, "dt": self._dt,
                 "t0": self._t0, "n": self.values.size, "offset": self.offset}
-
-    def to_csv(self, file):
-        ts = self.sample_times - self.offset
-        vals = self(ts)
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
-            meta = " ".join("%s=%s" % (k, _fmt(v) if isinstance(v, (int, float, np.floating)) else v)
-                            for k, v in self.describe().items())
-            fh.write("# %s\n" % meta)
-            fh.write("t,value\n")
-            for t, v in zip(ts, vals):
-                fh.write("%s,%s\n" % (_fmt(t), _fmt(v)))
-        finally:
-            if own:
-                fh.close()
 
 
 # constructors ----------------------------------------------------------

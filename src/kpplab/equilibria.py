@@ -17,10 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import opened
+
 __all__ = [
     "logistic_solution", "real_noise_ode_solution", "truncation_horizon",
     "equilibrium_values", "random_equilibrium", "EquilibriumSample",
-    "logistic_residual", "stability_bound", "StabilityBound", "decay_envelope",
+    "logistic_residual", "stability_bound", "StabilityBound",
     "verify_stability_decay", "StabilityReport", "scheme_slack",
     "SLACK_C1", "SLACK_C2",
 ]
@@ -223,11 +225,6 @@ def stability_bound(u0_inf, u0_sup):
                           u0_sup=float(u0_sup))
 
 
-def decay_envelope(path, u0_inf, u0_sup, ts):
-    """Envelope M(u0) exp(-integral of a) at times ts, anchored at t = 0."""
-    return stability_bound(u0_inf, u0_sup).envelope(path, ts)
-
-
 @dataclass
 class StabilityReport:
     passed: bool
@@ -240,15 +237,10 @@ class StabilityReport:
     envelope: np.ndarray
 
     def to_csv(self, file):
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
+        with opened(file, "w") as fh:
             fh.write("t,sup_dist,bound,violation\n")
             for t, d, e in zip(self.times, self.deviations, self.envelope):
                 fh.write("%.12g,%.12g,%.12g,%.12g\n" % (t, d, e, d - e - self.slack))
-        finally:
-            if own:
-                fh.close()
 
 
 def verify_stability_decay(trajectory, path, bound=None, slack=None):

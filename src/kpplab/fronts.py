@@ -14,13 +14,13 @@ shift set; that is a declared surrogate, not the mathematical supremum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from . import coeff
 from . import kppsolve
+from ._files import opened
 
 __all__ = [
     "FrontTrace", "SpeedEstimate", "SpeedInterval", "SubadditivityReport",
@@ -74,9 +74,7 @@ class FrontTrace:
         return float(np.interp(t, ts[ok], xs[ok], left=math.nan, right=math.nan))
 
     def to_csv(self, file):
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
+        with opened(file, "w") as fh:
             meta = " ".join("%s=%s" % (k, v) for k, v in sorted(self.provenance.items()))
             fh.write("# %s\n" % meta)
             names = {0.5: "x_half", 0.25: "x_quarter"}
@@ -85,9 +83,6 @@ class FrontTrace:
             for k, t in enumerate(self.times):
                 row = ",".join("%.12g" % self.positions[lv][k] for lv in self.levels)
                 fh.write("%.12g,%s\n" % (t, row))
-        finally:
-            if own:
-                fh.close()
 
 
 def track(trajectory, levels=(0.5, 0.25)):
@@ -181,17 +176,9 @@ class SpeedInterval:
         }
 
 
-def _initial_field(u0_class, grid):
-    if isinstance(u0_class, dict):
-        params = dict(u0_class)
-        kind = params.pop("kind")
-        return kind, kppsolve.init(kind, grid, params)
-    return u0_class, kppsolve.init(u0_class, grid, {})
-
-
 def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
                          thresholds=(0.9, 0.05), *, dx=0.1, dt=0.005,
-                         domain=None, margin=50.0, n_jobs=None):
+                         domain=None, margin=50.0):
     """Classify each probe speed c as spread or vanish at time t_probe.
 
     For every shift s the equation is solved once with the shifted path;
@@ -201,13 +188,15 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
     shifts; vanish needs it below eps_vanish beyond the ray.  Strict
     inequalities: a tie is neither, which can only widen [c_lo, c_hi].
     c_lo is the largest spread speed, c_hi the smallest vanish speed.
+    u0_class is an initial-data kind or a dict {"kind": ..., <init params>}.
     """
     eps_spread, eps_vanish = thresholds
     c_grid = sorted(float(c) for c in c_grid)
     shifts = sorted(float(s) for s in shift_set)
     if not c_grid or not shifts:
         raise ValueError("need at least one probe speed and one shift")
-    kind_name = u0_class["kind"] if isinstance(u0_class, dict) else u0_class
+    u0_params = dict(u0_class) if isinstance(u0_class, dict) else {"kind": u0_class}
+    kind_name = u0_params.pop("kind")
     two_sided = kind_name == "compact-bump"
 
     c_max = c_grid[-1]
@@ -224,14 +213,9 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
     config = kppsolve.SolveConfig(dt=dt, margin=margin,
                                   store_stride=int(round(t_probe / dt)))
 
-    def run(s):
-        _, field0 = _initial_field(u0_class, grid)
-        traj = kppsolve.solve(field0, coeff.shift(path, s), t_probe, config)
-        return traj.frames[-1]
-
-    workers = n_jobs or min(4, len(shifts))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        finals = list(ex.map(run, shifts))
+    field0 = kppsolve.init(kind_name, grid, u0_params)
+    finals = [kppsolve.solve(field0, coeff.shift(path, s), t_probe, config).frames[-1]
+              for s in shifts]
 
     x = grid.x
     decisions = {}
@@ -303,7 +287,8 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
     path shifted by t.  m_hat is the largest defect.  With check_doubling,
     the axis is refined by midpoints (reusing every solve already made) and
     the relative change of m_hat is reported; growth beyond 20% flags an
-    unstable estimate.
+    unstable estimate.  n_jobs is accepted for old callers and ignored:
+    the solves run one after another.
     """
     axis = sorted(float(t) for t in times)
     if axis[0] < t_min:
@@ -328,9 +313,6 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
         return cache[t]
 
     def fill(t_axis, s_axis):
-        workers = n_jobs or min(4, len(t_axis))
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(shifted_trace, sorted(set(t_axis))))
         v = np.empty((len(t_axis), len(s_axis)))
         for i, t in enumerate(t_axis):
             tr = shifted_trace(t)

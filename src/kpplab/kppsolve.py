@@ -8,10 +8,10 @@ maximum principles hold to rounding -- the property every certificate in
 this package leans on.  That rules out faster non-monotone schemes on
 purpose.
 
-Moving-frame solves use the time-dependent frame speed
-c(t) = (mu^2 + a(t)) / mu, the speed at which the exponential ansatz
-exp(-mu x) is stationary; the accumulated shift is tracked exactly through
-the path's integral.
+Moving-frame solves (SolveConfig(frame="moving", mu=...)) use the
+time-dependent frame speed c(t) = (mu^2 + a(t)) / mu, the speed at which the
+exponential ansatz exp(-mu x) is stationary; the accumulated shift,
+frame_position, is tracked exactly through the path's integral.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import splu
 
+from ._files import opened
+
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",
     "StepSizeError", "FrontMarginError",
-    "make_grid", "init", "step", "solve", "solve_moving_frame",
-    "suggest_domain", "frame_speed",
+    "make_grid", "init", "solve", "suggest_domain", "frame_position",
 ]
 
 # fields below this value count as "unoccupied" for boundary-safety checks
@@ -149,11 +150,10 @@ def init(kind, grid, params=None):
     return Field(grid, vals, 0.0)
 
 
-def frame_speed(path, mu, t):
-    """Moving-frame speed c(t) = (mu^2 + a(t)) / mu."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    return (mu * mu + path(t)) / mu
+def frame_position(path, mu, t, t0=0.0):
+    """Frame displacement C(t) = (mu^2 (t - t0) + int_{t0}^t a)/mu."""
+    t = np.asarray(t, dtype=float)
+    return (mu * mu * (t - t0) + path.integral(np.full_like(t, t0), t)) / mu
 
 
 def _diffusion_lu(grid, dt):
@@ -200,17 +200,6 @@ def _advance(values, dt, a_mid, lu, grid, config):
     return lu.solve(u)
 
 
-def step(field, path, dt, config=None):
-    """Advance a single step.  Convenience wrapper; solve() amortizes the
-    factorization over a whole run."""
-    config = config or SolveConfig(dt=dt)
-    _check_step_bounds(path, field.t, dt, float(field.values.max()), field.grid, config)
-    lu = _diffusion_lu(field.grid, dt)
-    a_mid = float(path(field.t + 0.5 * dt))
-    new_vals = _advance(field.values, dt, a_mid, lu, field.grid, config)
-    return Field(field.grid, new_vals, field.t + dt)
-
-
 @dataclass
 class Trajectory:
     """Stored frames of a solve, with exact frame-shift bookkeeping."""
@@ -230,55 +219,44 @@ class Trajectory:
         return Field(self.grid, self.frames[k].copy(), float(self.times[k]))
 
     def to_csv(self, file):
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
+        with opened(file, "w") as fh:
             meta = " ".join("%s=%s" % (k, v) for k, v in sorted(self.meta.items()))
             fh.write("# frame=%s %s\n" % (self.frame, meta))
             fh.write("t," + ",".join("%.12g" % xi for xi in self.grid.x) + "\n")
             for t, row in zip(self.times, self.frames):
                 fh.write("%.12g," % t + ",".join("%.12g" % v for v in row) + "\n")
-        finally:
-            if own:
-                fh.close()
 
     def to_binary(self, file):
         """Compact layout: magic 'KPP1', little-endian int64 counts, float64
-        grid descriptor, then times, frame shifts, and frames row-major."""
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "wb") if own else file
-        try:
+        grid descriptor, then times, frame shifts, and frames row-major.
+        `file` is a path or a binary stream (in-memory streams included)."""
+        mu = self.mu if self.mu is not None else math.nan
+        moving = 1.0 if self.frame == "moving" else 0.0
+        shifts = self.frame_shift if self.frame_shift is not None \
+            else np.zeros_like(self.times)
+        with opened(file, "wb") as fh:
             fh.write(b"KPP1")
-            np.asarray([self.times.size, self.grid.n], dtype="<i8").tofile(fh)
-            mu = self.mu if self.mu is not None else math.nan
-            moving = 1.0 if self.frame == "moving" else 0.0
-            np.asarray([self.grid.x_lo, self.grid.dx, moving, mu],
-                       dtype="<f8").tofile(fh)
-            np.asarray(self.times, dtype="<f8").tofile(fh)
-            shifts = self.frame_shift if self.frame_shift is not None \
-                else np.zeros_like(self.times)
-            np.asarray(shifts, dtype="<f8").tofile(fh)
-            np.asarray(self.frames, dtype="<f8").tofile(fh)
-        finally:
-            if own:
-                fh.close()
+            fh.write(np.asarray([self.times.size, self.grid.n], dtype="<i8").tobytes())
+            fh.write(np.asarray([self.grid.x_lo, self.grid.dx, moving, mu],
+                                dtype="<f8").tobytes())
+            for block in (self.times, shifts, self.frames):
+                fh.write(np.asarray(block, dtype="<f8").tobytes())
 
     @staticmethod
     def from_binary(file):
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "rb") if own else file
-        try:
+        def read(fh, dtype, count):
+            # a bytearray keeps the arrays writable
+            return np.frombuffer(bytearray(fh.read(8 * count)), dtype=dtype,
+                                 count=count)
+
+        with opened(file, "rb") as fh:
             if fh.read(4) != b"KPP1":
                 raise ValueError("not a KPP1 trajectory file")
-            n_frames, n_nodes = (int(v) for v in np.fromfile(fh, dtype="<i8", count=2))
-            x_lo, dx, moving, mu = np.fromfile(fh, dtype="<f8", count=4)
-            times = np.fromfile(fh, dtype="<f8", count=n_frames)
-            shifts = np.fromfile(fh, dtype="<f8", count=n_frames)
-            frames = np.fromfile(fh, dtype="<f8",
-                                 count=n_frames * n_nodes).reshape(n_frames, n_nodes)
-        finally:
-            if own:
-                fh.close()
+            n_frames, n_nodes = (int(v) for v in read(fh, "<i8", 2))
+            x_lo, dx, moving, mu = read(fh, "<f8", 4)
+            times = read(fh, "<f8", n_frames)
+            shifts = read(fh, "<f8", n_frames)
+            frames = read(fh, "<f8", n_frames * n_nodes).reshape(n_frames, n_nodes)
         grid = Grid1D(float(x_lo), float(x_lo + dx * (n_nodes - 1)), n_nodes)
         return Trajectory(grid=grid, times=times, frames=frames,
                           frame="moving" if moving else "fixed",
@@ -352,8 +330,7 @@ def solve(init_field, path, t_end, config):
 
     times = np.asarray(times)
     if config.frame == "moving":
-        shift = (config.mu ** 2 * (times - t0)
-                 + path.integral(np.full_like(times, t0), times)) / config.mu
+        shift = frame_position(path, config.mu, times, t0)
     else:
         shift = np.zeros_like(times)
     meta = {"dt": dt, "dx": grid.dx, "stride": stride, "margin": config.margin,
@@ -361,13 +338,6 @@ def solve(init_field, path, t_end, config):
     return Trajectory(grid=grid, times=times, frames=np.asarray(frames),
                       frame=config.frame, mu=config.mu, frame_shift=shift,
                       meta=meta)
-
-
-def solve_moving_frame(init_field, path, mu, t_end, config):
-    """solve() in the frame moving at c(t) = (mu^2 + a(t)) / mu."""
-    moving = SolveConfig(dt=config.dt, frame="moving", mu=mu,
-                         store_stride=config.store_stride, margin=config.margin)
-    return solve(init_field, path, t_end, moving)
 
 
 def suggest_domain(path, t_end, margin=50.0, r_min=5.0):

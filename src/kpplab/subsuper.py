@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeff
+from ._files import opened
 from .equilibria import scheme_slack
+from .kppsolve import frame_position
 
 __all__ = [
     "WaveParams", "BoundCurve", "CertifyReport", "InitialOrderingError",
@@ -128,12 +130,6 @@ def make_wave_params(path, mu, mu_tilde, span, delta=None, d=None, r_min=1.0):
                       a_lower_est=est.a_lower_est)
 
 
-def frame_position(path, mu, t, t0=0.0):
-    """Frame displacement C(t) = (mu^2 (t - t0) + int_{t0}^t a)/mu."""
-    t = np.asarray(t, dtype=float)
-    return (mu * mu * (t - t0) + path.integral(np.full_like(t, t0), t)) / mu
-
-
 @dataclass
 class BoundCurve:
     """A time-dependent comparison profile evaluated in absolute x."""
@@ -228,15 +224,10 @@ class CertifyReport:
     rows: list                 # (t, violation, x at violation)
 
     def to_csv(self, file):
-        own = isinstance(file, (str, bytes))
-        fh = open(file, "w") if own else file
-        try:
+        with opened(file, "w") as fh:
             fh.write("t,max_violation,location\n")
             for t, v, loc in self.rows:
                 fh.write("%.12g,%.12g,%.12g\n" % (t, v, loc))
-        finally:
-            if own:
-                fh.close()
 
 
 def certify_ordering(trajectory, bound, relation, region=None, slack=None):

@@ -59,8 +59,9 @@ def _case_config(rng, path, grid, u_max, t0):
     if moving:
         c_max = (mu * mu + a_max) / mu
         dt = min(dt, 0.9 * grid.dx / c_max)
+    # every step is stored so the checks see each one
     cfg = kppsolve.SolveConfig(dt=dt, frame="moving" if moving else "fixed",
-                               mu=mu, margin=0.0)
+                               mu=mu, margin=0.0, store_stride=1)
     return cfg, steps
 
 
@@ -80,18 +81,20 @@ def run_battery(n_cases, seed=1234):
         u_max = max(float(v0.max()), float(mono0.max()), 1.0)
         cfg, steps = _case_config(rng, path, grid, u_max, 0.0)
         cap = max(1.0, u_max)
-        fu = kppsolve.Field(grid, u0.copy())
-        fv = kppsolve.Field(grid, v0.copy())
-        fm = kppsolve.Field(grid, mono0)
-        for _ in range(steps):
-            fu = kppsolve.step(fu, path, cfg.dt, cfg)
-            fv = kppsolve.step(fv, path, cfg.dt, cfg)
-            fm = kppsolve.step(fm, path, cfg.dt, cfg)
+        t_end = steps * cfg.dt
+
+        def run(values):
+            # frame 0 is the initial data
+            traj = kppsolve.solve(kppsolve.Field(grid, values), path, t_end, cfg)
+            return traj.frames[1:]
+
+        us, vs, ms = run(u0), run(v0), run(mono0)
+        for fu, fv, fm in zip(us, vs, ms):
             worst["comparison"] = max(worst["comparison"],
-                                      float(np.max(fu.values - fv.values)))
-            over = max(float(fu.values.max()), float(fv.values.max())) - cap
-            under = -min(float(fu.values.min()), float(fv.values.min()))
+                                      float(np.max(fu - fv)))
+            over = max(float(fu.max()), float(fv.max())) - cap
+            under = -min(float(fu.min()), float(fv.min()))
             worst["maximum"] = max(worst["maximum"], over, under)
             worst["monotone"] = max(worst["monotone"],
-                                    float(np.max(np.diff(fm.values))))
+                                    float(np.max(np.diff(fm))))
     return worst

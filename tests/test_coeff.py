@@ -207,9 +207,11 @@ def test_noise_csv_records_parameters():
     head = buf.getvalue().splitlines()[0]
     for token in ("seed=9", "kappa=1", "sigma=0.5", "xi_max=0.75"):
         assert token in head
+    # raw noise may dip negative, so it is a signal but not a coefficient path
+    assert not isinstance(p, coeff.CoefficientPath)
 
 
-def test_tabulated_roundtrip_and_validation():
+def test_tabulated_roundtrip_and_validation(tmp_path):
     vals = np.array([1.0, 1.5, 2.0, 1.2, 0.8])
     p = coeff.TabulatedPath(0.0, 0.5, vals)
     buf = io.StringIO()
@@ -218,6 +220,11 @@ def test_tabulated_roundtrip_and_validation():
     q = coeff.TabulatedPath.from_csv(buf)
     ts = np.linspace(0, 2, 41)
     assert np.max(np.abs(q(ts) - p(ts))) == pytest.approx(0.0, abs=1e-12)
+    # an os.PathLike argument is opened as a file
+    target = tmp_path / "path.csv"
+    p.to_csv(target)
+    assert target.read_text() == buf.getvalue()
+    assert np.array_equal(coeff.TabulatedPath.from_csv(target).values, q.values)
     with pytest.raises(ValueError):
         coeff.TabulatedPath(0.0, 0.5, np.array([1.0, -0.2, 1.0]))
     bad = io.StringIO("t,value\n0,1\n0.5,1\n1.2,1\n")

@@ -97,7 +97,7 @@ def test_stability_prefactor_frozen_values():
 def test_decay_envelope_closed_form():
     p = coeff.make_constant(2.0)
     ts = np.array([0.0, 1.0, 3.0])
-    env = equilibria.decay_envelope(p, 0.5, 2.0, ts)
+    env = equilibria.stability_bound(0.5, 2.0).envelope(p, ts)
     assert np.allclose(env, 2.0 * np.exp(-2.0 * ts), rtol=1e-12)
 
 

@@ -117,11 +117,11 @@ def test_step_size_gates():
     g = kppsolve.make_grid(0.0, 5.0, 0.5)
     f = kppsolve.init("constant", g, {"value": 2.0})
     with pytest.raises(kppsolve.StepSizeError):
-        kppsolve.step(f, p, 0.2)        # dt*a*(2u-1) = 1.2 > 0.5
+        kppsolve.solve(f, p, 0.2, kppsolve.SolveConfig(dt=0.2))   # dt*a*(2u-1) = 1.2 > 0.5
     mv = kppsolve.SolveConfig(dt=0.2, frame="moving", mu=1.0)
     f2 = kppsolve.init("constant", g, {"value": 0.5})
     with pytest.raises(kppsolve.StepSizeError, match="CFL"):
-        kppsolve.step(f2, p, 0.2, mv)   # c=3, c*dt/dx = 1.2 > 1
+        kppsolve.solve(f2, p, 0.2, mv)   # c=3, c*dt/dx = 1.2 > 1
 
 
 def test_margin_abort_names_the_side():
@@ -157,22 +157,46 @@ def test_store_stride_and_frame_lookup():
         traj.frame_at(0.3)
 
 
-def test_trajectory_binary_roundtrip(tmp_path):
+def _moving_trajectory():
     p = coeff.make_periodic(1.0, 0.3, 4.0)
     g = kppsolve.make_grid(-3.0, 3.0, 0.25)
     f = kppsolve.init("front-like", g, {"mu": 0.8})
-    traj = kppsolve.solve_moving_frame(
-        f, p, 0.8, 1.0, kppsolve.SolveConfig(dt=0.005, margin=0.0))
-    path = tmp_path / "run.bin"
-    traj.to_binary(str(path))
-    back = kppsolve.Trajectory.from_binary(str(path))
+    return kppsolve.solve(f, p, 1.0, kppsolve.SolveConfig(
+        dt=0.005, frame="moving", mu=0.8, margin=0.0))
+
+
+def _assert_same_trajectory(back, traj):
     assert back.frame == "moving" and back.mu == pytest.approx(0.8)
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.frames, traj.frames)
     assert np.allclose(back.frame_shift, traj.frame_shift)
-    assert back.grid.n == g.n and back.grid.x_lo == g.x_lo
+    assert back.grid.n == traj.grid.n and back.grid.x_lo == traj.grid.x_lo
+
+
+def test_trajectory_binary_roundtrip(tmp_path):
+    traj = _moving_trajectory()
+    path = tmp_path / "run.bin"
+    traj.to_binary(str(path))
+    _assert_same_trajectory(kppsolve.Trajectory.from_binary(str(path)), traj)
+    # os.PathLike arguments are accepted as paths too
+    _assert_same_trajectory(kppsolve.Trajectory.from_binary(path), traj)
     with pytest.raises(ValueError):
         kppsolve.Trajectory.from_binary(io.BytesIO(b"NOPE" + b"\0" * 64))
+
+
+def test_trajectory_binary_roundtrip_in_memory(tmp_path):
+    traj = _moving_trajectory()
+    buf = io.BytesIO()
+    traj.to_binary(buf)
+    path = tmp_path / "run.bin"
+    traj.to_binary(path)
+    assert buf.getvalue() == path.read_bytes()
+    buf.seek(0)
+    back = kppsolve.Trajectory.from_binary(buf)
+    _assert_same_trajectory(back, traj)
+    assert back.frames.flags.writeable
+    with pytest.raises(ValueError):
+        kppsolve.Trajectory.from_binary(io.BytesIO(buf.getvalue()[:-8]))
 
 
 def test_trajectory_csv_layout():
@@ -194,8 +218,8 @@ def test_moving_frame_shift_is_exact_integral():
     g = kppsolve.make_grid(-5.0, 30.0, 0.1)
     f = kppsolve.init("front-like", g, {"mu": 0.8})
     mu = 0.8
-    traj = kppsolve.solve_moving_frame(f, p, mu, 4.0,
-                                       kppsolve.SolveConfig(dt=0.002, margin=0.0))
+    traj = kppsolve.solve(f, p, 4.0, kppsolve.SolveConfig(dt=0.002, frame="moving",
+                                                           mu=mu, margin=0.0))
     ts = traj.times
     closed = (mu * mu * ts + p.integral(np.zeros_like(ts), ts)) / mu
     assert np.allclose(traj.frame_shift, closed, atol=1e-12)
@@ -209,9 +233,9 @@ def test_moving_frame_keeps_exponential_front_in_view():
     p = coeff.make_constant(1.0)
     g = kppsolve.make_grid(-25.0, 40.0, 0.1)
     f = kppsolve.init("front-like", g, {"mu": 0.8})
-    traj = kppsolve.solve_moving_frame(f, p, 0.8, 20.0,
-                                       kppsolve.SolveConfig(dt=0.002, margin=0.0,
-                                                            store_stride=500))
+    traj = kppsolve.solve(f, p, 20.0,
+                          kppsolve.SolveConfig(dt=0.002, frame="moving", mu=0.8,
+                                               margin=0.0, store_stride=500))
     xs = fronts.track(traj, levels=(0.5,)).xs(0.5)
     assert float(np.max(np.abs(xs - xs[0]))) < 3.0
     assert traj.frame_shift[-1] == pytest.approx((0.8 ** 2 + 1.0) / 0.8 * 20.0,
