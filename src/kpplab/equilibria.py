@@ -24,6 +24,7 @@ __all__ = [
     "equilibrium_values", "random_equilibrium", "EquilibriumSample",
     "logistic_residual", "stability_bound", "StabilityBound",
     "verify_stability_decay", "StabilityReport", "scheme_slack",
+    "trajectory_slack",
     "SLACK_C1", "SLACK_C2",
 ]
 
@@ -38,6 +39,19 @@ SLACK_C2 = 6.0
 def scheme_slack(dx, dt):
     """Allowance separating discretization error from genuine violations."""
     return SLACK_C1 * dx * dx + SLACK_C2 * dt
+
+
+def trajectory_slack(trajectory):
+    """scheme_slack at the dx and dt recorded in trajectory.meta.
+
+    Raises ValueError when either is missing (a trajectory read from a KPP1
+    file carries no run record) rather than guessing a resolution.
+    """
+    missing = [k for k in ("dx", "dt") if k not in trajectory.meta]
+    if missing:
+        raise ValueError("trajectory meta lacks %s, so the scheme slack is "
+                         "unknown; pass slack explicitly" % " and ".join(missing))
+    return scheme_slack(trajectory.meta["dx"], trajectory.meta["dt"])
 
 
 def logistic_solution(u0, path, ts):
@@ -247,7 +261,8 @@ def verify_stability_decay(trajectory, path, bound=None, slack=None):
     """Check sup_x |u(t,x) - 1| <= M exp(-A(t)) + slack along a trajectory.
 
     The bound defaults to stability_bound of the first stored frame's
-    range, and slack to the scheme-error model for the trajectory's steps.
+    range, and slack to the scheme-error model at the dx and dt recorded in
+    trajectory.meta (ValueError when they are missing).
     Violation is the worst signed excess over envelope + slack; positive
     excess below the slack is discretization error, not a counterexample.
     """
@@ -258,8 +273,7 @@ def verify_stability_decay(trajectory, path, bound=None, slack=None):
     if bound is None:
         bound = stability_bound(float(frames[0].min()), float(frames[0].max()))
     if slack is None:
-        meta = getattr(trajectory, "meta", {}) or {}
-        slack = scheme_slack(meta.get("dx", 0.0), meta.get("dt", 0.0))
+        slack = trajectory_slack(trajectory)
     deviations = np.max(np.abs(frames - 1.0), axis=1)
     envelope = bound.envelope(path, times, t0=float(times[0]))
     gap = deviations - envelope - slack

@@ -293,18 +293,18 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
     axis = sorted(float(t) for t in times)
     if axis[0] < t_min:
         raise ValueError("pair times must be >= %g so fronts exist" % t_min)
-    horizon = 2.0 * axis[-1]
-    x_hi = kppsolve.suggest_domain(path, horizon, margin)
-    grid = kppsolve.make_grid(-(margin + 20.0), x_hi, dx)
     stride = max(1, int(round(0.5 / dt)))
     config = kppsolve.SolveConfig(dt=dt, store_stride=stride, margin=margin)
 
     def heaviside_trace(p, t_end):
+        # each run's domain is sized for its own path and horizon
+        grid = kppsolve.make_grid(-(margin + 20.0),
+                                  kppsolve.suggest_domain(p, t_end, margin), dx)
         field0 = kppsolve.init("heaviside", grid, {})
         traj = kppsolve.solve(field0, p, t_end, config)
         return track(traj, levels=(level,))
 
-    base = heaviside_trace(path, horizon)
+    base = heaviside_trace(path, 2.0 * axis[-1])
     cache = {}
 
     def shifted_trace(t):

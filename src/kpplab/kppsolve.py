@@ -8,6 +8,19 @@ maximum principles hold to rounding -- the property every certificate in
 this package leans on.  That rules out faster non-monotone schemes on
 purpose.
 
+The diffusion matrix I - dt L with mirror-ghost (zero-flux) ends is not
+symmetric, but halving its first and last rows makes it a symmetric
+positive definite M-matrix.  It is factored once per solve as L D L^T
+(LAPACK dpttrf) and each step solves against the right-hand side with its
+end entries halved as well (dpttrs); halving is exact in binary, so this is
+the same linear system.
+
+After each step, entries with |u| below the smallest normal float are set
+to 0.  The solution ahead of a front decays into subnormal numbers, which
+only slow the arithmetic down.  The flush map is non-decreasing, so
+composing it with the monotone step keeps the step monotone, and values at
+or below -tiny are left alone so that a positivity fault still shows.
+
 Moving-frame solves (SolveConfig(frame="moving", mu=...)) use the
 time-dependent frame speed c(t) = (mu^2 + a(t)) / mu, the speed at which the
 exponential ansatz exp(-mu x) is stationary; the accumulated shift,
@@ -20,8 +33,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from ._files import opened
 
@@ -33,6 +45,10 @@ __all__ = [
 
 # fields below this value count as "unoccupied" for boundary-safety checks
 WATCH_LEVEL = 0.05
+# the run record solve() keeps in Trajectory.meta, in KPP2 file order
+META_KEYS = ("dt", "dx", "stride", "margin", "t0", "t_end")
+# magnitudes below this (the subnormals) are flushed to 0 after each step
+TINY = np.finfo(float).tiny
 
 
 class StepSizeError(ValueError):
@@ -157,20 +173,37 @@ def frame_position(path, mu, t, t0=0.0):
 
 
 def _diffusion_lu(grid, dt):
-    """Prefactored backward-Euler operator I - dt * Laplacian (zero-flux).
+    """Prefactored backward-Euler solve with I - dt * Laplacian (zero-flux).
 
     Zero-flux boundaries via mirror ghost nodes give row sums of exactly 1,
     so constants are preserved and the inverse is a monotone averaging.
+    The end rows carry -2 lam off the diagonal; halving them (w = 1/2 there,
+    1 elsewhere) gives the symmetric positive definite tridiagonal
+    diag(w (1 + 2 lam)) with -lam off the diagonal, factored here as
+    L D L^T.  Returns solve(b), which overwrites b with the solution.
     """
     lam = dt / grid.dx ** 2
-    n = grid.n
-    main = np.full(n, 1.0 + 2.0 * lam)
-    off_up = np.full(n - 1, -lam)
-    off_dn = np.full(n - 1, -lam)
-    off_up[0] = -2.0 * lam
-    off_dn[-1] = -2.0 * lam
-    mat = diags([off_dn, main, off_up], [-1, 0, 1], format="csc")
-    return splu(mat)
+    d = np.full(grid.n, 1.0 + 2.0 * lam)
+    d[0] = d[-1] = 0.5 * (1.0 + 2.0 * lam)
+    d, e, info = dpttrf(d, np.full(grid.n - 1, -lam))
+    if info != 0:
+        raise RuntimeError("dpttrf failed (info=%d) for lam=%g" % (info, lam))
+
+    def solve(b):
+        b[0] *= 0.5
+        b[-1] *= 0.5
+        x, info = dpttrs(d, e, b, overwrite_b=True)
+        if info != 0:
+            raise RuntimeError("dpttrs failed (info=%d)" % info)
+        return x
+
+    return solve
+
+
+def _flush_subnormals(u):
+    """Set entries with |u| < TINY to 0 in place; a non-decreasing map."""
+    np.copyto(u, 0.0, where=np.abs(u) < TINY)
+    return u
 
 
 def _check_step_bounds(path, t, dt, u_max, grid, config):
@@ -189,15 +222,16 @@ def _check_step_bounds(path, t, dt, u_max, grid, config):
                 % (t, c_max, dt, grid.dx, cfl))
 
 
-def _advance(values, dt, a_mid, lu, grid, config):
-    """One split step: reaction, advection, diffusion.  Returns a new array."""
+def _advance(values, dt, a_mid, diffuse, grid, config):
+    """One split step: reaction, advection, diffusion, subnormal flush.
+    Returns a new array."""
     u = values
     u = u + dt * a_mid * u * (1.0 - u)
     if config.frame == "moving":
         nu = ((config.mu ** 2 + a_mid) / config.mu) * dt / grid.dx
         u[:-1] += nu * (u[1:] - u[:-1])
         # last node keeps its value: zero-gradient inflow
-    return lu.solve(u)
+    return _flush_subnormals(diffuse(u))
 
 
 @dataclass
@@ -227,33 +261,43 @@ class Trajectory:
                 fh.write("%.12g," % t + ",".join("%.12g" % v for v in row) + "\n")
 
     def to_binary(self, file):
-        """Compact layout: magic 'KPP1', little-endian int64 counts, float64
-        grid descriptor, then times, frame shifts, and frames row-major.
+        """Compact layout: magic 'KPP2', little-endian int64 counts, float64
+        grid descriptor, the float64 run record (META_KEYS, NaN where meta
+        lacks a key), then times, frame shifts, and frames row-major.
         `file` is a path or a binary stream (in-memory streams included)."""
         mu = self.mu if self.mu is not None else math.nan
         moving = 1.0 if self.frame == "moving" else 0.0
         shifts = self.frame_shift if self.frame_shift is not None \
             else np.zeros_like(self.times)
+        record = [self.meta.get(k, math.nan) for k in META_KEYS]
         with opened(file, "wb") as fh:
-            fh.write(b"KPP1")
+            fh.write(b"KPP2")
             fh.write(np.asarray([self.times.size, self.grid.n], dtype="<i8").tobytes())
             fh.write(np.asarray([self.grid.x_lo, self.grid.dx, moving, mu],
                                 dtype="<f8").tobytes())
+            fh.write(np.asarray(record, dtype="<f8").tobytes())
             for block in (self.times, shifts, self.frames):
                 fh.write(np.asarray(block, dtype="<f8").tobytes())
 
     @staticmethod
     def from_binary(file):
+        """Read a KPP2 file, or a KPP1 file (no run record: empty meta)."""
         def read(fh, dtype, count):
             # a bytearray keeps the arrays writable
             return np.frombuffer(bytearray(fh.read(8 * count)), dtype=dtype,
                                  count=count)
 
         with opened(file, "rb") as fh:
-            if fh.read(4) != b"KPP1":
-                raise ValueError("not a KPP1 trajectory file")
+            magic = fh.read(4)
+            if magic not in (b"KPP1", b"KPP2"):
+                raise ValueError("not a KPP1 or KPP2 trajectory file")
             n_frames, n_nodes = (int(v) for v in read(fh, "<i8", 2))
             x_lo, dx, moving, mu = read(fh, "<f8", 4)
+            meta = {}
+            if magic == b"KPP2":
+                for key, value in zip(META_KEYS, read(fh, "<f8", len(META_KEYS))):
+                    if not math.isnan(value):
+                        meta[key] = int(value) if key == "stride" else float(value)
             times = read(fh, "<f8", n_frames)
             shifts = read(fh, "<f8", n_frames)
             frames = read(fh, "<f8", n_frames * n_nodes).reshape(n_frames, n_nodes)
@@ -261,7 +305,7 @@ class Trajectory:
         return Trajectory(grid=grid, times=times, frames=frames,
                           frame="moving" if moving else "fixed",
                           mu=None if math.isnan(mu) else float(mu),
-                          frame_shift=shifts)
+                          frame_shift=shifts, meta=meta)
 
 
 def _watched_sides(values):
@@ -300,7 +344,7 @@ def solve(init_field, path, t_end, config):
     m_nodes = int(round(margin / grid.dx))
     watched = _watched_sides(init_field.values) if m_nodes > 0 else []
 
-    lu = _diffusion_lu(grid, dt)
+    diffuse = _diffusion_lu(grid, dt)
     mids = np.asarray(path(t0 + (np.arange(n_steps) + 0.5) * dt), dtype=float)
 
     u = init_field.values.astype(float).copy()
@@ -321,7 +365,7 @@ def solve(init_field, path, t_end, config):
     for k in range(n_steps):
         t = t0 + k * dt
         _check_step_bounds(path, t, dt, float(u.max()), grid, config)
-        u = _advance(u, dt, mids[k], lu, grid, config)
+        u = _advance(u, dt, mids[k], diffuse, grid, config)
         if (k + 1) % stride == 0 or k + 1 == n_steps:
             t_new = t0 + (k + 1) * dt
             safety_check(u, t_new)

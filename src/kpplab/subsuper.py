@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coeff
 from ._files import opened
-from .equilibria import scheme_slack
+from .equilibria import trajectory_slack
 from .kppsolve import frame_position
 
 __all__ = [
@@ -235,7 +235,8 @@ def certify_ordering(trajectory, bound, relation, region=None, slack=None):
 
     relation "above" asserts u <= bound, "below" asserts bound <= u, both
     up to a discretization slack (defaulting to the scheme's error model at
-    the trajectory's resolution).  The comparison is restricted to the
+    the dx and dt recorded in trajectory.meta; ValueError when they are
+    missing).  The comparison is restricted to the
     bound's validity region when it has one, or to the interval returned by
     region(t).  A violation already present at the first frame raises
     InitialOrderingError since comparison arguments only propagate an
@@ -244,7 +245,7 @@ def certify_ordering(trajectory, bound, relation, region=None, slack=None):
     if relation not in ("above", "below"):
         raise ValueError("relation must be 'above' or 'below'")
     if slack is None:
-        slack = scheme_slack(trajectory.meta["dx"], trajectory.meta["dt"])
+        slack = trajectory_slack(trajectory)
     x = trajectory.grid.x
     rows = []
     worst, worst_t = -math.inf, math.nan

@@ -112,6 +112,46 @@ def test_constants_are_scheme_fixed_points():
     assert float(np.max(np.abs(traj.frames))) == 0.0
 
 
+@pytest.mark.parametrize("n", [3, 4, 257])
+@pytest.mark.parametrize("lam", [0.05, 40.0])
+def test_diffusion_solve_matches_dense_mirror_ghost(n, lam):
+    g = kppsolve.Grid1D(0.0, 1.0, n)
+    dt = lam * g.dx ** 2
+    lam = dt / g.dx ** 2
+    mat = (np.diag(np.full(n, 1.0 + 2.0 * lam))
+           + np.diag(np.full(n - 1, -lam), 1) + np.diag(np.full(n - 1, -lam), -1))
+    mat[0, 1] = mat[-1, -2] = -2.0 * lam    # mirror ghost nodes
+    b = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    ref = np.linalg.solve(mat, b)
+    got = kppsolve._diffusion_lu(g, dt)(b.copy())
+    assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+def test_stored_frames_have_no_subnormals():
+    # backward Euler spreads the step to every node at once, so the tail far
+    # ahead of the front decays through the subnormal range
+    p = coeff.make_constant(1.0)
+    g = kppsolve.make_grid(-20.0, 150.0, 0.1)
+    f = kppsolve.init("heaviside", g, {})
+    traj = kppsolve.solve(f, p, 5.0, kppsolve.SolveConfig(
+        dt=0.005, margin=0.0, store_stride=10))
+    frames = traj.frames
+    assert not np.any((frames != 0.0) & (np.abs(frames) < kppsolve.TINY))
+    assert np.count_nonzero(frames[-1]) > g.n // 4
+
+
+def test_flush_changes_only_subnormals():
+    tiny = kppsolve.TINY
+    sub = np.nextafter(0.0, 1.0)
+    u = np.array([-1.0, -tiny, -tiny / 2, -sub, -0.0, 0.0, sub, tiny / 2,
+                  np.nextafter(tiny, 0.0), tiny, 1.0, math.nan])
+    out = kppsolve._flush_subnormals(u.copy())
+    keep = ~(np.abs(u) < tiny)
+    assert np.array_equal(out[keep], u[keep], equal_nan=True)
+    assert np.all(out[~keep] == 0.0)
+    assert np.all(np.diff(out[:-1]) >= 0.0)      # still non-decreasing
+
+
 def test_step_size_gates():
     p = coeff.make_constant(2.0)
     g = kppsolve.make_grid(0.0, 5.0, 0.5)
@@ -171,6 +211,7 @@ def _assert_same_trajectory(back, traj):
     assert np.array_equal(back.frames, traj.frames)
     assert np.allclose(back.frame_shift, traj.frame_shift)
     assert back.grid.n == traj.grid.n and back.grid.x_lo == traj.grid.x_lo
+    assert back.meta == traj.meta
 
 
 def test_trajectory_binary_roundtrip(tmp_path):
@@ -197,6 +238,18 @@ def test_trajectory_binary_roundtrip_in_memory(tmp_path):
     assert back.frames.flags.writeable
     with pytest.raises(ValueError):
         kppsolve.Trajectory.from_binary(io.BytesIO(buf.getvalue()[:-8]))
+
+
+def test_trajectory_binary_reads_kpp1_without_run_record():
+    traj = _moving_trajectory()
+    kpp1 = (b"KPP1" + np.asarray([traj.times.size, traj.grid.n], "<i8").tobytes()
+            + np.asarray([traj.grid.x_lo, traj.grid.dx, 1.0, 0.8], "<f8").tobytes()
+            + b"".join(np.asarray(a, "<f8").tobytes()
+                       for a in (traj.times, traj.frame_shift, traj.frames)))
+    back = kppsolve.Trajectory.from_binary(io.BytesIO(kpp1))
+    assert back.meta == {}
+    back.meta = traj.meta
+    _assert_same_trajectory(back, traj)
 
 
 def test_trajectory_csv_layout():

@@ -235,3 +235,18 @@ def test_certify_against_solver_run():
     low = subsuper.capped_lower(p, params)
     below = subsuper.certify_ordering(traj, low, "below")
     assert below.passed
+
+
+def test_certify_ordering_needs_recorded_resolution():
+    traj = _toy_traj([np.full(5, 0.4), np.full(5, 0.4)])
+    flat = subsuper.BoundCurve(kind="super", fn=lambda t, x: np.full_like(x, 0.9))
+    buf = io.BytesIO()
+    traj.to_binary(buf)
+    buf.seek(0)
+    back = kppsolve.Trajectory.from_binary(buf)
+    assert subsuper.certify_ordering(back, flat, "above").slack == \
+        subsuper.certify_ordering(traj, flat, "above").slack
+    traj.meta = {}
+    with pytest.raises(ValueError, match="dx and dt"):
+        subsuper.certify_ordering(traj, flat, "above")
+    assert subsuper.certify_ordering(traj, flat, "above", slack=0.0).passed
