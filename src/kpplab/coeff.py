@@ -45,7 +45,9 @@ class _Signal:
 
     Subclasses implement `_eval`, `_primitive`, `_extrema_on` in the
     unshifted clock; the public methods apply the time offset so that
-    ``shift(p, s)(t) == p(t + s)`` holds exactly.
+    ``shift(p, s)(t) == p(t + s)`` holds exactly.  All three take arrays:
+    `min_on`/`max_on` accept arrays of interval ends (one interval per
+    element) and return arrays, or plain floats for scalar ends.
     """
 
     kind = "abstract"
@@ -62,7 +64,8 @@ class _Signal:
         raise NotImplementedError
 
     def _extrema_on(self, a, b):
-        """(min, max) of the unshifted path on [a, b]."""
+        """(min, max) arrays of the unshifted path on each [a[k], b[k]];
+        a and b are 1-d with a <= b elementwise."""
         raise NotImplementedError
 
     # public ------------------------------------------------------------
@@ -75,11 +78,22 @@ class _Signal:
         t = np.asarray(t, dtype=float) + self.offset
         return self._primitive(t) - self._primitive(s)
 
+    def _extrema(self, s, t):
+        a = np.asarray(s, dtype=float) + self.offset
+        b = np.asarray(t, dtype=float) + self.offset
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        lo, hi = self._extrema_on(a.ravel(), b.ravel())
+        if a.ndim == 0:
+            return float(lo[0]), float(hi[0])
+        return lo.reshape(a.shape), hi.reshape(a.shape)
+
     def min_on(self, s, t):
-        return self._extrema_on(s + self.offset, t + self.offset)[0]
+        """Minimum of the path on [s, t] (either order), elementwise."""
+        return self._extrema(s, t)[0]
 
     def max_on(self, s, t):
-        return self._extrema_on(s + self.offset, t + self.offset)[1]
+        """Maximum of the path on [s, t] (either order), elementwise."""
+        return self._extrema(s, t)[1]
 
     def shift(self, s):
         """Path observed from time origin moved forward by s."""
@@ -147,7 +161,8 @@ class ConstantPath(CoefficientPath):
         return self.value * np.asarray(t, dtype=float)
 
     def _extrema_on(self, a, b):
-        return self.value, self.value
+        const = np.full(a.shape, self.value)
+        return const, const
 
     def describe(self):
         return {"kind": self.kind, "value": self.value, "offset": self.offset}
@@ -182,17 +197,20 @@ class PeriodicPath(CoefficientPath):
         return self.mean * t + (self.amplitude / w) * (1.0 - np.cos(w * t))
 
     def _extrema_on(self, a, b):
-        if b < a:
-            a, b = b, a
         w = 2.0 * math.pi / self.period
-        lo, hi = min(self._eval(a), self._eval(b)), max(self._eval(a), self._eval(b))
-        # interior extrema of sin at phase pi/2 + k*pi
-        k0 = math.ceil((w * a - math.pi / 2) / math.pi)
-        k1 = math.floor((w * b - math.pi / 2) / math.pi)
-        for k in range(k0, k1 + 1):
-            v = self.mean + self.amplitude * (1.0 if k % 2 == 0 else -1.0)
-            lo, hi = min(lo, v), max(hi, v)
-        return float(lo), float(hi)
+        va, vb = self._eval(a), self._eval(b)
+        lo, hi = np.minimum(va, vb), np.maximum(va, vb)
+        # interior extrema of sin at phase pi/2 + k*pi, k0 <= k <= k1: a
+        # peak for even k, a trough for odd k
+        k0 = np.ceil((w * a - math.pi / 2) / math.pi)
+        k1 = np.floor((w * b - math.pi / 2) / math.pi)
+        count = k1 - k0 + 1
+        k0_even = np.mod(k0, 2) == 0
+        peak = (count >= 2) | ((count == 1) & k0_even)
+        trough = (count >= 2) | ((count == 1) & ~k0_even)
+        hi = np.where(peak, np.maximum(hi, self.mean + self.amplitude), hi)
+        lo = np.where(trough, np.minimum(lo, self.mean - self.amplitude), lo)
+        return lo, hi
 
     def describe(self):
         return {"kind": self.kind, "mean": self.mean, "amplitude": self.amplitude,
@@ -263,25 +281,44 @@ class TwoLevelPath(CoefficientPath):
         return np.sign(t) * part
 
     def _extrema_on(self, a, b):
-        if b < a:
-            a, b = b, a
-        if a < 0 <= b:
-            m0, M0 = self._extrema_on(0.0, -a)
-            m1, M1 = self._extrema_on(0.0, b)
-            return min(m0, m1), max(M0, M1)
-        if b <= 0:
-            a, b = -b, -a
-        self._grow(b)
-        lo = hi = float(np.interp(a, self._bp_arr, self._vals_arr))
-        vb = float(np.interp(b, self._bp_arr, self._vals_arr))
-        lo, hi = min(lo, vb), max(hi, vb)
-        i0 = np.searchsorted(self._bp_arr, a, side="left")
-        i1 = np.searchsorted(self._bp_arr, b, side="right")
-        if i1 > i0:
-            inner = self._vals_arr[i0:i1]
-            lo = min(lo, float(inner.min()))
-            hi = max(hi, float(inner.max()))
-        return lo, hi
+        # the path is even: [a, b] has the range of [|a|, |b|] (or its
+        # reverse), or of [0, max(|a|, |b|)] when it holds 0 inside
+        abs_a, abs_b = np.abs(a), np.abs(b)
+        top = np.maximum(abs_a, abs_b)
+        bottom = np.where((a < 0) & (0 <= b), 0.0, np.minimum(abs_a, abs_b))
+        self._grow(float(np.max(top)) if top.size else 0.0)
+        va = np.interp(abs_a, self._bp_arr, self._vals_arr)
+        vb = np.interp(abs_b, self._bp_arr, self._vals_arr)
+        i0 = np.searchsorted(self._bp_arr, bottom, side="left")
+        i1 = np.searchsorted(self._bp_arr, top, side="right")
+        lo, hi = _window_extrema(self._vals_arr, i0, i1)
+        return np.minimum(np.minimum(va, vb), lo), np.maximum(np.maximum(va, vb), hi)
+
+
+def _window_extrema(values, i0, i1):
+    """(min, max) of values[i0[k]:i1[k]] for each k; (inf, -inf) where the
+    window is empty.
+
+    One reduceat pass per extremum over the window bounds interleaved in
+    order of their starts, on values cut at the last window end: what
+    reduceat reduces between and after the windows, and is dropped, adds
+    up to at most the longest window plus the gaps between windows, not
+    len(values) per call.  reduceat bounds must index the cut array, so a
+    window ending at the cut has its last value added back.
+    """
+    top = int(i1.max(initial=1))
+    head = values[:top]
+    order = np.argsort(i0, kind="stable")
+    start, end = i0[order], i1[order]
+    bounds = np.minimum(np.column_stack([start, end]).ravel(), top - 1)
+    empty, at_top = end <= start, end == top
+    lo = np.minimum.reduceat(head, bounds)[0::2]
+    hi = np.maximum.reduceat(head, bounds)[0::2]
+    lo = np.where(empty, math.inf, np.where(at_top, np.minimum(lo, head[-1]), lo))
+    hi = np.where(empty, -math.inf, np.where(at_top, np.maximum(hi, head[-1]), hi))
+    out_lo, out_hi = np.empty_like(lo), np.empty_like(hi)
+    out_lo[order], out_hi[order] = lo, hi
+    return out_lo, out_hi
 
 
 class _UniformSamples(_Signal):
@@ -353,18 +390,14 @@ class _UniformSamples(_Signal):
         return self._prefix[k] + 0.5 * (vk + vt) * rem
 
     def _extrema_on(self, a, b):
-        if b < a:
-            a, b = b, a
-        va, vb = float(self._eval(a)), float(self._eval(b))
-        lo, hi = min(va, vb), max(va, vb)
-        i0 = int(np.ceil((a - self._t0) / self._dt - 1e-12))
-        i1 = int(np.floor((b - self._t0) / self._dt + 1e-12))
-        i0, i1 = max(i0, 0), min(i1, self.values.size - 1)
-        if i1 >= i0:
-            inner = self.values[i0:i1 + 1]
-            lo = min(lo, float(inner.min()))
-            hi = max(hi, float(inner.max()))
-        return lo, hi
+        va, vb = self._eval(a), self._eval(b)
+        # the samples in [a, b], widened by 1e-12 dt at both ends
+        i0 = np.ceil((a - self._t0) / self._dt - 1e-12)
+        i1 = np.floor((b - self._t0) / self._dt + 1e-12)
+        i0 = np.clip(i0, 0, self.values.size).astype(np.intp)
+        i1 = np.clip(i1 + 1, 0, self.values.size).astype(np.intp)
+        lo, hi = _window_extrema(self.values, i0, i1)
+        return np.minimum(np.minimum(va, vb), lo), np.maximum(np.maximum(va, vb), hi)
 
 
 class TabulatedPath(_UniformSamples, CoefficientPath):

@@ -21,6 +21,12 @@ only slow the arithmetic down.  The flush map is non-decreasing, so
 composing it with the monotone step keeps the step monotone, and values at
 or below -tiny are left alone so that a positivity fault still shows.
 
+A step-size gate keeps each step monotone: dt * sup a * max(1, 2 sup u - 1)
+<= 1/2, with sup a taken over the whole step, since paths need not be
+bounded and a spike narrower than dt must still count.  solve() reads sup a
+for every step with one array call to path.max_on before the loop; the loop
+reads sup u each step and does only scalar arithmetic for the gate.
+
 Moving-frame solves (SolveConfig(frame="moving", mu=...)) use the
 time-dependent frame speed c(t) = (mu^2 + a(t)) / mu, the speed at which the
 exponential ansatz exp(-mu x) is stationary; the accumulated shift,
@@ -206,8 +212,9 @@ def _flush_subnormals(u):
     return u
 
 
-def _check_step_bounds(path, t, dt, u_max, grid, config):
-    a_max = float(path.max_on(t, t + dt))
+def _check_step_bounds(a_max, t, dt, u_max, grid, config):
+    """Raise StepSizeError if the step from t, with sup a = a_max on
+    [t, t + dt] and sup u = u_max, is not monotone or breaks the CFL bound."""
     gate = dt * a_max * max(1.0, 2.0 * u_max - 1.0)
     if gate > 0.5 + 1e-12:
         raise StepSizeError(
@@ -325,7 +332,9 @@ def solve(init_field, path, t_end, config):
     the safety margin of a boundary that started unoccupied (the front ran
     out of room; speed estimates past this point would be contaminated).
     The margin is capped at a quarter of the domain so small test domains
-    stay usable; margin=0 disables the check.
+    stay usable; margin=0 disables the check.  Raises StepSizeError at the
+    first step that breaks the step-size or CFL gate; the gate's sup a on
+    every step comes from one path.max_on call over all steps.
     """
     grid = init_field.grid
     dt = config.dt
@@ -346,6 +355,8 @@ def solve(init_field, path, t_end, config):
 
     diffuse = _diffusion_lu(grid, dt)
     mids = np.asarray(path(t0 + (np.arange(n_steps) + 0.5) * dt), dtype=float)
+    starts = t0 + np.arange(n_steps) * dt
+    a_max = path.max_on(starts, starts + dt)
 
     u = init_field.values.astype(float).copy()
     times = [t0]
@@ -364,7 +375,7 @@ def solve(init_field, path, t_end, config):
     safety_check(u, t0)
     for k in range(n_steps):
         t = t0 + k * dt
-        _check_step_bounds(path, t, dt, float(u.max()), grid, config)
+        _check_step_bounds(a_max.item(k), t, dt, float(u.max()), grid, config)
         u = _advance(u, dt, mids[k], diffuse, grid, config)
         if (k + 1) % stride == 0 or k + 1 == n_steps:
             t_new = t0 + (k + 1) * dt

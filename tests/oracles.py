@@ -21,6 +21,30 @@ def quad_mean(path, s, t, n=20001):
     return quad_integral(path, s, t, n) / (t - s)
 
 
+def two_level_table(n_spikes):
+    """Block edges of the two-level path straight from the defining recursion.
+
+    l_{k+1} = L_k + (k+1) and L_k = l_k + 4^{-(k+1)}, starting from
+    l_0 = 0, L_0 = 1/4.  Kept independent of the implementation so the
+    breakpoints are pinned by formula, not by the code under test.
+    """
+    l, L = [0.0], [0.25]
+    for k in range(1, n_spikes + 1):
+        l.append(L[-1] + k)
+        L.append(l[-1] + 0.25 ** (k + 1))
+    return l, L
+
+
+def knot_extrema(path, s, t, knots):
+    """(min, max) on [s, t], either order, of a path that is monotone
+    between consecutive knots: plain evaluation at both ends and at the
+    knots strictly inside."""
+    lo, hi = min(s, t), max(s, t)
+    knots = np.asarray(knots, dtype=float)
+    vals = path(np.concatenate([[lo, hi], knots[(knots > lo) & (knots < hi)]]))
+    return float(vals.min()), float(vals.max())
+
+
 def ivp_logistic(u0, path, ts, rtol=1e-10, atol=1e-12):
     """Adaptive reference for u' = a(t) u (1 - u), u(ts[0]) = u0."""
     ts = np.asarray(ts, dtype=float)

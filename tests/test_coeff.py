@@ -11,20 +11,6 @@ from kpplab import coeff
 import oracles
 
 
-def two_level_table(n_spikes):
-    """Block edges straight from the defining recursion.
-
-    l_{k+1} = L_k + (k+1) and L_k = l_k + 4^{-(k+1)}, starting from
-    l_0 = 0, L_0 = 1/4.  Kept independent of the implementation so the
-    breakpoints are pinned by formula, not by the code under test.
-    """
-    l, L = [0.0], [0.25]
-    for k in range(1, n_spikes + 1):
-        l.append(L[-1] + k)
-        L.append(l[-1] + 0.25 ** (k + 1))
-    return l, L
-
-
 def test_constant_eval_and_means():
     p = coeff.make_constant(1.0)
     assert p(7.3) == 1.0
@@ -72,11 +58,18 @@ def test_periodic_extrema_exact():
     assert p.min_on(0.0, math.pi) == pytest.approx(1.0, abs=1e-12)
     # short window: endpoint extrema
     assert p.max_on(0.1, 0.2) == pytest.approx(float(p(0.2)), abs=1e-12)
+    # arrays of intervals holding 0, 1 and 2 interior extrema
+    peak, trough = math.pi / 2, 3 * math.pi / 2
+    s = [peak + 0.1, peak - 0.1, peak - 0.1]
+    t = [peak + 0.2, peak + 0.1, trough + 0.1]
+    lo, hi = p.min_on(s, t), p.max_on(s, t)
+    assert hi[0] == p(peak + 0.1) and lo[0] == p(peak + 0.2)
+    assert hi[1] == hi[2] == 1.5 and lo[2] == 0.5
 
 
 def test_two_level_block_values():
     p = coeff.make_two_level()
-    l, L = two_level_table(4)
+    l, L = oracles.two_level_table(4)
     assert L[0] == 0.25 and l[1] == 1.25
     for t in (0.3, 0.7, 1.2):
         assert p(t) == 1.0          # first value-1 block (L0, l1)
@@ -89,12 +82,18 @@ def test_two_level_block_values():
 
 def test_two_level_spike_extrema():
     p = coeff.make_two_level()
-    l, L = two_level_table(4)
+    l, L = oracles.two_level_table(4)
     mid4 = 0.5 * (l[4] + L[4])
     assert p(mid4) == pytest.approx(4.0, abs=1e-12)   # even spike peak 2^2
     mid3 = 0.5 * (l[3] + L[3])
     assert p(mid3) == pytest.approx(0.25, abs=1e-12)  # odd spike trough 2^-2
     assert p(l[4]) == p(L[3])                          # spikes meet the blocks
+    # extrema over arrays of intervals holding a spike, mirrored or not
+    s = [l[4] - 0.01, -L[4] - 0.01, -L[4] - 0.01]
+    t = [L[4] + 0.01, -l[4], 0.5]
+    assert p.max_on(s, t).tolist() == [4.0, 4.0, 4.0]
+    assert p.min_on([-L[3] - 0.1, L[3] + 0.01], [L[3] + 0.1, l[3] - 0.01]).tolist() \
+        == [0.25, 0.25]
 
 
 def test_two_level_first_block_mean_exact():
@@ -107,7 +106,7 @@ def test_two_level_integral_matches_breakpoint_trapezoid():
     # the reference grid carries the recursion's breakpoints (block edges
     # and hat apexes), where the trapezoid rule is exact for this path.
     p = coeff.make_two_level()
-    l, L = two_level_table(15)
+    l, L = oracles.two_level_table(15)
     nodes = []
     for k in range(1, 16):
         nodes += [l[k], 0.5 * (l[k] + L[k]), L[k]]
@@ -239,6 +238,117 @@ def test_tabulated_quadrature_exact_for_piecewise_linear():
     assert float(p.integral(0.0, 3.0)) == pytest.approx(5.0, abs=1e-12)
     assert float(p.integral(0.5, 1.5)) == pytest.approx(
         oracles.quad_integral(p, 0.5, 1.5), abs=1e-9)
+
+
+def _extrema_cases():
+    """(make, s, t, knots) for every kind of path: make() builds a
+    fresh path, s and t are arrays of interval ends (reversed ones
+    included), and the path is monotone between consecutive knots (None:
+    no knot check)."""
+    rng = np.random.default_rng(11)
+
+    def swap_half(s, t):
+        flip = rng.random(len(s)) < 0.5
+        return np.where(flip, t, s), np.where(flip, s, t)
+
+    def steps(lo, dt, n):
+        s = lo + np.arange(n) * dt
+        return s, s + dt
+
+    cases = []
+    s, t = rng.uniform(-50, 50, (2, 200))
+    cases.append(pytest.param(lambda: coeff.make_constant(1.7), s, t, [], id="constant"))
+
+    # periodic: extrema at period * (1/4 + k/2), peaks for even k and
+    # troughs for odd k; intervals holding 0, 1 and 2 interior extrema or
+    # ending on two, then random ones
+    for off in (0.0, 2.3):
+        ext = 4.7 * (0.25 + 0.5 * np.arange(-30, 30)) - off
+        p0, p1 = ext[30], ext[31]
+        s = np.concatenate([[p0 + 0.1, p0 - 0.1, p0 - 0.1, p1 + 0.1, p0],
+                            rng.uniform(-50, 50, 200)])
+        t = np.concatenate([[p0 + 0.2, p0 + 0.1, p1 + 0.1, p0 - 0.1, p1],
+                            rng.uniform(-50, 50, 200)])
+        cases.append(pytest.param(
+            lambda off=off: coeff.make_periodic(1.3, 0.6, 4.7).shift(off), s, t, ext,
+            id="periodic%g" % off))
+
+    # two-level: intervals straddling 0, holding spikes narrower than the
+    # interval (mirrored too), ending on breakpoints, inside one spike, and
+    # reaching past the table a fresh path has grown
+    l, L = oracles.two_level_table(6)
+    bps = [0.0, L[0]]
+    for k in range(1, 7):
+        bps += [l[k], 0.5 * (l[k] + L[k]), L[k]]
+    bps = np.asarray(bps)
+    ends = [(-3.0, 2.0), (-0.1, 5.7), (2.0, -7.0), (-L[4] - 0.01, l[2]), (0.0, 0.0),
+            (-1.0, 0.0)]
+    for k in range(1, 7):
+        w = L[k] - l[k]
+        ends += [(l[k] - 0.01, L[k] + 0.01), (-L[k] - 0.01, -l[k] + 0.01),
+                 (l[k], L[k]), (L[k - 1], l[k]), (L[k], l[k]),
+                 (l[k] + w / 8, l[k] + 3 * w / 8)]
+    s, t = np.asarray(ends).T
+    s2, t2 = steps(-12.0, 0.2, 150)
+    s = np.concatenate([s, s2, rng.uniform(-25, 25, 200)])
+    t = np.concatenate([t, t2, rng.uniform(-25, 25, 200)])
+    for off in (0.0, -2.1):
+        cases.append(pytest.param(
+            lambda off=off: coeff.make_two_level().shift(off),
+            s, t, np.concatenate([bps, -bps]) - off, id="two-level%g" % off))
+    # spikes past the 6th are too narrow to evaluate at their apexes, so
+    # these have no knot check
+    s = np.array([30.0, -250.0, -90.0, 5.0, 120.0, -300.0])
+    t = np.array([200.0, 10.0, -60.0, 400.0, 119.0, -299.0])
+    cases.append(pytest.param(coeff.make_two_level, s, t, None, id="two-level-far"))
+
+    # sampled kinds: ends on sample times, inside one panel, per-step
+    # windows finer and coarser than the samples, and random ones
+    tab_vals = 1.5 + np.sin(np.arange(41))
+    noise = coeff.make_noise(3, t_lo=-60.0, t_hi=15.0, dt=0.01)
+    eq = coeff.equilibrium_path(noise, 0.0, 10.0)
+    sampled = [("tabulated", lambda: coeff.TabulatedPath(-1.0, 0.25, tab_vals)),
+               ("tabulated-shifted",
+                lambda: coeff.TabulatedPath(-1.0, 0.25, tab_vals).shift(0.3)),
+               ("noise-shifted",
+                lambda: coeff.make_noise(3, t_lo=0.0, t_hi=10.0, dt=0.01).shift(1.7)),
+               ("noise-equilibrium-shifted", lambda: eq.shift(2.5))]
+    for name, make in sampled:
+        p = make()
+        knots = p.sample_times - p.offset
+        i, j = rng.integers(0, knots.size, (2, 100))
+        inside = knots[:-1] + p._dt * np.array([[0.1], [0.7]])
+        s = np.concatenate([knots[i], knots[i], inside[0], knots[1:-1]])
+        t = np.concatenate([knots[j], knots[i], inside[1], knots[1:-1] + 0.5 * p._dt])
+        span = knots[-1] - knots[0]
+        for dt in (0.001, 0.0037, 0.6):
+            s2, t2 = steps(knots[0], dt, int(span / dt) - 1)
+            s, t = np.concatenate([s, s2]), np.concatenate([t, t2])
+        s2, t2 = rng.uniform(knots[0], knots[-1], (2, 200))
+        s, t = swap_half(np.concatenate([s, s2]), np.concatenate([t, t2]))
+        cases.append(pytest.param(make, s, t, knots, id=name))
+    return cases
+
+
+@pytest.mark.parametrize("make, s, t, knots", _extrema_cases())
+def test_array_extrema_match_scalar_calls(make, s, t, knots):
+    lo, hi = make().min_on(s, t), make().max_on(s, t)
+    # a second fresh path for the scalar calls, so a two-level table grown
+    # one interval at a time is compared with one grown in a single call
+    ref = make()
+    ref_hi = [ref.max_on(a, b) for a, b in zip(s.tolist(), t.tolist())]
+    ref_lo = [ref.min_on(a, b) for a, b in zip(s.tolist(), t.tolist())]
+    assert all(type(v) is float for v in ref_hi + ref_lo)
+    assert np.array_equal(hi, ref_hi) and np.array_equal(lo, ref_lo)
+    # the 2-d shape is kept
+    assert np.array_equal(ref.max_on(s[:6].reshape(2, 3), t[:6].reshape(2, 3)),
+                          hi[:6].reshape(2, 3))
+    if knots is None:
+        return
+    # independent of the extrema code: the path evaluated at the knots
+    knot = np.array([oracles.knot_extrema(ref, a, b, knots) for a, b in zip(s, t)])
+    assert lo == pytest.approx(knot[:, 0], rel=1e-9)
+    assert hi == pytest.approx(knot[:, 1], rel=1e-9)
 
 
 def test_build_b_constant_is_flat():

@@ -8,6 +8,8 @@ import pytest
 
 from kpplab import coeff, equilibria, kppsolve
 
+import oracles
+
 
 def test_make_grid_keeps_spacing_exact():
     g = kppsolve.make_grid(-100.0, 400.0, 0.1)
@@ -162,6 +164,40 @@ def test_step_size_gates():
     f2 = kppsolve.init("constant", g, {"value": 0.5})
     with pytest.raises(kppsolve.StepSizeError, match="CFL"):
         kppsolve.solve(f2, p, 0.2, mv)   # c=3, c*dt/dx = 1.2 > 1
+    # mid-run: the two-level spike 4 (peak 4, width 4^-5) lies inside one
+    # step of 0.2 and no step midpoint sees it; dt * 4 = 0.8 > 0.5 there,
+    # while the level-2 plateaus give 0.4
+    two = coeff.make_two_level()
+    l, L = oracles.two_level_table(4)
+    dt = 0.2
+    f3 = kppsolve.init("constant", g, {"value": 1.0})    # a fixed point: sup u = 1
+    with pytest.raises(kppsolve.StepSizeError) as err:
+        kppsolve.solve(f3, two, 20.0, kppsolve.SolveConfig(dt=dt, margin=0.0))
+    u_sup = 1.0
+    first = next(k for k in range(100)
+                 if dt * two.max_on(k * dt, k * dt + dt) * max(1.0, 2.0 * u_sup - 1.0)
+                 > 0.5 + 1e-12)
+    t_trip = 0.0 + first * dt
+    assert t_trip < l[4] < L[4] < t_trip + dt
+    assert float(two(t_trip + 0.5 * dt)) == 2.0
+    assert "reaction step too large at t=%g:" % t_trip in str(err.value)
+
+
+def test_gate_reads_the_path_once_per_solve():
+    vals = 1.5 + 0.5 * np.sin(np.arange(301) * 0.1)
+    path = coeff.TabulatedPath(0.0, 0.01, vals).shift(0.37)
+    calls = []
+    max_on = path.max_on
+
+    def counted(s, t):
+        calls.append(np.shape(s))
+        return max_on(s, t)
+
+    path.max_on = counted
+    g = kppsolve.make_grid(0.0, 5.0, 0.5)
+    f = kppsolve.init("constant", g, {"value": 0.5})
+    kppsolve.solve(f, path, 2.0, kppsolve.SolveConfig(dt=0.01, margin=0.0))
+    assert calls == [(200,)]
 
 
 def test_margin_abort_names_the_side():
