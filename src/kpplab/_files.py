@@ -15,3 +15,15 @@ def opened(file, mode):
             yield fh
     else:
         yield file
+
+
+def write_table(file, header, rows, comment):
+    """Write a CSV table: a '# comment' line unless comment is None, the
+    header names, then one line per row with every value formatted as
+    %.12g."""
+    with opened(file, "w") as fh:
+        if comment is not None:
+            fh.write("# %s\n" % comment)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%.12g" % v for v in row) + "\n")

@@ -71,6 +71,12 @@ def _require(cfg, key, command):
     return cfg[key]
 
 
+def _floats(cfg, **keys):
+    """Keyword arguments {name: float(cfg[key])} for the keys the config
+    sets; a key left out leaves the library's default in force."""
+    return {name: float(cfg[key]) for name, key in keys.items() if key in cfg}
+
+
 def _validate_keys(cfg, command):
     if command not in COMMAND_KEYS:
         raise ConfigError("unknown command %r" % command)
@@ -99,30 +105,34 @@ def path_from_config(cfg):
             raise ConfigError("path_kind %r needs a seed" % kind)
         t_lo = float(cfg.get("path_t_lo", 0.0))
         t_hi = float(cfg.get("path_t_hi", 100.0))
-        noise = coeff.make_noise(int(cfg["seed"]),
-                                 kappa=float(cfg.get("noise_kappa", 1.0)),
-                                 sigma=float(cfg.get("noise_sigma", 0.5)),
-                                 xi_max=float(cfg.get("noise_xi_max", 0.75)),
-                                 dt=float(cfg.get("noise_dt", 1e-3)),
-                                 t_lo=t_lo - 120.0, t_hi=t_hi)
+        noise = coeff.make_noise(int(cfg["seed"]), t_lo=t_lo - 120.0, t_hi=t_hi,
+                                 **_floats(cfg, kappa="noise_kappa",
+                                           sigma="noise_sigma",
+                                           xi_max="noise_xi_max",
+                                           dt="noise_dt"))
         return coeff.equilibrium_path(noise, t_lo, t_hi,
-                                      tail_tol=float(cfg.get("tail_tol", 1e-8)))
+                                      **_floats(cfg, tail_tol="tail_tol"))
     raise ConfigError("unknown path_kind %r" % kind)
 
 
-def _grid_from_config(cfg, command):
+def _solve_setup(cfg, command):
+    """(path, grid, solve config, t_end) of a command that runs one solve,
+    after checking its keys."""
+    _validate_keys(cfg, command)
+    path = path_from_config(cfg)
     x_lo = float(_require(cfg, "x_lo", command))
     x_hi = float(_require(cfg, "x_hi", command))
     dx = float(_require(cfg, "dx", command))
-    return kppsolve.make_grid(x_lo, x_hi, dx)
-
-
-def _solve_config(cfg, command):
+    grid = kppsolve.make_grid(x_lo, x_hi, dx)
     dt = float(_require(cfg, "dt", command))
     stride = cfg.get("stride_time")
     stride = max(1, int(round(float(stride) / dt))) if stride else None
-    return kppsolve.SolveConfig(dt=dt, store_stride=stride,
-                                margin=float(cfg.get("margin", 50.0)))
+    config = kppsolve.SolveConfig(dt=dt, store_stride=stride,
+                                  **_floats(cfg, margin="margin"))
+    t_end = float(_require(cfg, "t_end", command))
+    if t_end <= 0:
+        raise ConfigError("t_end must be positive")
+    return path, grid, config, t_end
 
 
 def _u0_from_config(cfg, default_kind):
@@ -153,7 +163,10 @@ def _round12(obj):
     return obj
 
 
-def _write_artifact(cfg, command, results):
+def _write_artifact(cfg, command, results, *tables):
+    """The command's JSON artifact; with out_dir set it is written as
+    <label>.json, and each (suffix, table) pair of `tables` as
+    <label><suffix>.csv through the table's to_csv."""
     artifact = {
         "command": command,
         "version": __version__,
@@ -169,6 +182,8 @@ def _write_artifact(cfg, command, results):
         with open(path, "w") as fh:
             json.dump(artifact, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
+        for suffix, table in tables:
+            table.to_csv(os.path.join(out_dir, "%s%s.csv" % (name, suffix)))
     return artifact
 
 
@@ -195,13 +210,7 @@ def cmd_mean(cfg):
 
 
 def cmd_takeover(cfg):
-    _validate_keys(cfg, "takeover")
-    path = path_from_config(cfg)
-    grid = _grid_from_config(cfg, "takeover")
-    config = _solve_config(cfg, "takeover")
-    t_end = float(_require(cfg, "t_end", "takeover"))
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
+    path, grid, config, t_end = _solve_setup(cfg, "takeover")
     u0 = _u0_from_config(cfg, "heaviside")
     field0 = kppsolve.init(u0.pop("kind"), grid, u0)
     try:
@@ -228,20 +237,15 @@ def cmd_takeover(cfg):
         t_checks = cfg.get("t_checks") or [float(traj.times[-1])]
         report = fronts.takeover_verify(
             traj, path, float(cfg["h"]), [float(t) for t in t_checks],
-            r_min=float(cfg.get("r_min", 5.0)),
-            outer_tol=float(cfg.get("outer_tol", 1e-3)),
-            inner_level=float(cfg.get("inner_level", 0.99)))
+            **_floats(cfg, r_min="r_min", outer_tol="outer_tol",
+                      inner_level="inner_level"))
         results["takeover"] = {
             "passed": report.passed, "c_hat": report.c_hat, "h": report.h,
             "rows": [list(r) for r in report.rows],
         }
         if not report.passed:
             code = EXIT_VIOLATED
-    artifact = _write_artifact(cfg, "takeover", results)
-    if cfg.get("out_dir"):
-        trace.to_csv(os.path.join(cfg["out_dir"],
-                                  "%s_trace.csv" % cfg.get("label", "takeover")))
-    return code, artifact
+    return code, _write_artifact(cfg, "takeover", results, ("_trace", trace))
 
 
 def cmd_interval(cfg):
@@ -255,11 +259,11 @@ def cmd_interval(cfg):
     if "x_lo" in cfg or "x_hi" in cfg:
         domain = (float(_require(cfg, "x_lo", "interval")),
                   float(_require(cfg, "x_hi", "interval")))
-    interval = fronts.probe_speed_interval(
-        path, u0, c_grid, shift_set, t_probe,
-        thresholds=tuple(cfg.get("thresholds", (0.9, 0.05))),
-        dx=float(cfg.get("dx", 0.1)), dt=float(cfg.get("dt", 0.005)),
-        domain=domain, margin=float(cfg.get("margin", 50.0)))
+    kwargs = _floats(cfg, dx="dx", dt="dt", margin="margin")
+    if "thresholds" in cfg:
+        kwargs["thresholds"] = tuple(cfg["thresholds"])
+    interval = fronts.probe_speed_interval(path, u0, c_grid, shift_set, t_probe,
+                                           domain=domain, **kwargs)
     results = interval.to_dict()
     found = math.isfinite(interval.c_lo) and math.isfinite(interval.c_hi) \
         and interval.c_lo <= interval.c_hi
@@ -268,11 +272,7 @@ def cmd_interval(cfg):
 
 
 def cmd_stability(cfg):
-    _validate_keys(cfg, "stability")
-    path = path_from_config(cfg)
-    grid = _grid_from_config(cfg, "stability")
-    config = _solve_config(cfg, "stability")
-    t_end = float(_require(cfg, "t_end", "stability"))
+    path, grid, config, t_end = _solve_setup(cfg, "stability")
     u0_inf = float(_require(cfg, "u0_inf", "stability"))
     u0_sup = float(_require(cfg, "u0_sup", "stability"))
     if not 0 < u0_inf <= u0_sup:
@@ -292,27 +292,19 @@ def cmd_stability(cfg):
         "worst_time": report.worst_time, "prefactor": report.prefactor,
         "slack": report.slack,
     }
-    artifact = _write_artifact(cfg, "stability", results)
-    if cfg.get("out_dir"):
-        report.to_csv(os.path.join(cfg["out_dir"],
-                                   "%s.csv" % cfg.get("label", "stability")))
-    return EXIT_OK if report.passed else EXIT_VIOLATED, artifact
+    return (EXIT_OK if report.passed else EXIT_VIOLATED,
+            _write_artifact(cfg, "stability", results, ("", report)))
 
 
 def cmd_certify(cfg):
-    _validate_keys(cfg, "certify")
-    path = path_from_config(cfg)
-    grid = _grid_from_config(cfg, "certify")
-    config = _solve_config(cfg, "certify")
-    t_end = float(_require(cfg, "t_end", "certify"))
+    path, grid, config, t_end = _solve_setup(cfg, "certify")
     mu = float(_require(cfg, "mu", "certify"))
     mu_tilde = float(_require(cfg, "mu_tilde", "certify"))
     span = tuple(float(s) for s in cfg.get("span", (0.0, t_end)))
     params = subsuper.make_wave_params(
         path, mu, mu_tilde, span,
         delta=float(cfg["delta"]) if "delta" in cfg else None,
-        d=float(cfg["d"]) if "d" in cfg else None,
-        r_min=float(cfg.get("r_min", 1.0)))
+        d=float(cfg["d"]) if "d" in cfg else None, **_floats(cfg, r_min="r_min"))
     upper = subsuper.supersolution(path, mu)
     lower = subsuper.lower_solution(path, params)
     field0 = kppsolve.init("custom-samples", grid,
@@ -331,13 +323,10 @@ def cmd_certify(cfg):
         "below": {"passed": below.passed, "max_violation": below.max_violation,
                   "worst_time": below.worst_time, "slack": below.slack},
     }
-    artifact = _write_artifact(cfg, "certify", results)
-    if cfg.get("out_dir"):
-        label = cfg.get("label", "certify")
-        above.to_csv(os.path.join(cfg["out_dir"], "%s_above.csv" % label))
-        below.to_csv(os.path.join(cfg["out_dir"], "%s_below.csv" % label))
     passed = above.passed and below.passed
-    return EXIT_OK if passed else EXIT_VIOLATED, artifact
+    return (EXIT_OK if passed else EXIT_VIOLATED,
+            _write_artifact(cfg, "certify", results,
+                            ("_above", above), ("_below", below)))
 
 
 def cmd_sweep(cfg):
@@ -348,7 +337,7 @@ def cmd_sweep(cfg):
     key = cfg.get("sweep_key", "seed")
     values = _require(cfg, "sweep_values", "sweep")
     base = dict(_require(cfg, "base", "sweep"))
-    if key not in COMMAND_KEYS[sub] and key not in PATH_KEYS:
+    if key not in COMMAND_KEYS[sub]:
         raise ConfigError("sweep_key %r is not a config key of %r" % (key, sub))
     base.pop("out_dir", None)   # cells stay in memory; only the sweep writes
     runner = COMMANDS[sub]

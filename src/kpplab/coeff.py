@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from ._files import opened
+from ._files import opened, write_table
 
 __all__ = [
     "CoefficientPath", "ConstantPath", "PeriodicPath", "TwoLevelPath",
@@ -51,9 +51,7 @@ class _Signal:
     """
 
     kind = "abstract"
-
-    def __init__(self, offset=0.0):
-        self.offset = float(offset)
+    offset = 0.0                  # time-origin shift; only shift() moves it
 
     # subclass interface ------------------------------------------------
     def _eval(self, t):
@@ -128,13 +126,9 @@ class _Signal:
         self._write_csv(file, ts, self(ts))
 
     def _write_csv(self, file, ts, vals):
-        with opened(file, "w") as fh:
-            meta = " ".join("%s=%s" % (k, _fmt(v) if isinstance(v, (int, float, np.floating)) else v)
-                            for k, v in self.describe().items())
-            fh.write("# %s\n" % meta)
-            fh.write("t,value\n")
-            for t, v in zip(ts, vals):
-                fh.write("%s,%s\n" % (_fmt(t), _fmt(v)))
+        meta = " ".join("%s=%s" % (k, _fmt(v) if isinstance(v, (int, float, np.floating)) else v)
+                        for k, v in self.describe().items())
+        write_table(file, ("t", "value"), zip(ts, vals), meta)
 
 
 class CoefficientPath(_Signal):
@@ -148,10 +142,9 @@ class CoefficientPath(_Signal):
 class ConstantPath(CoefficientPath):
     kind = "constant"
 
-    def __init__(self, value, offset=0.0):
+    def __init__(self, value):
         if not value > 0:
             raise ValueError("constant growth rate must be positive, got %r" % value)
-        super().__init__(offset)
         self.value = float(value)
 
     def _eval(self, t):
@@ -173,7 +166,7 @@ class PeriodicPath(CoefficientPath):
 
     kind = "periodic"
 
-    def __init__(self, mean, amplitude, period, offset=0.0):
+    def __init__(self, mean, amplitude, period):
         if period <= 0:
             raise ValueError("period must be positive")
         if amplitude < 0:
@@ -182,7 +175,6 @@ class PeriodicPath(CoefficientPath):
             raise ValueError(
                 "mean must exceed amplitude to keep the path positive "
                 "(got mean=%g, amplitude=%g)" % (mean, amplitude))
-        super().__init__(offset)
         self.mean = float(mean)
         self.amplitude = float(amplitude)
         self.period = float(period)
@@ -230,37 +222,36 @@ class TwoLevelPath(CoefficientPath):
 
     kind = "two-level"
 
-    def __init__(self, offset=0.0):
-        super().__init__(offset)
-        # breakpoint table for t >= 0, grown on demand
-        self._bp = [0.0, 0.25]
-        self._vals = [1.0, 1.0]
+    def __init__(self):
+        # breakpoint table for t >= 0 with prefix integrals, grown on demand;
+        # growth replaces the arrays, never mutates them, because shifted
+        # copies share them
+        self._bp_arr = np.array([0.0, 0.25])
+        self._vals_arr = np.array([1.0, 1.0])
+        self._prim_vals = np.array([0.0, 0.25])
         self._n_next = 1          # next spike index to append
         self._L_last = 0.25       # right end of the last appended spike
-        self._prim = None         # prefix integrals at breakpoints, rebuilt lazily
 
     def _grow(self, tmax):
-        changed = False
-        while self._L_last < tmax + 1.0:
-            n = self._n_next
+        bp, vals = [], []
+        n, end = self._n_next, self._L_last
+        while end < tmax + 1.0:
             left_val = 1.0 if (n - 1) % 2 == 0 else 2.0
             right_val = 1.0 if n % 2 == 0 else 2.0
             peak = float(2.0 ** (n // 2)) if n % 2 == 0 else float(2.0 ** (-((n + 1) // 2)))
-            l_n = self._L_last + n            # plateau of length n ends here
+            l_n = end + n                     # plateau of length n ends here
             w = 0.25 ** (n + 1)
-            self._bp.extend([l_n, l_n + 0.5 * w, l_n + w])
-            self._vals.extend([left_val, peak, right_val])
-            self._L_last = l_n + w
-            self._n_next += 1
-            changed = True
-        if changed or self._prim is None:
-            bp = np.asarray(self._bp)
-            vals = np.asarray(self._vals)
+            bp.extend([l_n, l_n + 0.5 * w, l_n + w])
+            vals.extend([left_val, peak, right_val])
+            end = l_n + w
+            n += 1
+        if bp:
+            bp = np.concatenate([self._bp_arr, bp])
+            vals = np.concatenate([self._vals_arr, vals])
             panels = 0.5 * (vals[1:] + vals[:-1]) * np.diff(bp)
             self._prim_vals = np.concatenate([[0.0], np.cumsum(panels)])
-            self._bp_arr = bp
-            self._vals_arr = vals
-            self._prim = True
+            self._bp_arr, self._vals_arr = bp, vals
+            self._n_next, self._L_last = n, end
 
     def _eval(self, t):
         t = np.abs(np.asarray(t, dtype=float))
@@ -363,6 +354,8 @@ class _UniformSamples(_Signal):
             super().to_csv(file, t0, t1, dt)
 
     def _check_range(self, t):
+        if t.size == 0:
+            return
         hi = self._t0 + self._dt * (self.values.size - 1)
         tol = 1e-9 * self._dt
         tmin, tmax = float(np.min(t)), float(np.max(t))
@@ -405,8 +398,7 @@ class TabulatedPath(_UniformSamples, CoefficientPath):
 
     kind = "tabulated"
 
-    def __init__(self, t0, dt, values, offset=0.0, kind=None, meta=None):
-        super().__init__(offset)
+    def __init__(self, t0, dt, values, kind=None, meta=None):
         self._init_samples(t0, dt, values)
         if float(self.values.min()) <= 0.0:
             raise ValueError("coefficient samples must be positive (min=%g)"
@@ -446,7 +438,7 @@ class NoisePath(_UniformSamples):
 
     kind = "noise"
 
-    def __init__(self, seed, kappa, sigma, xi_max, dt, t_lo, t_hi, offset=0.0):
+    def __init__(self, seed, kappa, sigma, xi_max, dt, t_lo, t_hi):
         if kappa <= 0:
             raise ValueError("mean-reversion rate kappa must be positive")
         if sigma < 0:
@@ -459,7 +451,6 @@ class NoisePath(_UniformSamples):
         self.kappa = float(kappa)
         self.sigma = float(sigma)
         self.xi_max = float(xi_max)
-        super().__init__(offset)
         n = int(round((t_hi - t_lo) / dt)) + 1
         rng = np.random.default_rng(self.seed)
         rho = math.exp(-self.kappa * dt)
@@ -676,12 +667,12 @@ def build_B(path, gamma, delta, span, r_min=1.0):
         "horizon %g shorter than 4 * r_min = %g" % (horizon, 4 * r_min))
 
 
-def _piecewise_B_norm(bp, n_per_block=256):
-    """Sup of |B| sampled densely inside each block (B is 0 at breakpoints)."""
+def _piecewise_B_norm(bp):
+    """Sup of |B| sampled at 256 points per block (B is 0 at breakpoints)."""
     worst = 0.0
     for k in range(bp.eps.size):
         a = bp.s0 + bp.T * k
-        ts = a + bp.T * np.arange(1, n_per_block) / n_per_block
+        ts = a + bp.T * np.arange(1, 256) / 256
         worst = max(worst, float(np.max(np.abs(bp.B(ts)))))
     return worst
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import opened
+from ._files import write_table
 
 __all__ = [
     "logistic_solution", "real_noise_ode_solution", "truncation_horizon",
@@ -251,10 +251,9 @@ class StabilityReport:
     envelope: np.ndarray
 
     def to_csv(self, file):
-        with opened(file, "w") as fh:
-            fh.write("t,sup_dist,bound,violation\n")
-            for t, d, e in zip(self.times, self.deviations, self.envelope):
-                fh.write("%.12g,%.12g,%.12g,%.12g\n" % (t, d, e, d - e - self.slack))
+        rows = ((t, d, e, d - e - self.slack)
+                for t, d, e in zip(self.times, self.deviations, self.envelope))
+        write_table(file, ("t", "sup_dist", "bound", "violation"), rows, None)
 
 
 def verify_stability_decay(trajectory, path, bound=None, slack=None):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import coeff
 from . import kppsolve
-from ._files import opened
+from ._files import write_table
 
 __all__ = [
     "FrontTrace", "SpeedEstimate", "SpeedInterval", "SubadditivityReport",
@@ -74,15 +74,11 @@ class FrontTrace:
         return float(np.interp(t, ts[ok], xs[ok], left=math.nan, right=math.nan))
 
     def to_csv(self, file):
-        with opened(file, "w") as fh:
-            meta = " ".join("%s=%s" % (k, v) for k, v in sorted(self.provenance.items()))
-            fh.write("# %s\n" % meta)
-            names = {0.5: "x_half", 0.25: "x_quarter"}
-            cols = [names.get(lv, "x_%g" % lv) for lv in self.levels]
-            fh.write("t," + ",".join(cols) + "\n")
-            for k, t in enumerate(self.times):
-                row = ",".join("%.12g" % self.positions[lv][k] for lv in self.levels)
-                fh.write("%.12g,%s\n" % (t, row))
+        meta = " ".join("%s=%s" % (k, v) for k, v in sorted(self.provenance.items()))
+        names = {0.5: "x_half", 0.25: "x_quarter"}
+        cols = [names.get(lv, "x_%g" % lv) for lv in self.levels]
+        rows = zip(self.times, *(self.positions[lv] for lv in self.levels))
+        write_table(file, ["t"] + cols, rows, meta)
 
 
 def track(trajectory, levels=(0.5, 0.25)):
@@ -278,8 +274,7 @@ def _midpoint_refine(axis):
 
 
 def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
-                        margin=50.0, check_doubling=False, n_jobs=None,
-                        t_min=2.0):
+                        margin=50.0, check_doubling=False, n_jobs=None):
     """Defect of front-position additivity over a pair grid.
 
     v(t,s) = x(t) + x_s(s) - x(t+s), where x is the front of the Heaviside
@@ -287,12 +282,13 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
     path shifted by t.  m_hat is the largest defect.  With check_doubling,
     the axis is refined by midpoints (reusing every solve already made) and
     the relative change of m_hat is reported; growth beyond 20% flags an
-    unstable estimate.  n_jobs is accepted for old callers and ignored:
-    the solves run one after another.
+    unstable estimate.  Pair times must be >= 2 so that fronts exist.
+    n_jobs is accepted for old callers and ignored: the solves run one
+    after another.
     """
     axis = sorted(float(t) for t in times)
-    if axis[0] < t_min:
-        raise ValueError("pair times must be >= %g so fronts exist" % t_min)
+    if axis[0] < 2.0:
+        raise ValueError("pair times must be >= 2 so fronts exist")
     stride = max(1, int(round(0.5 / dt)))
     config = kppsolve.SolveConfig(dt=dt, store_stride=stride, margin=margin)
 
@@ -353,21 +349,21 @@ class TakeoverReport:
     inner_level: float
 
 
-def takeover_verify(trajectory, path, h, t_checks, *, mean_est=None,
+def takeover_verify(trajectory, path, h, t_checks, *,
                     r_min=5.0, outer_tol=1e-3, inner_level=0.99):
     """Check decay beyond speed c_hat + h and take-over inside c_hat - h.
 
     c_hat = 2 sqrt(a_hat_est) comes from the path's windowed means over the
-    trajectory horizon.  Each check time must be a stored frame; the final
-    check must have the outer sup below outer_tol and the inner inf above
-    inner_level for an overall pass.
+    trajectory horizon, with windows from min(r_min, horizon / 4) up.  Each
+    check time must be a stored frame; the final check must have the outer
+    sup below outer_tol and the inner inf above inner_level for an overall
+    pass.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     t0, t_end = float(trajectory.times[0]), float(trajectory.times[-1])
-    if mean_est is None:
-        mean_est = coeff.estimate_means(path, min(r_min, (t_end - t0) / 4.0),
-                                        (t0, t_end))
+    mean_est = coeff.estimate_means(path, min(r_min, (t_end - t0) / 4.0),
+                                    (t0, t_end))
     c_hat = 2.0 * math.sqrt(mean_est.a_hat_est)
     x = trajectory.grid.x
     rows = []
@@ -395,17 +391,17 @@ class OrderingReport:
     band: float
 
 
-def profile_ordering_check(traj_a, traj_b, times, *, level=0.5, band=None):
+def profile_ordering_check(traj_a, traj_b, times, *, level=0.5):
     """Steepness ordering of centered profiles.
 
     Both trajectories are centered at their own level crossing per time;
     the first should dominate left of the crossing and be dominated right
-    of it.  A band of 2 dx around the crossing is exempt (the crossing
-    locations themselves only agree to interpolation accuracy).
+    of it.  A band of 2 dx of traj_a's grid around the crossing is exempt
+    (the crossing locations themselves only agree to interpolation
+    accuracy); the report records it.
     """
     grid = traj_a.grid
-    if band is None:
-        band = 2.0 * grid.dx
+    band = 2.0 * grid.dx
     x = grid.x
     rows = []
     worst = 0.0
@@ -437,8 +433,8 @@ class TailReport:
     t_window: tuple
 
 
-def tail_uniformity(trajectory, x_probes, t_window, *, target=1.0):
-    """Sup deviation from the target level left of each probe position.
+def tail_uniformity(trajectory, x_probes, t_window):
+    """Sup deviation from the level 1 left of each probe position.
 
     Intended for moving-frame runs where the profile should flatten to 1
     on the left; deviations are automatically nonincreasing as probes move
@@ -455,7 +451,7 @@ def tail_uniformity(trajectory, x_probes, t_window, *, target=1.0):
         region = x <= p
         if not region.any():
             raise ValueError("probe %g is left of the whole grid" % p)
-        devs.append(float(np.max(np.abs(frames[:, region] - target))))
+        devs.append(float(np.max(np.abs(frames[:, region] - 1.0))))
     return TailReport(x_probes=tuple(float(p) for p in x_probes),
                       deviations=tuple(devs),
                       t_window=(float(t_window[0]), float(t_window[1])))

@@ -27,10 +27,11 @@ bounded and a spike narrower than dt must still count.  solve() reads sup a
 for every step with one array call to path.max_on before the loop; the loop
 reads sup u each step and does only scalar arithmetic for the gate.
 
-Moving-frame solves (SolveConfig(frame="moving", mu=...)) use the
-time-dependent frame speed c(t) = (mu^2 + a(t)) / mu, the speed at which the
-exponential ansatz exp(-mu x) is stationary; the accumulated shift,
-frame_position, is tracked exactly through the path's integral.
+Moving-frame solves (SolveConfig(dt=..., mu=...): setting mu selects the
+moving frame) use the time-dependent frame speed c(t) = (mu^2 + a(t)) / mu,
+the speed at which the exponential ansatz exp(-mu x) is stationary; the
+accumulated shift, frame_position, is tracked exactly through the path's
+integral.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from ._files import opened
+from ._files import opened, write_table
 
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",
@@ -99,14 +100,14 @@ class Field:
     values: np.ndarray
     t: float = 0.0
 
-    def copy(self):
-        return Field(self.grid, self.values.copy(), self.t)
-
 
 @dataclass
 class SolveConfig:
+    """Step size and storage of a solve.  A solve runs in the moving frame
+    of exponent mu exactly when mu is set (it must be positive), and in the
+    fixed frame when mu is None."""
+
     dt: float
-    frame: str = "fixed"
     mu: float = None
     store_stride: int = None      # steps between stored frames; default ~0.5 time units
     margin: float = 50.0          # front-safety margin in space units; 0 disables
@@ -114,9 +115,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.frame not in ("fixed", "moving"):
-            raise ValueError("frame must be 'fixed' or 'moving'")
-        if self.frame == "moving" and not (self.mu and self.mu > 0):
+        if self.mu is not None and not self.mu > 0:
             raise ValueError("moving frame needs a positive exponent mu")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
@@ -220,7 +219,7 @@ def _check_step_bounds(a_max, t, dt, u_max, grid, config):
         raise StepSizeError(
             "reaction step too large at t=%g: dt*a_max*max(1, 2 sup u - 1) = "
             "%g * %g * %g = %g > 0.5" % (t, dt, a_max, max(1.0, 2.0 * u_max - 1.0), gate))
-    if config.frame == "moving":
+    if config.mu is not None:
         c_max = (config.mu ** 2 + a_max) / config.mu
         cfl = c_max * dt / grid.dx
         if cfl > 1.0 + 1e-12:
@@ -234,7 +233,7 @@ def _advance(values, dt, a_mid, diffuse, grid, config):
     Returns a new array."""
     u = values
     u = u + dt * a_mid * u * (1.0 - u)
-    if config.frame == "moving":
+    if config.mu is not None:
         nu = ((config.mu ** 2 + a_mid) / config.mu) * dt / grid.dx
         u[:-1] += nu * (u[1:] - u[:-1])
         # last node keeps its value: zero-gradient inflow
@@ -248,10 +247,14 @@ class Trajectory:
     grid: Grid1D
     times: np.ndarray
     frames: np.ndarray
-    frame: str = "fixed"
-    mu: float = None
+    mu: float = None                  # the moving frame's exponent; None: fixed frame
     frame_shift: np.ndarray = None    # integral of c(t) at stored times (moving frame)
     meta: dict = dc_field(default_factory=dict)
+
+    @property
+    def frame(self):
+        """'moving' when the run used a moving frame (mu set), else 'fixed'."""
+        return "fixed" if self.mu is None else "moving"
 
     def frame_at(self, t):
         k = int(np.argmin(np.abs(self.times - t)))
@@ -260,12 +263,10 @@ class Trajectory:
         return Field(self.grid, self.frames[k].copy(), float(self.times[k]))
 
     def to_csv(self, file):
-        with opened(file, "w") as fh:
-            meta = " ".join("%s=%s" % (k, v) for k, v in sorted(self.meta.items()))
-            fh.write("# frame=%s %s\n" % (self.frame, meta))
-            fh.write("t," + ",".join("%.12g" % xi for xi in self.grid.x) + "\n")
-            for t, row in zip(self.times, self.frames):
-                fh.write("%.12g," % t + ",".join("%.12g" % v for v in row) + "\n")
+        meta = " ".join("%s=%s" % (k, v) for k, v in sorted(self.meta.items()))
+        write_table(file, ["t"] + ["%.12g" % xi for xi in self.grid.x],
+                    ((t, *row) for t, row in zip(self.times, self.frames)),
+                    "frame=%s %s" % (self.frame, meta))
 
     def to_binary(self, file):
         """Compact layout: magic 'KPP2', little-endian int64 counts, float64
@@ -310,8 +311,7 @@ class Trajectory:
             frames = read(fh, "<f8", n_frames * n_nodes).reshape(n_frames, n_nodes)
         grid = Grid1D(float(x_lo), float(x_lo + dx * (n_nodes - 1)), n_nodes)
         return Trajectory(grid=grid, times=times, frames=frames,
-                          frame="moving" if moving else "fixed",
-                          mu=None if math.isnan(mu) else float(mu),
+                          mu=float(mu) if moving else None,
                           frame_shift=shifts, meta=meta)
 
 
@@ -384,15 +384,14 @@ def solve(init_field, path, t_end, config):
             frames.append(u.copy())
 
     times = np.asarray(times)
-    if config.frame == "moving":
+    if config.mu is not None:
         shift = frame_position(path, config.mu, times, t0)
     else:
         shift = np.zeros_like(times)
     meta = {"dt": dt, "dx": grid.dx, "stride": stride, "margin": config.margin,
             "t0": t0, "t_end": t_end}
     return Trajectory(grid=grid, times=times, frames=np.asarray(frames),
-                      frame=config.frame, mu=config.mu, frame_shift=shift,
-                      meta=meta)
+                      mu=config.mu, frame_shift=shift, meta=meta)
 
 
 def suggest_domain(path, t_end, margin=50.0, r_min=5.0):

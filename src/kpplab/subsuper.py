@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import coeff
-from ._files import opened
+from ._files import write_table
 from .equilibria import trajectory_slack
 from .kppsolve import frame_position
 
@@ -143,16 +143,18 @@ class BoundCurve:
         return self.fn(float(t), np.asarray(x, dtype=float))
 
 
-def supersolution(path, mu, t0=0.0):
-    """min(1, e^{-mu (x - C(t))}): valid above any solution starting below it."""
+def supersolution(path, mu):
+    """min(1, e^{-mu (x - C(t))}) with the frame started at t = 0: valid
+    above any solution starting below it."""
     def fn(t, x):
-        c = float(frame_position(path, mu, t, t0))
+        c = float(frame_position(path, mu, t))
         return np.minimum(1.0, np.exp(-mu * (x - c)))
-    return BoundCurve(kind="super", fn=fn, params={"mu": mu, "t0": t0})
+    return BoundCurve(kind="super", fn=fn, params={"mu": mu, "t0": 0.0})
 
 
-def lower_solution(path, params, t0=0.0):
-    """Two-exponential lower solution, valid on x >= rho(t)."""
+def lower_solution(path, params):
+    """Two-exponential lower solution with the frame started at t = 0,
+    valid on x >= rho(t)."""
     mu, mu_tilde, d = params.mu, params.mu_tilde, params.d
     r = params.r
 
@@ -160,13 +162,13 @@ def lower_solution(path, params, t0=0.0):
         return -float(params.B.B(t))
 
     def fn(t, x):
-        c = float(frame_position(path, mu, t, t0))
+        c = float(frame_position(path, mu, t))
         xi = x - c
         return np.exp(-mu * xi) - d * math.exp((r - 1.0) * A(t)) \
             * np.exp(-mu_tilde * xi)
 
     def rho(t):
-        c = float(frame_position(path, mu, t, t0))
+        c = float(frame_position(path, mu, t))
         return c + math.log(d) / (mu_tilde - mu) + A(t) / mu
 
     return BoundCurve(kind="lower", fn=fn, rho=rho, params=params)
@@ -224,10 +226,7 @@ class CertifyReport:
     rows: list                 # (t, violation, x at violation)
 
     def to_csv(self, file):
-        with opened(file, "w") as fh:
-            fh.write("t,max_violation,location\n")
-            for t, v, loc in self.rows:
-                fh.write("%.12g,%.12g,%.12g\n" % (t, v, loc))
+        write_table(file, ("t", "max_violation", "location"), self.rows, None)
 
 
 def certify_ordering(trajectory, bound, relation, region=None, slack=None):

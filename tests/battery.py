@@ -60,8 +60,7 @@ def _case_config(rng, path, grid, u_max, t0):
         c_max = (mu * mu + a_max) / mu
         dt = min(dt, 0.9 * grid.dx / c_max)
     # every step is stored so the checks see each one
-    cfg = kppsolve.SolveConfig(dt=dt, frame="moving" if moving else "fixed",
-                               mu=mu, margin=0.0, store_stride=1)
+    cfg = kppsolve.SolveConfig(dt=dt, mu=mu, margin=0.0, store_stride=1)
     return cfg, steps
 
 

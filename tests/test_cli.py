@@ -226,6 +226,29 @@ def test_cmd_certify_zero_slack_is_violated():
     assert code == cli.EXIT_VIOLATED
 
 
+_NOISE_TAKEOVER = {
+    "path_kind": "noise-equilibrium", "seed": 3, "path_t_hi": 20.0,
+    "x_lo": -20.0, "x_hi": 80.0, "dx": 0.2, "dt": 0.01, "t_end": 20.0,
+    "stride_time": 0.5, "fit_window": [5.0, 20.0], "h": 0.5,
+}
+
+
+@pytest.mark.parametrize("command, cfg, defaults", [
+    ("takeover", _NOISE_TAKEOVER,
+     {"noise_kappa": 1.0, "noise_sigma": 0.5, "noise_xi_max": 0.75,
+      "noise_dt": 1e-3, "tail_tol": 1e-8, "margin": 50.0, "r_min": 5.0,
+      "outer_tol": 1e-3, "inner_level": 0.99}),
+    ("interval", {"c_grid": [1.4, 2.4], "shift_set": [0.0], "t_probe": 10.0},
+     {"dx": 0.1, "dt": 0.005, "margin": 50.0, "thresholds": [0.9, 0.05]}),
+    ("certify", _certify_cfg(), {"margin": 50.0, "r_min": 1.0}),
+], ids=["takeover", "interval", "certify"])
+def test_left_out_keys_take_library_defaults(command, cfg, defaults):
+    code, artifact = cli.COMMANDS[command](dict(cfg))
+    code_full, artifact_full = cli.COMMANDS[command]({**cfg, **defaults})
+    assert code == code_full
+    assert artifact["results"] == artifact_full["results"]
+
+
 def test_cmd_sweep_deterministic_merge(tmp_path):
     cfg = {
         "sweep_command": "mean", "sweep_key": "path_value",

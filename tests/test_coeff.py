@@ -351,6 +351,43 @@ def test_array_extrema_match_scalar_calls(make, s, t, knots):
     assert hi == pytest.approx(knot[:, 1], rel=1e-9)
 
 
+def test_two_level_shifted_copies_grow_independently():
+    # shifted copies start out sharing the base path's breakpoint table;
+    # each one growing it in turn, interleaved with the base, must leave
+    # every copy equal to a fresh path with the same shift
+    base = coeff.make_two_level()
+    base.max_on(0.0, 20.0)
+    shifts = [45.0 * k / 7 for k in range(7)]
+    copies = [base.shift(s) for s in shifts]
+    dt = 0.003125
+    starts = np.arange(0.0, 80.0, dt)
+    for s, p in zip(shifts, copies):
+        base.integral(0.0, 40.0 + s)
+        fresh = coeff.make_two_level().shift(s)
+        assert np.array_equal(p(starts + 0.5 * dt), fresh(starts + 0.5 * dt))
+        assert np.array_equal(p.integral(0.0, 80.0), fresh.integral(0.0, 80.0))
+        assert np.array_equal(p.max_on(starts, starts + dt),
+                              fresh.max_on(starts, starts + dt))
+        assert np.array_equal(p.min_on(starts, starts + dt),
+                              fresh.min_on(starts, starts + dt))
+    assert np.array_equal(base.integral(0.0, starts),
+                          coeff.make_two_level().integral(0.0, starts))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: coeff.make_constant(1.0),
+    lambda: coeff.make_periodic(1.0, 0.5, 3.0),
+    coeff.make_two_level,
+    lambda: coeff.TabulatedPath(0.0, 0.5, [1.0, 2.0, 1.5]),
+    lambda: coeff.make_noise(1, t_lo=0.0, t_hi=1.0, dt=0.1),
+], ids=["constant", "periodic", "two-level", "tabulated", "noise"])
+def test_empty_queries_give_empty_arrays(make):
+    p, empty = make(), np.empty(0)
+    for out in (p(empty), p.integral(empty, empty), p.min_on(empty, empty),
+                p.max_on(empty, empty)):
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
 def test_build_b_constant_is_flat():
     b = coeff.build_B(coeff.make_constant(1.0), gamma=0.5, delta=1.0,
                       span=(0.0, 40.0))

@@ -223,8 +223,8 @@ def test_tail_uniformity_nested_probes():
     g = kppsolve.make_grid(-25.0, 40.0, 0.1)
     f = kppsolve.init("front-like", g, {"mu": 0.8})
     traj = kppsolve.solve(f, p, 10.0,
-                          kppsolve.SolveConfig(dt=0.002, frame="moving", mu=0.8,
-                                               margin=0.0, store_stride=500))
+                          kppsolve.SolveConfig(dt=0.002, mu=0.8, margin=0.0,
+                                               store_stride=500))
     rep = fronts.tail_uniformity(traj, [-5.0, -10.0], (5.0, 10.0))
     assert rep.deviations[1] <= rep.deviations[0]
     assert rep.deviations[1] < 0.05

@@ -160,7 +160,7 @@ def test_step_size_gates():
     f = kppsolve.init("constant", g, {"value": 2.0})
     with pytest.raises(kppsolve.StepSizeError):
         kppsolve.solve(f, p, 0.2, kppsolve.SolveConfig(dt=0.2))   # dt*a*(2u-1) = 1.2 > 0.5
-    mv = kppsolve.SolveConfig(dt=0.2, frame="moving", mu=1.0)
+    mv = kppsolve.SolveConfig(dt=0.2, mu=1.0)
     f2 = kppsolve.init("constant", g, {"value": 0.5})
     with pytest.raises(kppsolve.StepSizeError, match="CFL"):
         kppsolve.solve(f2, p, 0.2, mv)   # c=3, c*dt/dx = 1.2 > 1
@@ -238,7 +238,7 @@ def _moving_trajectory():
     g = kppsolve.make_grid(-3.0, 3.0, 0.25)
     f = kppsolve.init("front-like", g, {"mu": 0.8})
     return kppsolve.solve(f, p, 1.0, kppsolve.SolveConfig(
-        dt=0.005, frame="moving", mu=0.8, margin=0.0))
+        dt=0.005, mu=0.8, margin=0.0))
 
 
 def _assert_same_trajectory(back, traj):
@@ -288,6 +288,27 @@ def test_trajectory_binary_reads_kpp1_without_run_record():
     _assert_same_trajectory(back, traj)
 
 
+def test_solve_config_rejects_nonpositive_mu():
+    for mu in (0, -1):
+        with pytest.raises(ValueError, match="positive exponent mu"):
+            kppsolve.SolveConfig(0.01, mu=mu)
+
+
+def test_frame_follows_mu_through_binary_roundtrip():
+    p = coeff.make_constant(1.0)
+    g = kppsolve.make_grid(-3.0, 3.0, 0.25)
+    f = kppsolve.init("front-like", g, {"mu": 0.8})
+    for mu, frame in ((0.8, "moving"), (None, "fixed")):
+        traj = kppsolve.solve(f, p, 0.1, kppsolve.SolveConfig(dt=0.005, mu=mu,
+                                                               margin=0.0))
+        buf = io.BytesIO()
+        traj.to_binary(buf)
+        buf.seek(0)
+        back = kppsolve.Trajectory.from_binary(buf)
+        assert traj.frame == back.frame == frame
+        assert back.mu == mu
+
+
 def test_trajectory_csv_layout():
     p = coeff.make_constant(1.0)
     g = kppsolve.make_grid(0.0, 2.0, 0.5)
@@ -307,8 +328,8 @@ def test_moving_frame_shift_is_exact_integral():
     g = kppsolve.make_grid(-5.0, 30.0, 0.1)
     f = kppsolve.init("front-like", g, {"mu": 0.8})
     mu = 0.8
-    traj = kppsolve.solve(f, p, 4.0, kppsolve.SolveConfig(dt=0.002, frame="moving",
-                                                           mu=mu, margin=0.0))
+    traj = kppsolve.solve(f, p, 4.0, kppsolve.SolveConfig(dt=0.002, mu=mu,
+                                                           margin=0.0))
     ts = traj.times
     closed = (mu * mu * ts + p.integral(np.zeros_like(ts), ts)) / mu
     assert np.allclose(traj.frame_shift, closed, atol=1e-12)
@@ -323,8 +344,8 @@ def test_moving_frame_keeps_exponential_front_in_view():
     g = kppsolve.make_grid(-25.0, 40.0, 0.1)
     f = kppsolve.init("front-like", g, {"mu": 0.8})
     traj = kppsolve.solve(f, p, 20.0,
-                          kppsolve.SolveConfig(dt=0.002, frame="moving", mu=0.8,
-                                               margin=0.0, store_stride=500))
+                          kppsolve.SolveConfig(dt=0.002, mu=0.8, margin=0.0,
+                                               store_stride=500))
     xs = fronts.track(traj, levels=(0.5,)).xs(0.5)
     assert float(np.max(np.abs(xs - xs[0]))) < 3.0
     assert traj.frame_shift[-1] == pytest.approx((0.8 ** 2 + 1.0) / 0.8 * 20.0,
