@@ -166,12 +166,14 @@ def _round12(obj):
 def _write_artifact(cfg, command, results, *tables):
     """The command's JSON artifact; with out_dir set it is written as
     <label>.json, and each (suffix, table) pair of `tables` as
-    <label><suffix>.csv through the table's to_csv."""
+    <label><suffix>.csv through the table's to_csv.  The stored config
+    leaves out_dir out: where a run is written is not part of it, so the
+    same run gives the same bytes in any directory."""
     artifact = {
         "command": command,
         "version": __version__,
         "seed": cfg.get("seed"),
-        "config": _round12(dict(cfg)),
+        "config": _round12({k: v for k, v in cfg.items() if k != "out_dir"}),
         "results": _round12(results),
     }
     out_dir = cfg.get("out_dir")
@@ -349,7 +351,7 @@ def cmd_sweep(cfg):
     results = {"command": sub, "key": key,
                "cells": {k: cells[k] for k in sorted(cells)}}
     worst = max(code for code, _ in outcomes)
-    return worst, _write_artifact(cfg, "sweep", results)
+    return worst, _write_artifact(dict(cfg, base=base), "sweep", results)
 
 
 COMMANDS = {

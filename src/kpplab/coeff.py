@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgttrs
 
 from ._files import opened, write_table
 
@@ -434,6 +434,14 @@ class NoisePath(_UniformSamples):
     reported signal is xi = xi_max * tanh(x).  By symmetry xi has mean zero,
     it is bounded by xi_max < 1, and its linear interpolant is Lipschitz.
     Shifting the time origin reuses the same realization.
+
+    The AR(1) recursion x_i = rho x_{i-1} + e_i, with x_0 drawn from the
+    stationary law, is the unit lower-bidiagonal system with -rho below the
+    diagonal, solved by LAPACK dgttrs with identity pivots.  Its forward
+    sweep computes b_i - (-rho) x_{i-1}, the same two roundings as the plain
+    loop; its back sweep subtracts 0 * x and divides by 1, both exact.  So
+    the samples are bit for bit those of the loop, and the only scipy
+    module needed is scipy.linalg, which the diffusion solve loads anyway.
     """
 
     kind = "noise"
@@ -456,14 +464,19 @@ class NoisePath(_UniformSamples):
         rho = math.exp(-self.kappa * dt)
         stat_sd = self.sigma / math.sqrt(2.0 * self.kappa)
         step_sd = self.sigma * math.sqrt((1.0 - rho * rho) / (2.0 * self.kappa))
-        x0 = stat_sd * rng.standard_normal()
-        if n > 1:
-            e = step_sd * rng.standard_normal(n - 1)
-            xs, _ = lfilter([1.0], [1.0, -rho], e, zi=np.array([rho * x0]))
-            x = np.concatenate([[x0], xs])
-        else:
-            x = np.array([x0])
-        self._init_samples(t_lo, dt, self.xi_max * np.tanh(x))
+        # the wrapper rejects systems of order below 3; rows past the path
+        # come after it in the lower-triangular sweep and never feed back
+        order = max(n, 3)
+        x = np.zeros(order)
+        x[0] = stat_sd * rng.standard_normal()
+        x[1:n] = step_sd * rng.standard_normal(n - 1)
+        zeros = np.zeros(order - 1)
+        x, info = dgttrs(np.full(order - 1, -rho), np.ones(order), zeros,
+                         zeros[1:], np.arange(1, order + 1, dtype=np.int32),
+                         x, overwrite_b=True)
+        if info != 0:
+            raise RuntimeError("dgttrs failed (info=%d)" % info)
+        self._init_samples(t_lo, dt, self.xi_max * np.tanh(x[:n]))
 
     @property
     def dt(self):

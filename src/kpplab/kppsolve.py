@@ -177,7 +177,7 @@ def frame_position(path, mu, t, t0=0.0):
     return (mu * mu * (t - t0) + path.integral(np.full_like(t, t0), t)) / mu
 
 
-def _diffusion_lu(grid, dt):
+def _diffusion_ldlt(grid, dt):
     """Prefactored backward-Euler solve with I - dt * Laplacian (zero-flux).
 
     Zero-flux boundaries via mirror ghost nodes give row sums of exactly 1,
@@ -353,7 +353,7 @@ def solve(init_field, path, t_end, config):
     m_nodes = int(round(margin / grid.dx))
     watched = _watched_sides(init_field.values) if m_nodes > 0 else []
 
-    diffuse = _diffusion_lu(grid, dt)
+    diffuse = _diffusion_ldlt(grid, dt)
     mids = np.asarray(path(t0 + (np.arange(n_steps) + 0.5) * dt), dtype=float)
     starts = t0 + np.arange(n_steps) * dt
     a_max = path.max_on(starts, starts + dt)

@@ -7,6 +7,8 @@ from scipy's adaptive integrator, and the front scan is a literal
 right-to-left loop.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -69,6 +71,28 @@ def ivp_real_noise(u0, noise, ts, rtol=1e-10, atol=1e-12):
     if not sol.success:
         raise RuntimeError("reference ODE solve failed: %s" % sol.message)
     return sol.y[0]
+
+
+def noise_draws(seed, kappa, sigma, dt, t_lo, t_hi):
+    """(rho, x0, e): the AR(1) factor and the random draws of NoisePath,
+    taken from the generator in the same order."""
+    n = int(round((t_hi - t_lo) / dt)) + 1
+    rng = np.random.default_rng(seed)
+    rho = math.exp(-kappa * dt)
+    x0 = sigma / math.sqrt(2.0 * kappa) * rng.standard_normal()
+    step_sd = sigma * math.sqrt((1.0 - rho * rho) / (2.0 * kappa))
+    e = step_sd * rng.standard_normal(n - 1) if n > 1 else np.empty(0)
+    return rho, x0, e
+
+
+def ar1_loop(rho, x0, e):
+    """x_0 = x0, x_i = rho x_{i-1} + e_i as a plain Python loop."""
+    y = x0
+    xs = [y]
+    for ei in e:
+        y = rho * y + float(ei)
+        xs.append(y)
+    return np.array(xs)
 
 
 def brute_front(x, u, level):

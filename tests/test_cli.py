@@ -62,6 +62,27 @@ def test_cmd_mean_artifact(tmp_path):
     assert artifact["results"]["n_windows"] >= 1
 
 
+MEAN_CFG = {"path_kind": "two-level", "r_min": 5.0, "horizon": [0, 300]}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("mean", MEAN_CFG),
+    # a sweep ignores out_dir in its base config, so it is not stored either
+    ("sweep", {"sweep_command": "mean", "sweep_key": "r_min",
+               "sweep_values": [5.0], "base": dict(MEAN_CFG)}),
+])
+def test_artifact_bytes_do_not_depend_on_out_dir(tmp_path, command, cfg):
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        run = dict(cfg, out_dir=out, label="m")
+        if "base" in run:
+            run["base"] = dict(run["base"], out_dir=out)
+        cli.COMMANDS[command](run)
+    first = (tmp_path / "a" / "m.json").read_bytes()
+    assert first == (tmp_path / "b" / "m.json").read_bytes()
+    assert "out_dir" not in json.loads(first)["config"]
+
+
 def test_main_config_file_and_overrides(tmp_path, capsys):
     cfg_file = tmp_path / "mean.json"
     cfg_file.write_text(json.dumps({"r_min": 5.0, "horizon": [0, 50]}))
@@ -290,3 +311,14 @@ def test_module_is_executable():
     assert out.returncode == 0
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     assert summary["a_hat_est"] == pytest.approx(1.0)
+
+
+def test_import_loads_no_heavy_scipy_subpackages():
+    # a fresh process: the test oracles import scipy.integrate themselves
+    code = ("import sys, kpplab, kpplab.cli; print(' '.join(sorted(m for m in "
+            "('scipy.signal', 'scipy.stats', 'scipy.integrate', "
+            "'scipy.optimize') if m in sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == ""

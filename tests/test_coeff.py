@@ -185,6 +185,36 @@ def test_noise_determinism_and_bounds():
     assert not np.array_equal(a.values, c.values)
 
 
+FANOUT_NOISE = dict(kappa=1.0, sigma=0.5, xi_max=0.5, dt=1e-3, t_lo=-120.0,
+                    t_hi=100.0)
+
+
+@pytest.mark.parametrize("seed, params", [
+    (1, FANOUT_NOISE), (90210, FANOUT_NOISE),
+    (7, dict(FANOUT_NOISE, t_lo=0.0, t_hi=1e-3)),      # 2 samples
+    (7, dict(FANOUT_NOISE, t_lo=0.0, t_hi=2e-3)),      # 3 samples
+])
+def test_noise_samples_match_the_plain_ar1_loop_bit_for_bit(seed, params):
+    from scipy.signal import lfilter
+
+    p = coeff.NoisePath(seed, **params)
+    rho, x0, e = oracles.noise_draws(seed, params["kappa"], params["sigma"],
+                                     params["dt"], params["t_lo"], params["t_hi"])
+    x = oracles.ar1_loop(rho, x0, e)
+    assert p.values.size == x.size
+    assert np.array_equal(p.values, params["xi_max"] * np.tanh(x))
+    # the loop is the realization scipy.signal.lfilter gave earlier versions
+    if e.size:
+        xs, _ = lfilter([1.0], [1.0, -rho], e, zi=np.array([rho * x0]))
+        assert np.array_equal(xs, x[1:])
+
+
+def test_one_sample_noise_is_rejected_as_too_short():
+    # the recursion takes a 1-sample path; the sampled-path checks refuse it
+    with pytest.raises(ValueError, match="at least two samples"):
+        coeff.NoisePath(7, **dict(FANOUT_NOISE, t_lo=0.0, t_hi=4e-4))
+
+
 def test_noise_zero_volatility_is_flat():
     p = coeff.make_noise(5, sigma=0.0, t_lo=0.0, t_hi=5.0)
     assert np.all(p.values == 0.0)

@@ -125,7 +125,7 @@ def test_diffusion_solve_matches_dense_mirror_ghost(n, lam):
     mat[0, 1] = mat[-1, -2] = -2.0 * lam    # mirror ghost nodes
     b = np.random.default_rng(n).uniform(0.0, 1.0, n)
     ref = np.linalg.solve(mat, b)
-    got = kppsolve._diffusion_lu(g, dt)(b.copy())
+    got = kppsolve._diffusion_ldlt(g, dt)(b.copy())
     assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
