@@ -73,8 +73,9 @@ def _require(cfg, key, command):
 
 def _floats(cfg, **keys):
     """Keyword arguments {name: float(cfg[key])} for the keys the config
-    sets; a key left out leaves the library's default in force."""
-    return {name: float(cfg[key]) for name, key in keys.items() if key in cfg}
+    sets; a key left out or null leaves the library's default in force."""
+    return {name: float(cfg[key]) for name, key in keys.items()
+            if cfg.get(key) is not None}
 
 
 def _validate_keys(cfg, command):
@@ -105,13 +106,21 @@ def path_from_config(cfg):
             raise ConfigError("path_kind %r needs a seed" % kind)
         t_lo = float(cfg.get("path_t_lo", 0.0))
         t_hi = float(cfg.get("path_t_hi", 100.0))
-        noise = coeff.make_noise(int(cfg["seed"]), t_lo=t_lo - 120.0, t_hi=t_hi,
-                                 **_floats(cfg, kappa="noise_kappa",
-                                           sigma="noise_sigma",
-                                           xi_max="noise_xi_max",
-                                           dt="noise_dt"))
-        return coeff.equilibrium_path(noise, t_lo, t_hi,
-                                      **_floats(cfg, tail_tol="tail_tol"))
+        tol = _floats(cfg, tail_tol="tail_tol")
+
+        def noise_from(history):
+            return coeff.make_noise(int(cfg["seed"]), t_lo=t_lo - history, t_hi=t_hi,
+                                    **_floats(cfg, kappa="noise_kappa",
+                                              sigma="noise_sigma",
+                                              xi_max="noise_xi_max",
+                                              dt="noise_dt"))
+        # 120 time units of history unless this realization's horizon needs
+        # more; then enough for any realization, since xi > -xi_max
+        noise = noise_from(120.0)
+        if equilibria.truncation_horizon(noise, **tol) > 120.0:
+            noise = noise_from(equilibria.truncation_horizon(
+                noise, xi_inf=-noise.xi_max, **tol))
+        return coeff.equilibrium_path(noise, t_lo, t_hi, **tol)
     raise ConfigError("unknown path_kind %r" % kind)
 
 
@@ -224,7 +233,7 @@ def cmd_takeover(cfg):
     trace = fronts.track(traj, levels=(level, 0.25) if level == 0.5 else (level,))
     try:
         est = fronts.estimate_speed(
-            trace, burn_in=cfg.get("burn_in"), level=level,
+            trace, level=level, **_floats(cfg, burn_in="burn_in"),
             window=tuple(cfg["fit_window"]) if "fit_window" in cfg else None)
     except ValueError as exc:
         return EXIT_INCONCLUSIVE, _write_artifact(cfg, "takeover",
@@ -285,10 +294,9 @@ def cmd_stability(cfg):
     vals = mid + amp * np.sin(2 * math.pi * grid.x / wavelength)
     field0 = kppsolve.init("custom-samples", grid, {"values": vals})
     traj = kppsolve.solve(field0, path, t_end, config)
-    slack = cfg.get("slack")
     report = equilibria.verify_stability_decay(
         traj, path, bound=equilibria.stability_bound(u0_inf, u0_sup),
-        slack=float(slack) if slack is not None else None)
+        **_floats(cfg, slack="slack"))
     results = {
         "passed": report.passed, "max_violation": report.max_violation,
         "worst_time": report.worst_time, "prefactor": report.prefactor,
@@ -305,17 +313,15 @@ def cmd_certify(cfg):
     span = tuple(float(s) for s in cfg.get("span", (0.0, t_end)))
     params = subsuper.make_wave_params(
         path, mu, mu_tilde, span,
-        delta=float(cfg["delta"]) if "delta" in cfg else None,
-        d=float(cfg["d"]) if "d" in cfg else None, **_floats(cfg, r_min="r_min"))
+        **_floats(cfg, delta="delta", d="d", r_min="r_min"))
     upper = subsuper.supersolution(path, mu)
     lower = subsuper.lower_solution(path, params)
     field0 = kppsolve.init("custom-samples", grid,
                            {"values": upper(0.0, grid.x)})
     traj = kppsolve.solve(field0, path, t_end, config)
-    slack = cfg.get("slack")
-    slack = float(slack) if slack is not None else None
-    above = subsuper.certify_ordering(traj, upper, "above", slack=slack)
-    below = subsuper.certify_ordering(traj, lower, "below", slack=slack)
+    slack = _floats(cfg, slack="slack")
+    above = subsuper.certify_ordering(traj, upper, "above", **slack)
+    below = subsuper.certify_ordering(traj, lower, "below", **slack)
     results = {
         "params": {"mu": mu, "mu_tilde": mu_tilde, "delta": params.delta,
                    "d": params.d, "B_norm": params.B.B_norm,

@@ -320,7 +320,7 @@ class _UniformSamples(_Signal):
     partial panels), so quadrature and evaluation never disagree.
     """
 
-    def _init_samples(self, t0, dt, values):
+    def __init__(self, t0, dt, values):
         if dt <= 0:
             raise ValueError("sample spacing must be positive")
         values = np.asarray(values, dtype=float)
@@ -364,23 +364,21 @@ class _UniformSamples(_Signal):
                 "query time range [%g, %g] outside the sampled range [%g, %g]"
                 % (tmin, tmax, self._t0, hi))
 
-    def _eval(self, t):
+    def _locate(self, t):
+        """Panel index, fraction through the panel and value at each time."""
         t = np.asarray(t, dtype=float)
         self._check_range(t)
         pos = np.clip((t - self._t0) / self._dt, 0.0, self.values.size - 1.0)
         k = np.minimum(pos.astype(int), self.values.size - 2)
         frac = pos - k
-        return self.values[k] * (1.0 - frac) + self.values[k + 1] * frac
+        return k, frac, self.values[k] * (1.0 - frac) + self.values[k + 1] * frac
+
+    def _eval(self, t):
+        return self._locate(t)[2]
 
     def _primitive(self, t):
-        t = np.asarray(t, dtype=float)
-        self._check_range(t)
-        pos = np.clip((t - self._t0) / self._dt, 0.0, self.values.size - 1.0)
-        k = np.minimum(pos.astype(int), self.values.size - 2)
-        rem = (pos - k) * self._dt
-        vk = self.values[k]
-        vt = self._eval(t)
-        return self._prefix[k] + 0.5 * (vk + vt) * rem
+        k, frac, vt = self._locate(t)
+        return self._prefix[k] + 0.5 * (self.values[k] + vt) * (frac * self._dt)
 
     def _extrema_on(self, a, b):
         va, vb = self._eval(a), self._eval(b)
@@ -399,7 +397,7 @@ class TabulatedPath(_UniformSamples, CoefficientPath):
     kind = "tabulated"
 
     def __init__(self, t0, dt, values, kind=None, meta=None):
-        self._init_samples(t0, dt, values)
+        super().__init__(t0, dt, values)
         if float(self.values.min()) <= 0.0:
             raise ValueError("coefficient samples must be positive (min=%g)"
                              % self.values.min())
@@ -476,7 +474,7 @@ class NoisePath(_UniformSamples):
                          x, overwrite_b=True)
         if info != 0:
             raise RuntimeError("dgttrs failed (info=%d)" % info)
-        self._init_samples(t_lo, dt, self.xi_max * np.tanh(x[:n]))
+        super().__init__(t_lo, dt, self.xi_max * np.tanh(x[:n]))
 
     @property
     def dt(self):
@@ -699,16 +697,12 @@ def equilibrium_path(noise, t_lo, t_hi, dt=None, t_trunc=None, tail_tol=1e-8):
     with tail bound exp(-(1+xi_inf) T) / (1+xi_inf) < tail_tol, using the
     realized minimum of the noise.
     """
-    from . import equilibria  # local import; equilibria imports coeff for types
+    from . import equilibria  # local import: equilibria imports coeff
 
     if dt is None:
         dt = noise.dt
     if t_trunc is None:
         t_trunc = equilibria.truncation_horizon(noise, tail_tol)
-    if noise.t_lo > t_lo - t_trunc + 1e-9:
-        raise ValueError(
-            "noise history starts at %g but the equilibrium needs it from %g "
-            "(t_lo - T_trunc)" % (noise.t_lo, t_lo - t_trunc))
     ts = np.arange(t_lo, t_hi + 0.5 * dt, dt)
     ys = equilibria.equilibrium_values(noise, ts, t_trunc)
     meta = {"seed": noise.seed, "kappa": noise.kappa, "sigma": noise.sigma,

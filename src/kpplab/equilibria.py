@@ -5,9 +5,10 @@ Two scalar equations appear.  The KPP reaction u' = a(t) u (1 - u) has the
 closed form u(t) = u0 / ((1 - u0) exp(-A(t)) + u0) with A the primitive of
 a; it anchors time-convergence tests of the PDE solver and the stability
 envelope.  The noise-driven logistic u' = u (1 + xi(t) - u) has a pullback
-attractor Y(t), computed here by truncated history integrals with an
-explicit tail bound; 1 + xi itself is not of the form a * (1 - u) scaling,
-so the two forms are kept separate.
+attractor Y(t) = G(t) / (integral of G over [t - T, t]), with an explicit
+tail bound for the truncation T; the weights G = exp(P), P' = 1 + xi, are a
+sampled signal on the noise grid like any sampled path.  1 + xi itself is
+not of the form a * (1 - u) scaling, so the two forms are kept separate.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_table
+from .coeff import _UniformSamples
 
 __all__ = [
     "logistic_solution", "real_noise_ode_solution", "truncation_horizon",
@@ -66,11 +68,18 @@ def logistic_solution(u0, path, ts):
     return u0 / ((1.0 - u0) * np.exp(-A) + u0)
 
 
-def _history_grid(noise, t_min, t_max):
-    """Noise sample times covering [t_min, t_max], with shifted log-weights.
+def _log_weight(noise, t):
+    """P(t) = t + integral of xi from 0 to t, so exp(P)' = (1 + xi) exp(P)."""
+    t = np.asarray(t, dtype=float)
+    return t + noise.integral(np.zeros_like(t), t)
 
-    Returns (s, P_shifted, shift) where P(s) = s + integral of xi from 0,
-    and the shift keeps exp(P - shift) <= 1.
+
+def _history_weights(noise, t_min, t_max):
+    """(G, shift): the weights G(s) = exp(P(s) - shift), shift = max P,
+    sampled at the noise times covering [t_min, t_max].
+
+    Linear between samples, like every sampled signal, so its integral is
+    exact for the interpolant (Q' = G) and G <= 1.
     """
     dt = noise.dt
     n = noise.values.size
@@ -79,48 +88,18 @@ def _history_grid(noise, t_min, t_max):
     j0 = max(j0, 0)
     j1 = min(max(j1, j0 + 1), n - 1)
     s = noise.t_lo + dt * np.arange(j0, j1 + 1)
-    P = s + noise.integral(np.zeros_like(s), s)
+    P = _log_weight(noise, s)
     shift = float(P.max())
-    return s, P - shift, shift
-
-
-class _WeightTable:
-    """Prefix integrals of G(s) = exp(P(s) - shift) on the noise grid.
-
-    Q(t) evaluates the running integral at arbitrary t by adding the exact
-    trapezoid contribution of the partial panel; G(t) interpolates P
-    linearly inside a panel before exponentiating, so Q' = G exactly for
-    the interpolated integrand.
-    """
-
-    def __init__(self, noise, t_min, t_max):
-        self.noise = noise
-        self.s, self.logG, self.shift = _history_grid(noise, t_min, t_max)
-        G = np.exp(self.logG)
-        panels = 0.5 * (G[1:] + G[:-1]) * noise.dt
-        self.prefix = np.concatenate([[0.0], np.cumsum(panels)])
-
-    def logG_at(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.interp(t, self.s, self.logG)
-
-    def G_at(self, t):
-        return np.exp(self.logG_at(t))
-
-    def Q_at(self, t):
-        t = np.asarray(t, dtype=float)
-        dt = self.noise.dt
-        pos = np.clip((t - self.s[0]) / dt, 0.0, self.s.size - 1.0)
-        k = np.minimum(pos.astype(int), self.s.size - 2)
-        rem = (pos - k) * dt
-        Gk = np.exp(self.logG[k])
-        return self.prefix[k] + 0.5 * (Gk + self.G_at(t)) * rem
+    return _UniformSamples(s[0], dt, np.exp(P - shift)), shift
 
 
 def real_noise_ode_solution(u0, noise, ts):
-    """Exact solution of u' = u (1 + xi(t) - u), u(ts[0]) = u0.
+    """Solution of u' = u (1 + xi(t) - u), u(ts[0]) = u0.
 
-    Closed form via the log-weight G: u(t) = G(t) / (G(t0)/u0 + Q(t) - Q(t0)).
+    u(t) = W(t) / (W(t0)/u0 + integral of W over [t0, t]) with W = exp(P)
+    exact at ts; the integral is that of W's linear interpolant on the noise
+    grid (`_history_weights`), a trapezoid rule with O(dt^2) error.  Reading
+    W off the interpolant would add (P'' + P'^2) dt^2 / 8, large for rough xi.
     """
     if u0 < 0:
         raise ValueError("u0 must be nonnegative")
@@ -128,22 +107,21 @@ def real_noise_ode_solution(u0, noise, ts):
     if u0 == 0.0:
         return np.zeros_like(ts)
     t0 = float(ts.min())
-    table = _WeightTable(noise, t0, float(ts.max()))
-    G = table.G_at(ts)
-    Q = table.Q_at(ts)
-    G0 = float(table.G_at(t0))
-    Q0 = float(table.Q_at(t0))
-    return G / (G0 / u0 + (Q - Q0))
+    G, shift = _history_weights(noise, t0, float(ts.max()))
+    w0 = math.exp(float(_log_weight(noise, t0)) - shift)
+    return np.exp(_log_weight(noise, ts) - shift) / (w0 / u0 + G.integral(t0, ts))
 
 
-def truncation_horizon(noise, tail_tol=1e-8):
+def truncation_horizon(noise, tail_tol=1e-8, xi_inf=None):
     """Smallest history length T with tail bound below tail_tol.
 
     The discarded tail of the equilibrium's history integral is at most
     exp(-(1 + xi_inf) T) / (1 + xi_inf) relative to the weight at the
-    evaluation time, where xi_inf is the realized minimum of the noise.
+    evaluation time, where xi_inf is a lower bound of the noise: by default
+    its realized minimum, while -xi_max bounds every realization.
     """
-    xi_inf = float(noise.values.min())
+    if xi_inf is None:
+        xi_inf = float(noise.values.min())
     rate = 1.0 + xi_inf
     if rate <= 0:
         raise ValueError("noise reaches 1 + xi <= 0; no decaying tail bound")
@@ -157,7 +135,9 @@ def tail_bound(noise, t_trunc):
 
 
 def equilibrium_values(noise, ts, t_trunc):
-    """Pullback equilibrium Y at times ts using history windows [t - T, t]."""
+    """Pullback equilibrium Y(t) = G(t) / (integral of G over [t - T, t]) at
+    times ts, with the sampled weights of `_history_weights`: exact on the
+    noise grid, linear between its samples."""
     ts = np.asarray(ts, dtype=float)
     t_min, t_max = float(ts.min()), float(ts.max())
     if noise.t_lo > t_min - t_trunc + 1e-9 * noise.dt:
@@ -165,9 +145,8 @@ def equilibrium_values(noise, ts, t_trunc):
             "noise history starts at %g; evaluating Y on [%g, %g] with "
             "truncation %g needs history from %g"
             % (noise.t_lo, t_min, t_max, t_trunc, t_min - t_trunc))
-    table = _WeightTable(noise, t_min - t_trunc, t_max)
-    denom = table.Q_at(ts) - table.Q_at(ts - t_trunc)
-    return table.G_at(ts) / denom
+    G, _ = _history_weights(noise, t_min - t_trunc, t_max)
+    return G(ts) / G.integral(ts - t_trunc, ts)
 
 
 @dataclass
@@ -181,9 +160,9 @@ class EquilibriumSample:
     xi_inf: float
 
 
-def random_equilibrium(noise, ts, t_trunc=None, tail_tol=1e-8):
+def random_equilibrium(noise, ts, t_trunc=None):
     if t_trunc is None:
-        t_trunc = truncation_horizon(noise, tail_tol)
+        t_trunc = truncation_horizon(noise)
     ts = np.asarray(ts, dtype=float)
     vals = equilibrium_values(noise, ts, t_trunc)
     return EquilibriumSample(times=ts, values=vals, t_trunc=float(t_trunc),

@@ -289,8 +289,7 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
     axis = sorted(float(t) for t in times)
     if axis[0] < 2.0:
         raise ValueError("pair times must be >= 2 so fronts exist")
-    stride = max(1, int(round(0.5 / dt)))
-    config = kppsolve.SolveConfig(dt=dt, store_stride=stride, margin=margin)
+    config = kppsolve.SolveConfig(dt=dt, margin=margin)
 
     def heaviside_trace(p, t_end):
         # each run's domain is sized for its own path and horizon

@@ -45,6 +45,16 @@ def test_noise_equilibrium_path_is_positive():
     assert eq.describe()["kind"] == "noise-equilibrium"
 
 
+def test_noise_history_covers_the_truncation_horizon():
+    # this realization's truncation horizon is 151.8, past the usual 120
+    # units of noise history, so the history grows to the worst case
+    cfg = {"path_kind": "noise-equilibrium", "seed": 3, "noise_sigma": 1.0,
+           "noise_xi_max": 0.9, "r_min": 5.0, "horizon": [0, 100]}
+    code, artifact = cli.cmd_mean(cfg)
+    assert code == cli.EXIT_OK
+    assert cli.path_from_config(cfg).meta["t_trunc"] > 120.0
+
+
 def test_cmd_mean_artifact(tmp_path):
     code, artifact = cli.cmd_mean({
         "path_kind": "two-level", "r_min": 5.0, "horizon": [0, 300],
@@ -245,6 +255,13 @@ def test_cmd_certify_passes_with_scheme_slack(tmp_path):
 def test_cmd_certify_zero_slack_is_violated():
     code, artifact = cli.cmd_certify(_certify_cfg(slack=0.0))
     assert code == cli.EXIT_VIOLATED
+
+
+def test_null_keys_take_library_defaults():
+    code, artifact = cli.cmd_certify(_certify_cfg(slack=None, delta=None, d=None))
+    code_left_out, artifact_left_out = cli.cmd_certify(_certify_cfg())
+    assert code == code_left_out
+    assert artifact["results"] == artifact_left_out["results"]
 
 
 _NOISE_TAKEOVER = {

@@ -38,13 +38,26 @@ def test_logistic_rejects_negative_start():
 
 def test_real_noise_ode_matches_adaptive_reference():
     noise = coeff.make_noise(17, t_lo=0.0, t_hi=12.0)
-    ts = np.linspace(0.0, 12.0, 49)
-    for u0 in (0.4, 1.7):
-        ours = equilibria.real_noise_ode_solution(u0, noise, ts)
-        ref = oracles.ivp_real_noise(u0, noise, ts)
-        err = float(np.max(np.abs(ours - ref)))
-        assert err < 1e-6, "u0=%g err=%g" % (u0, err)
-    assert np.all(equilibria.real_noise_ode_solution(0.0, noise, ts) == 0.0)
+    # times on the noise grid, then times between its samples
+    for ts in (np.linspace(0.0, 12.0, 49), np.linspace(0.0, 12.0, 50)):
+        for u0 in (0.4, 1.7):
+            ours = equilibria.real_noise_ode_solution(u0, noise, ts)
+            ref = oracles.ivp_real_noise(u0, noise, ts)
+            err = float(np.max(np.abs(ours - ref)))
+            assert err < 1e-6, "u0=%g n=%d err=%g" % (u0, ts.size, err)
+        assert np.all(equilibria.real_noise_ode_solution(0.0, noise, ts) == 0.0)
+
+
+def test_history_weights_integral_differentiates_to_the_weights():
+    # Q' = G: over [t - h, t + h] inside one panel, where G is linear, the
+    # mean of G equals G(t) up to rounding (4e-12 here); interpolating log G
+    # under the same trapezoid integral misses by 2e-7
+    noise = coeff.make_noise(17, t_lo=0.0, t_hi=12.0)
+    G, _ = equilibria._history_weights(noise, 0.0, 12.0)
+    ts = noise.t_lo + noise.dt * (np.arange(200, 12000, 97) + 0.5)
+    h = 0.25 * noise.dt
+    mean = G.integral(ts - h, ts + h) / (2.0 * h)
+    assert np.max(np.abs(mean / G(ts) - 1.0)) < 1e-10
 
 
 def test_truncation_horizon_controls_tail():
