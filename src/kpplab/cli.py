@@ -337,6 +337,27 @@ def cmd_certify(cfg):
                             ("_above", above), ("_below", below)))
 
 
+def _numeric_leaves(results, prefix=""):
+    """(dotted key, value) for every numeric, non-bool value in nested
+    result dicts; lists and nulls (non-finite results) are left out."""
+    for k, v in results.items():
+        if isinstance(v, dict):
+            yield from _numeric_leaves(v, prefix + k + ".")
+        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+            yield prefix + k, v
+
+
+def _sweep_summary(cells):
+    """{key: {min, median, max, count}} over the cells for every numeric
+    result key, count being the number of cells that report it."""
+    values = {}
+    for cell in cells:
+        for k, v in _numeric_leaves(cell["results"]):
+            values.setdefault(k, []).append(v)
+    return {k: {"min": min(v), "median": float(np.median(v)), "max": max(v),
+                "count": len(v)} for k, v in values.items()}
+
+
 def cmd_sweep(cfg):
     _validate_keys(cfg, "sweep")
     sub = _require(cfg, "sweep_command", "sweep")
@@ -355,7 +376,8 @@ def cmd_sweep(cfg):
         cells["%s=%s" % (key, value)] = {"exit_code": code,
                                          "results": artifact["results"]}
     results = {"command": sub, "key": key,
-               "cells": {k: cells[k] for k in sorted(cells)}}
+               "cells": {k: cells[k] for k in sorted(cells)},
+               "summary": _sweep_summary(cells.values())}
     worst = max(code for code, _ in outcomes)
     return worst, _write_artifact(dict(cfg, base=base), "sweep", results)
 

@@ -437,20 +437,24 @@ def tail_uniformity(trajectory, x_probes, t_window):
 
     Intended for moving-frame runs where the profile should flatten to 1
     on the left; deviations are automatically nonincreasing as probes move
-    left because the regions nest.
+    left because the regions nest.  Stored times and grid nodes increase,
+    so the window and each region are slices: every deviation is
+    max(max v - 1, 1 - min v) over a view of the frames, the same float as
+    the max of |v - 1| without a frame-sized temporary.
     """
-    sel = (trajectory.times >= t_window[0] - 1e-12) \
-        & (trajectory.times <= t_window[1] + 1e-12)
-    if not sel.any():
+    times = trajectory.times
+    rows = slice(np.searchsorted(times, t_window[0] - 1e-12, side="left"),
+                 np.searchsorted(times, t_window[1] + 1e-12, side="right"))
+    frames = trajectory.frames[rows]
+    if frames.shape[0] == 0:
         raise ValueError("no stored frames inside the window %s" % (t_window,))
-    frames = trajectory.frames[sel]
     x = trajectory.grid.x
     devs = []
     for p in x_probes:
-        region = x <= p
-        if not region.any():
+        region = frames[:, :np.searchsorted(x, p, side="right")]
+        if region.size == 0:
             raise ValueError("probe %g is left of the whole grid" % p)
-        devs.append(float(np.max(np.abs(frames[:, region] - 1.0))))
+        devs.append(float(max(region.max() - 1.0, 1.0 - region.min())))
     return TailReport(x_probes=tuple(float(p) for p in x_probes),
                       deviations=tuple(devs),
                       t_window=(float(t_window[0]), float(t_window[1])))

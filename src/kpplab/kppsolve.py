@@ -36,6 +36,7 @@ integral.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -272,7 +273,9 @@ class Trajectory:
         """Compact layout: magic 'KPP2', little-endian int64 counts, float64
         grid descriptor, the float64 run record (META_KEYS, NaN where meta
         lacks a key), then times, frame shifts, and frames row-major.
-        `file` is a path or a binary stream (in-memory streams included)."""
+        `file` is a path or a binary stream (in-memory streams included).
+        Each block's buffer goes to the stream as it is: no copy of the
+        frames is made."""
         mu = self.mu if self.mu is not None else math.nan
         moving = 1.0 if self.frame == "moving" else 0.0
         shifts = self.frame_shift if self.frame_shift is not None \
@@ -280,20 +283,25 @@ class Trajectory:
         record = [self.meta.get(k, math.nan) for k in META_KEYS]
         with opened(file, "wb") as fh:
             fh.write(b"KPP2")
-            fh.write(np.asarray([self.times.size, self.grid.n], dtype="<i8").tobytes())
-            fh.write(np.asarray([self.grid.x_lo, self.grid.dx, moving, mu],
-                                dtype="<f8").tobytes())
-            fh.write(np.asarray(record, dtype="<f8").tobytes())
-            for block in (self.times, shifts, self.frames):
-                fh.write(np.asarray(block, dtype="<f8").tobytes())
+            fh.write(np.asarray([self.times.size, self.grid.n], dtype="<i8"))
+            for block in ([self.grid.x_lo, self.grid.dx, moving, mu], record,
+                          self.times, shifts, self.frames):
+                fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
     @staticmethod
     def from_binary(file):
-        """Read a KPP2 file, or a KPP1 file (no run record: empty meta)."""
-        def read(fh, dtype, count):
-            # a bytearray keeps the arrays writable
-            return np.frombuffer(bytearray(fh.read(8 * count)), dtype=dtype,
-                                 count=count)
+        """Read a KPP2 file, or a KPP1 file (no run record: empty meta).
+
+        Each block is read straight into a new writeable array, so the
+        frames are held once.  A file that ends early raises ValueError;
+        on a seekable stream that is checked before the arrays are
+        allocated, so a damaged frame count cannot ask for more memory
+        than the file holds."""
+        def read(fh, dtype, *shape):
+            out = np.empty(shape, dtype=dtype)
+            if fh.readinto(out) != out.nbytes:
+                raise ValueError("trajectory file ends inside a block")
+            return out
 
         with opened(file, "rb") as fh:
             magic = fh.read(4)
@@ -306,9 +314,14 @@ class Trajectory:
                 for key, value in zip(META_KEYS, read(fh, "<f8", len(META_KEYS))):
                     if not math.isnan(value):
                         meta[key] = int(value) if key == "stride" else float(value)
+            if fh.seekable():
+                here = fh.tell()
+                left = fh.seek(0, io.SEEK_END) - fh.seek(here)
+                if left < 8 * n_frames * (2 + n_nodes):
+                    raise ValueError("trajectory file is shorter than its header says")
             times = read(fh, "<f8", n_frames)
             shifts = read(fh, "<f8", n_frames)
-            frames = read(fh, "<f8", n_frames * n_nodes).reshape(n_frames, n_nodes)
+            frames = read(fh, "<f8", n_frames, n_nodes)
         grid = Grid1D(float(x_lo), float(x_lo + dx * (n_nodes - 1)), n_nodes)
         return Trajectory(grid=grid, times=times, frames=frames,
                           mu=float(mu) if moving else None,
@@ -328,6 +341,9 @@ def _watched_sides(values):
 def solve(init_field, path, t_end, config):
     """Run from init_field.t to t_end, storing frames at the config stride.
 
+    The stored frames are the initial one, one every stride steps and the
+    last step's; they are written into one (1 + ceil(n_steps / stride), n)
+    array allocated before the loop, so the trajectory is held once.
     Aborts with FrontMarginError if the solution becomes occupied inside
     the safety margin of a boundary that started unoccupied (the front ran
     out of room; speed estimates past this point would be contaminated).
@@ -358,9 +374,12 @@ def solve(init_field, path, t_end, config):
     starts = t0 + np.arange(n_steps) * dt
     a_max = path.max_on(starts, starts + dt)
 
-    u = init_field.values.astype(float).copy()
-    times = [t0]
-    frames = [u.copy()]
+    n_frames = 1 + -(-n_steps // stride)
+    times = np.empty(n_frames)
+    frames = np.empty((n_frames, grid.n))
+    times[0] = t0
+    frames[0] = init_field.values
+    u = frames[0]     # read only: each step returns a new array
 
     def safety_check(vals, t):
         if not np.all(np.isfinite(vals)):
@@ -373,6 +392,7 @@ def solve(init_field, path, t_end, config):
                     "enlarge the domain" % (side, margin, t))
 
     safety_check(u, t0)
+    j = 1
     for k in range(n_steps):
         t = t0 + k * dt
         _check_step_bounds(a_max.item(k), t, dt, float(u.max()), grid, config)
@@ -380,17 +400,17 @@ def solve(init_field, path, t_end, config):
         if (k + 1) % stride == 0 or k + 1 == n_steps:
             t_new = t0 + (k + 1) * dt
             safety_check(u, t_new)
-            times.append(t_new)
-            frames.append(u.copy())
+            times[j] = t_new
+            frames[j] = u
+            j += 1
 
-    times = np.asarray(times)
     if config.mu is not None:
         shift = frame_position(path, config.mu, times, t0)
     else:
         shift = np.zeros_like(times)
     meta = {"dt": dt, "dx": grid.dx, "stride": stride, "margin": config.margin,
             "t0": t0, "t_end": t_end}
-    return Trajectory(grid=grid, times=times, frames=np.asarray(frames),
+    return Trajectory(grid=grid, times=times, frames=frames,
                       mu=config.mu, frame_shift=shift, meta=meta)
 
 

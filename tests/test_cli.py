@@ -311,6 +311,35 @@ def test_cmd_sweep_deterministic_merge(tmp_path):
     assert (tmp_path / "sw.json").read_text() == on_disk
 
 
+
+def test_cmd_sweep_summarises_numeric_result_keys():
+    cfg = {
+        "sweep_command": "mean", "sweep_key": "seed", "sweep_values": [4, 5, 6],
+        "base": {"path_kind": "noise-equilibrium", "path_t_hi": 20.0,
+                 "noise_dt": 0.01, "r_min": 2.0, "horizon": [0, 20]},
+    }
+    _, artifact = cli.cmd_sweep(cfg)
+    results = artifact["results"]
+    summary = results["summary"]
+    cells = list(results["cells"].values())
+    # speed_band and window_lengths are lists: not scalars, not summarised
+    assert sorted(summary) == ["a_hat_est", "a_lower_est", "a_upper_est",
+                               "n_windows", "takeover_speed"]
+    for key, row in summary.items():
+        vals = sorted(c["results"][key] for c in cells)
+        assert row == {"min": vals[0], "median": vals[1], "max": vals[2],
+                       "count": 3}
+    assert summary["a_lower_est"]["min"] < summary["a_lower_est"]["max"]
+    # nulls and bools are left out; nested results get dotted keys
+    cells[0]["results"].update(a_hat_est=None, passed=True,
+                               takeover={"c_hat": 2.0, "passed": False})
+    summary = cli._sweep_summary(cells)
+    assert summary["a_hat_est"]["count"] == 2
+    assert "passed" not in summary and "takeover.passed" not in summary
+    assert summary["takeover.c_hat"] == {"min": 2.0, "median": 2.0, "max": 2.0,
+                                         "count": 1}
+
+
 def test_cmd_sweep_validation():
     with pytest.raises(cli.ConfigError, match="non-sweep"):
         cli.cmd_sweep({"sweep_command": "sweep", "sweep_values": [1],

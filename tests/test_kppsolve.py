@@ -233,6 +233,22 @@ def test_store_stride_and_frame_lookup():
         traj.frame_at(0.3)
 
 
+def test_store_keeps_last_frame_when_stride_does_not_divide_steps():
+    p = coeff.make_periodic(1.0, 0.5, 3.0)
+    g = kppsolve.make_grid(-5.0, 5.0, 0.25)
+    f = kppsolve.init("compact-bump", g, {"lo": -2.0, "hi": 2.0, "height": 0.8})
+    t0, dt = 0.3, 0.01
+    f.t = t0
+    every = kppsolve.solve(f, p, t0 + 1.0,
+                           kppsolve.SolveConfig(dt=dt, store_stride=1, margin=0.0))
+    traj = kppsolve.solve(f, p, t0 + 1.0,
+                          kppsolve.SolveConfig(dt=dt, store_stride=30, margin=0.0))
+    steps = np.array([0, 30, 60, 90, 100])
+    assert np.array_equal(traj.times, t0 + steps * dt)
+    assert np.array_equal(traj.frames, every.frames[steps])
+    assert traj.frames.flags.c_contiguous and traj.frames.flags.owndata
+
+
 def _moving_trajectory():
     p = coeff.make_periodic(1.0, 0.3, 4.0)
     g = kppsolve.make_grid(-3.0, 3.0, 0.25)
@@ -274,6 +290,11 @@ def test_trajectory_binary_roundtrip_in_memory(tmp_path):
     assert back.frames.flags.writeable
     with pytest.raises(ValueError):
         kppsolve.Trajectory.from_binary(io.BytesIO(buf.getvalue()[:-8]))
+    # a damaged frame count: 2**40 frames would need 16 TiB
+    bad = (buf.getvalue()[:4] + np.asarray([2 ** 40], "<i8").tobytes()
+           + buf.getvalue()[12:])
+    with pytest.raises(ValueError, match="shorter than its header"):
+        kppsolve.Trajectory.from_binary(io.BytesIO(bad))
 
 
 def test_trajectory_binary_reads_kpp1_without_run_record():
