@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -49,6 +50,9 @@ SOLVE_KEYS = {"dt", "t_end", "margin", "stride_time"}
 U0_KEYS = {"u0_kind", "u0_x0", "u0_mu", "u0_height", "u0_lo", "u0_hi",
            "u0_value"}
 OUT_KEYS = {"out_dir", "label"}
+# keys holding two numbers or a list of numbers (not scalars, like most keys)
+_PAIR_KEYS = {"horizon", "span", "fit_window", "thresholds"}
+_NUMBER_LIST_KEYS = {"c_grid", "shift_set", "t_checks"}
 
 COMMAND_KEYS = {
     "mean": PATH_KEYS | OUT_KEYS | {"r_min", "horizon", "stride"},
@@ -73,12 +77,13 @@ def _require(cfg, key, command):
 
 def _floats(cfg, **keys):
     """Keyword arguments {name: float(cfg[key])} for the keys the config
-    sets; a key left out or null leaves the library's default in force."""
-    return {name: float(cfg[key]) for name, key in keys.items()
-            if cfg.get(key) is not None}
+    sets; a key left out leaves the library's default in force."""
+    return {name: float(cfg[key]) for name, key in keys.items() if key in cfg}
 
 
 def _validate_keys(cfg, command):
+    """cfg without its null values, which count as left out, once every
+    key is known to the command and has the right shape."""
     if command not in COMMAND_KEYS:
         raise ConfigError("unknown command %r" % command)
     allowed = COMMAND_KEYS[command]
@@ -86,6 +91,24 @@ def _validate_keys(cfg, command):
     if unknown:
         raise ConfigError("unknown config keys for %r: %s"
                           % (command, ", ".join(unknown)))
+    cfg = {k: v for k, v in cfg.items() if v is not None}
+    for key, value in cfg.items():
+        listed = isinstance(value, (list, tuple))
+        if key in _PAIR_KEYS | _NUMBER_LIST_KEYS:
+            pair = key in _PAIR_KEYS
+            shape = "a pair of numbers" if pair else "a list of numbers"
+            ok = listed and (len(value) == 2 or not pair) and all(
+                isinstance(v, numbers.Real) for v in value)
+        elif key == "sweep_values":
+            shape, ok = "a list", listed
+        elif key == "base":
+            shape, ok = "an object", isinstance(value, dict)
+        else:
+            shape, ok = "a scalar", not listed and not isinstance(value, dict)
+        if not ok:
+            raise ConfigError("config key %r must be %s, got %r"
+                              % (key, shape, value))
+    return cfg
 
 
 def path_from_config(cfg):
@@ -126,8 +149,7 @@ def path_from_config(cfg):
 
 def _solve_setup(cfg, command):
     """(path, grid, solve config, t_end) of a command that runs one solve,
-    after checking its keys."""
-    _validate_keys(cfg, command)
+    from a config checked by _validate_keys."""
     path = path_from_config(cfg)
     x_lo = float(_require(cfg, "x_lo", command))
     x_hi = float(_require(cfg, "x_hi", command))
@@ -199,12 +221,10 @@ def _write_artifact(cfg, command, results, *tables):
 
 
 def cmd_mean(cfg):
-    _validate_keys(cfg, "mean")
+    cfg = _validate_keys(cfg, "mean")
     path = path_from_config(cfg)
     r_min = float(_require(cfg, "r_min", "mean"))
     horizon = _require(cfg, "horizon", "mean")
-    if not (isinstance(horizon, (list, tuple)) and len(horizon) == 2):
-        raise ConfigError("horizon must be a [start, end] pair")
     stride = cfg.get("stride")
     est = coeff.estimate_means(path, r_min, tuple(float(h) for h in horizon),
                                stride=float(stride) if stride else None)
@@ -221,6 +241,7 @@ def cmd_mean(cfg):
 
 
 def cmd_takeover(cfg):
+    cfg = _validate_keys(cfg, "takeover")
     path, grid, config, t_end = _solve_setup(cfg, "takeover")
     u0 = _u0_from_config(cfg, "heaviside")
     field0 = kppsolve.init(u0.pop("kind"), grid, u0)
@@ -260,7 +281,7 @@ def cmd_takeover(cfg):
 
 
 def cmd_interval(cfg):
-    _validate_keys(cfg, "interval")
+    cfg = _validate_keys(cfg, "interval")
     path = path_from_config(cfg)
     c_grid = _require(cfg, "c_grid", "interval")
     shift_set = _require(cfg, "shift_set", "interval")
@@ -283,6 +304,7 @@ def cmd_interval(cfg):
 
 
 def cmd_stability(cfg):
+    cfg = _validate_keys(cfg, "stability")
     path, grid, config, t_end = _solve_setup(cfg, "stability")
     u0_inf = float(_require(cfg, "u0_inf", "stability"))
     u0_sup = float(_require(cfg, "u0_sup", "stability"))
@@ -307,6 +329,7 @@ def cmd_stability(cfg):
 
 
 def cmd_certify(cfg):
+    cfg = _validate_keys(cfg, "certify")
     path, grid, config, t_end = _solve_setup(cfg, "certify")
     mu = float(_require(cfg, "mu", "certify"))
     mu_tilde = float(_require(cfg, "mu_tilde", "certify"))
@@ -359,7 +382,7 @@ def _sweep_summary(cells):
 
 
 def cmd_sweep(cfg):
-    _validate_keys(cfg, "sweep")
+    cfg = _validate_keys(cfg, "sweep")
     sub = _require(cfg, "sweep_command", "sweep")
     if sub not in COMMAND_KEYS or sub == "sweep":
         raise ConfigError("sweep_command must be a non-sweep command")
@@ -436,13 +459,11 @@ def main(argv=None):
     try:
         cfg = load_config(args)
         code, artifact = COMMANDS[args.command](cfg)
-    except (ConfigError, subsuper.InitialOrderingError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except kppsolve.FrontMarginError as exc:
         print("inconclusive: %s" % exc, file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (ValueError, KeyError, OSError) as exc:
+        # ConfigError and subsuper.InitialOrderingError are ValueErrors
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     summary = {k: v for k, v in artifact["results"].items()

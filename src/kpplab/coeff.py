@@ -28,7 +28,7 @@ __all__ = [
     "CoefficientPath", "ConstantPath", "PeriodicPath", "TwoLevelPath",
     "TabulatedPath", "NoisePath", "MeanEstimate", "PiecewiseB",
     "make_constant", "make_periodic", "make_two_level", "make_noise",
-    "shift", "windowed_mean", "estimate_means", "build_B",
+    "windowed_mean", "estimate_means", "build_B",
     "equilibrium_path",
 ]
 
@@ -45,7 +45,7 @@ class _Signal:
 
     Subclasses implement `_eval`, `_primitive`, `_extrema_on` in the
     unshifted clock; the public methods apply the time offset so that
-    ``shift(p, s)(t) == p(t + s)`` holds exactly.  All three take arrays:
+    ``p.shift(s)(t) == p(t + s)`` holds exactly.  All three take arrays:
     `min_on`/`max_on` accept arrays of interval ends (one interval per
     element) and return arrays, or plain floats for scalar ends.
     """
@@ -504,11 +504,6 @@ def make_noise(seed, kappa=1.0, sigma=0.5, xi_max=0.75, dt=1e-3, t_lo=0.0, t_hi=
     return NoisePath(seed, kappa, sigma, xi_max, dt, t_lo, t_hi)
 
 
-def shift(path, s):
-    """Time-shifted view: shift(p, s)(t) == p(t + s), exactly."""
-    return path.shift(s)
-
-
 def windowed_mean(path, s, t):
     """Mean of the path over [s, t] using its exact integral."""
     if not t > s:
@@ -688,21 +683,19 @@ def _piecewise_B_norm(bp):
     return worst
 
 
-def equilibrium_path(noise, t_lo, t_hi, dt=None, t_trunc=None, tail_tol=1e-8):
-    """Coefficient path a(t) = Y(t): the pullback equilibrium of the
-    random logistic equation driven by `noise`.
-
-    Requires the noise realization to extend at least the truncation
-    horizon below t_lo; the truncation horizon defaults to the smallest T
-    with tail bound exp(-(1+xi_inf) T) / (1+xi_inf) < tail_tol, using the
-    realized minimum of the noise.
+def equilibrium_path(noise, t_lo, t_hi, dt=None, tail_tol=1e-8):
+    """Coefficient path a(t) = Y(t), the pullback equilibrium of the random
+    logistic equation driven by `noise`, tabulated every dt (default: the
+    noise spacing) by `equilibria.equilibrium_values`; off the noise grid
+    only the O(dt^2) trapezoid error of the history integral remains.  The
+    truncation is `equilibria.truncation_horizon(noise, tail_tol)`, and the
+    noise realization must extend that far below t_lo.
     """
     from . import equilibria  # local import: equilibria imports coeff
 
     if dt is None:
         dt = noise.dt
-    if t_trunc is None:
-        t_trunc = equilibria.truncation_horizon(noise, tail_tol)
+    t_trunc = equilibria.truncation_horizon(noise, tail_tol)
     ts = np.arange(t_lo, t_hi + 0.5 * dt, dt)
     ys = equilibria.equilibrium_values(noise, ts, t_trunc)
     meta = {"seed": noise.seed, "kappa": noise.kappa, "sigma": noise.sigma,

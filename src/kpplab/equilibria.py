@@ -5,10 +5,10 @@ Two scalar equations appear.  The KPP reaction u' = a(t) u (1 - u) has the
 closed form u(t) = u0 / ((1 - u0) exp(-A(t)) + u0) with A the primitive of
 a; it anchors time-convergence tests of the PDE solver and the stability
 envelope.  The noise-driven logistic u' = u (1 + xi(t) - u) has a pullback
-attractor Y(t) = G(t) / (integral of G over [t - T, t]), with an explicit
-tail bound for the truncation T; the weights G = exp(P), P' = 1 + xi, are a
-sampled signal on the noise grid like any sampled path.  1 + xi itself is
-not of the form a * (1 - u) scaling, so the two forms are kept separate.
+attractor Y(t) = W(t) / (integral of G over [t - T, t]), with an explicit
+tail bound for the truncation T; the weight W = exp(P), P' = 1 + xi, is
+exact, and G is W sampled on the noise grid like any sampled path.  1 + xi
+is not of the form a * (1 - u) scaling, so the two forms are kept apart.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from .coeff import _UniformSamples
 
 __all__ = [
     "logistic_solution", "real_noise_ode_solution", "truncation_horizon",
-    "equilibrium_values", "random_equilibrium", "EquilibriumSample",
-    "logistic_residual", "stability_bound", "StabilityBound",
-    "verify_stability_decay", "StabilityReport", "scheme_slack",
-    "trajectory_slack",
+    "tail_bound", "equilibrium_values", "logistic_residual",
+    "stability_bound", "StabilityBound", "verify_stability_decay",
+    "StabilityReport", "scheme_slack", "trajectory_slack",
     "SLACK_C1", "SLACK_C2",
 ]
 
@@ -74,32 +73,33 @@ def _log_weight(noise, t):
     return t + noise.integral(np.zeros_like(t), t)
 
 
-def _history_weights(noise, t_min, t_max):
-    """(G, shift): the weights G(s) = exp(P(s) - shift), shift = max P,
-    sampled at the noise times covering [t_min, t_max].
+def _weights(noise, t_min, ts):
+    """(W, G): the weights exp(P - shift), shift = max P on the noise times
+    covering [t_min, max ts], taken exactly at the times ts (W) and sampled
+    at those noise times (G).
 
-    Linear between samples, like every sampled signal, so its integral is
-    exact for the interpolant (Q' = G) and G <= 1.
+    G is linear between samples, like every sampled signal, so its integral
+    is exact for the interpolant (Q' = G) and G <= 1.  A ratio
+    W / (c + integral of G) then has only that integral's O(dt^2) trapezoid
+    error; reading W off G instead would add (P'' + P'^2) dt^2 / 8 between
+    noise samples, large for rough xi.
     """
     dt = noise.dt
-    n = noise.values.size
-    j0 = int(math.floor((t_min - noise.t_lo) / dt))
-    j1 = int(math.ceil((t_max - noise.t_lo) / dt))
-    j0 = max(j0, 0)
-    j1 = min(max(j1, j0 + 1), n - 1)
+    j0 = max(int(math.floor((t_min - noise.t_lo) / dt)), 0)
+    j1 = int(math.ceil((float(ts.max()) - noise.t_lo) / dt))
+    j1 = min(max(j1, j0 + 1), noise.values.size - 1)
     s = noise.t_lo + dt * np.arange(j0, j1 + 1)
     P = _log_weight(noise, s)
     shift = float(P.max())
-    return _UniformSamples(s[0], dt, np.exp(P - shift)), shift
+    return (np.exp(_log_weight(noise, ts) - shift),
+            _UniformSamples(s[0], dt, np.exp(P - shift)))
 
 
 def real_noise_ode_solution(u0, noise, ts):
     """Solution of u' = u (1 + xi(t) - u), u(ts[0]) = u0.
 
-    u(t) = W(t) / (W(t0)/u0 + integral of W over [t0, t]) with W = exp(P)
-    exact at ts; the integral is that of W's linear interpolant on the noise
-    grid (`_history_weights`), a trapezoid rule with O(dt^2) error.  Reading
-    W off the interpolant would add (P'' + P'^2) dt^2 / 8, large for rough xi.
+    u(t) = W(t) / (W(t0)/u0 + integral of W over [t0, t]) with W = exp(P),
+    the pullback ratio of `_weights` started at t0 = min ts.
     """
     if u0 < 0:
         raise ValueError("u0 must be nonnegative")
@@ -107,9 +107,16 @@ def real_noise_ode_solution(u0, noise, ts):
     if u0 == 0.0:
         return np.zeros_like(ts)
     t0 = float(ts.min())
-    G, shift = _history_weights(noise, t0, float(ts.max()))
-    w0 = math.exp(float(_log_weight(noise, t0)) - shift)
-    return np.exp(_log_weight(noise, ts) - shift) / (w0 / u0 + G.integral(t0, ts))
+    W, G = _weights(noise, t0, np.append(ts, t0))
+    return W[:-1] / (W[-1] / u0 + G.integral(t0, ts))
+
+
+def _tail_rate(noise, xi_inf):
+    """1 + xi_inf, the weights' decay rate; xi_inf None is the noise minimum."""
+    rate = 1.0 + (float(noise.values.min()) if xi_inf is None else xi_inf)
+    if rate <= 0:
+        raise ValueError("noise reaches 1 + xi <= 0; no decaying tail bound")
+    return rate
 
 
 def truncation_horizon(noise, tail_tol=1e-8, xi_inf=None):
@@ -120,24 +127,20 @@ def truncation_horizon(noise, tail_tol=1e-8, xi_inf=None):
     evaluation time, where xi_inf is a lower bound of the noise: by default
     its realized minimum, while -xi_max bounds every realization.
     """
-    if xi_inf is None:
-        xi_inf = float(noise.values.min())
-    rate = 1.0 + xi_inf
-    if rate <= 0:
-        raise ValueError("noise reaches 1 + xi <= 0; no decaying tail bound")
+    rate = _tail_rate(noise, xi_inf)
     return -math.log(tail_tol * rate) / rate
 
 
 def tail_bound(noise, t_trunc):
-    xi_inf = float(noise.values.min())
-    rate = 1.0 + xi_inf
+    """The `truncation_horizon` bound exp(-(1 + xi_inf) T) / (1 + xi_inf) at
+    T = t_trunc, with xi_inf the realized minimum of the noise."""
+    rate = _tail_rate(noise, None)
     return math.exp(-rate * t_trunc) / rate
 
 
 def equilibrium_values(noise, ts, t_trunc):
-    """Pullback equilibrium Y(t) = G(t) / (integral of G over [t - T, t]) at
-    times ts, with the sampled weights of `_history_weights`: exact on the
-    noise grid, linear between its samples."""
+    """Pullback equilibrium Y(t) = W(t) / (integral of G over [t - T, t])
+    at times ts, T = t_trunc, with the weights of `_weights`."""
     ts = np.asarray(ts, dtype=float)
     t_min, t_max = float(ts.min()), float(ts.max())
     if noise.t_lo > t_min - t_trunc + 1e-9 * noise.dt:
@@ -145,40 +148,20 @@ def equilibrium_values(noise, ts, t_trunc):
             "noise history starts at %g; evaluating Y on [%g, %g] with "
             "truncation %g needs history from %g"
             % (noise.t_lo, t_min, t_max, t_trunc, t_min - t_trunc))
-    G, _ = _history_weights(noise, t_min - t_trunc, t_max)
-    return G(ts) / G.integral(ts - t_trunc, ts)
+    W, G = _weights(noise, t_min - t_trunc, ts)
+    return W / G.integral(ts - t_trunc, ts)
 
 
-@dataclass
-class EquilibriumSample:
-    """Equilibrium values on a time grid with the truncation certificate."""
-
-    times: np.ndarray
-    values: np.ndarray
-    t_trunc: float
-    tail_bound: float
-    xi_inf: float
-
-
-def random_equilibrium(noise, ts, t_trunc=None):
-    if t_trunc is None:
-        t_trunc = truncation_horizon(noise)
-    ts = np.asarray(ts, dtype=float)
-    vals = equilibrium_values(noise, ts, t_trunc)
-    return EquilibriumSample(times=ts, values=vals, t_trunc=float(t_trunc),
-                             tail_bound=tail_bound(noise, t_trunc),
-                             xi_inf=float(noise.values.min()))
-
-
-def logistic_residual(sample, noise):
-    """Sup residual of Y' = Y (1 + xi - Y) in panel-midpoint form.
+def logistic_residual(ts, ys, noise):
+    """Sup residual of Y' = Y (1 + xi - Y) in panel-midpoint form, for
+    values ys of Y at the times ts.
 
     Uses (ln Y_{k+1} - ln Y_k)/dt against 1 + xi(midpoint) - (Y_k+Y_{k+1})/2,
     which is second-order on the sample grid and so isolates genuine model
     error from differencing noise.
     """
-    t = np.asarray(sample.times, dtype=float)
-    y = np.asarray(sample.values, dtype=float)
+    t = np.asarray(ts, dtype=float)
+    y = np.asarray(ys, dtype=float)
     dts = np.diff(t)
     mid = 0.5 * (t[1:] + t[:-1])
     lhs = np.diff(np.log(y)) / dts

@@ -4,8 +4,8 @@ The invasion front of a monotone-in-x field is the rightmost down-crossing
 of a level (1/2 by default, 1/4 as the companion level for interface-width
 checks).  On top of that sit least-squares speed fits, the two-threshold
 speed-interval probe, the take-over verifier, and the subadditivity
-diagnostic v(t,s) = x(t) + x_s(t) - x(t+s) for the shifted-path front
-positions.
+diagnostic v(t,s) = x(t) + x_s(s) - x(t+s), with x_s the front under the
+path shifted by t.
 
 Suprema over all time shifts are approximated by a finite, documented
 shift set; that is a declared surrogate, not the mathematical supremum.
@@ -210,7 +210,7 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
                                   store_stride=int(round(t_probe / dt)))
 
     field0 = kppsolve.init(kind_name, grid, u0_params)
-    finals = [kppsolve.solve(field0, coeff.shift(path, s), t_probe, config).frames[-1]
+    finals = [kppsolve.solve(field0, path.shift(s), t_probe, config).frames[-1]
               for s in shifts]
 
     x = grid.x
@@ -273,16 +273,17 @@ def _midpoint_refine(axis):
     return out
 
 
-def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
-                        margin=50.0, check_doubling=False, n_jobs=None):
+def subadditivity_check(path, times, *, dx=0.1, dt=0.005, margin=50.0,
+                        check_doubling=False, n_jobs=None):
     """Defect of front-position additivity over a pair grid.
 
-    v(t,s) = x(t) + x_s(s) - x(t+s), where x is the front of the Heaviside
-    run under the path and x_s the front of a fresh Heaviside run under the
-    path shifted by t.  m_hat is the largest defect.  With check_doubling,
-    the axis is refined by midpoints (reusing every solve already made) and
-    the relative change of m_hat is reported; growth beyond 20% flags an
-    unstable estimate.  Pair times must be >= 2 so that fronts exist.
+    v(t,s) = x(t) + x_s(s) - x(t+s), where x is the level-1/2 front of the
+    Heaviside run under the path and x_s that of a fresh Heaviside run
+    under the path shifted by t.  m_hat is the largest defect.  With
+    check_doubling, the axis is refined by midpoints (reusing every solve
+    already made) and the relative change of m_hat is reported; growth
+    beyond 20% flags an unstable estimate.  Pair times must be >= 2 so that
+    fronts exist.
     n_jobs is accepted for old callers and ignored: the solves run one
     after another.
     """
@@ -297,14 +298,14 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
                                   kppsolve.suggest_domain(p, t_end, margin), dx)
         field0 = kppsolve.init("heaviside", grid, {})
         traj = kppsolve.solve(field0, p, t_end, config)
-        return track(traj, levels=(level,))
+        return track(traj, levels=(0.5,))
 
     base = heaviside_trace(path, 2.0 * axis[-1])
     cache = {}
 
     def shifted_trace(t):
         if t not in cache:
-            cache[t] = heaviside_trace(coeff.shift(path, t), axis[-1])
+            cache[t] = heaviside_trace(path.shift(t), axis[-1])
         return cache[t]
 
     def fill(t_axis, s_axis):
@@ -312,9 +313,9 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
         for i, t in enumerate(t_axis):
             tr = shifted_trace(t)
             for j, s in enumerate(s_axis):
-                xt = base.position_at(t, level)
-                xs = tr.position_at(s, level)
-                xts = base.position_at(t + s, level)
+                xt = base.position_at(t)
+                xs = tr.position_at(s)
+                xts = base.position_at(t + s)
                 if math.isnan(xt) or math.isnan(xs) or math.isnan(xts):
                     raise ValueError("no front at a required time for pair "
                                      "(t=%g, s=%g)" % (t, s))
@@ -326,7 +327,7 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, level=0.5,
     report = SubadditivityReport(
         t_axis=tuple(axis), s_axis=tuple(axis), violations=v,
         m_hat=float(v.max()), argmax_pair=(axis[k[0]], axis[k[1]]),
-        provenance={"dx": dx, "dt": dt, "level": level, **path.describe()})
+        provenance={"dx": dx, "dt": dt, "level": 0.5, **path.describe()})
     if check_doubling:
         fine = _midpoint_refine(axis)
         v2 = fill(fine, fine)

@@ -414,12 +414,11 @@ def solve(init_field, path, t_end, config):
                       mu=config.mu, frame_shift=shift, meta=meta)
 
 
-def suggest_domain(path, t_end, margin=50.0, r_min=5.0):
+def suggest_domain(path, t_end, margin=50.0):
     """Recommended right boundary for spreading runs started near x = 0:
-    the fastest plausible front (speed 2 sqrt(a_upper_est)) plus 10% and
-    the safety margin."""
+    the fastest plausible front (speed 2 sqrt(a_upper_est), with windows
+    from min(5, t_end / 4) up) plus 10% and the safety margin."""
     from . import coeff
 
-    r = min(r_min, t_end / 4.0)
-    est = coeff.estimate_means(path, r, (0.0, t_end))
+    est = coeff.estimate_means(path, min(5.0, t_end / 4.0), (0.0, t_end))
     return 2.0 * math.sqrt(est.a_upper_est) * t_end * 1.1 + margin

@@ -30,7 +30,7 @@ from .kppsolve import frame_position
 __all__ = [
     "WaveParams", "BoundCurve", "CertifyReport", "InitialOrderingError",
     "choose_delta", "lower_threshold", "default_amplitude",
-    "make_wave_params", "frame_position", "supersolution",
+    "make_wave_params", "supersolution",
     "lower_solution", "capped_lower", "certify_ordering",
 ]
 
@@ -67,10 +67,10 @@ def default_amplitude(mu, mu_tilde, delta, B_norm):
                math.exp((r - 1.0) * B_norm))
 
 
-def choose_delta(a_lower_est, mu, mu_tilde, margin=0.05):
-    """Largest delta satisfying (1-delta) a_lower > mu_tilde mu, with margin."""
+def choose_delta(a_lower_est, mu, mu_tilde):
+    """Largest delta satisfying (1-delta) a_lower > mu_tilde mu, with a 5% margin."""
     ratio = mu_tilde * mu / a_lower_est
-    delta = 1.0 - (1.0 + margin) * ratio
+    delta = 1.0 - 1.05 * ratio
     if delta <= 0:
         raise ValueError("no admissible delta: mu_tilde*mu = %g is too close "
                          "to a_lower_est = %g" % (mu_tilde * mu, a_lower_est))
@@ -183,7 +183,7 @@ def capped_lower(path, params, t0_shift=0.0):
     lower bound).
     """
     if t0_shift != 0.0:
-        p = coeff.shift(path, t0_shift)
+        p = path.shift(t0_shift)
         B = coeff.build_B(p, gamma=params.B.gamma, delta=params.B.scale,
                           span=(params.B.s0, params.B.s1),
                           r_min=params.B.r_min)

@@ -114,6 +114,34 @@ def test_main_usage_errors(tmp_path, capsys):
     assert cli.main(["mean", "--config", str(missing)]) == cli.EXIT_USAGE
 
 
+_SHAPE_BASE = {
+    "takeover": {"x_lo": -10.0, "x_hi": 30.0, "dx": 0.5, "dt": 0.05,
+                 "t_end": 2.0},
+    "interval": {"c_grid": [2.0], "shift_set": [0.0], "t_probe": 2.0},
+    "certify": {"x_lo": -10.0, "x_hi": 30.0, "dx": 0.5, "dt": 0.05,
+                "t_end": 2.0, "mu": 0.8, "mu_tilde": 1.0},
+    "sweep": {"sweep_command": "mean", "sweep_values": [1.0],
+              "base": {"r_min": 2.0, "horizon": [0, 20]}},
+}
+
+
+@pytest.mark.parametrize("command, override", [
+    ("takeover", "dx=null"), ("takeover", "dx=[1]"), ("takeover", "dt={}"),
+    ("interval", "c_grid=2"), ("sweep", "sweep_values=3"),
+    ("takeover", "fit_window=3"), ("interval", "thresholds=0.5"),
+    ("certify", "span=4"),
+])
+def test_misshapen_value_is_a_usage_error_naming_the_key(command, override,
+                                                         tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(_SHAPE_BASE[command]))
+    code = cli.main([command, "--config", str(cfg_file), "--set", override])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert repr(override.split("=")[0]) in err
+
+
 def test_parse_override_forms():
     assert cli._parse_override("x=1.5") == ("x", 1.5)
     assert cli._parse_override("horizon=[0,50]") == ("horizon", [0, 50])
@@ -368,3 +396,18 @@ def test_import_loads_no_heavy_scipy_subpackages():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == ""
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import kpplab
+
+    names = ["kpplab"] + ["kpplab." + m.name
+                          for m in pkgutil.iter_modules(kpplab.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ())
+                   if not hasattr(module, n)]
+        assert not missing, "%s.__all__ names %s" % (name, missing)

@@ -14,7 +14,7 @@ import oracles
 def test_constant_eval_and_means():
     p = coeff.make_constant(1.0)
     assert p(7.3) == 1.0
-    assert coeff.shift(p, 5.0)(0.0) == 2.0 - 1.0
+    assert p.shift(5.0)(0.0) == 2.0 - 1.0
     assert coeff.windowed_mean(p, 2.0, 9.0) == 1.0
     est = coeff.estimate_means(p, 1.0, (0.0, 10.0))
     assert (est.a_lower_est, est.a_hat_est, est.a_upper_est) == (1.0, 1.0, 1.0)
@@ -136,8 +136,8 @@ def test_shift_group_law_exact():
              coeff.make_noise(11, t_lo=-5.0, t_hi=40.0)]
     for p in paths:
         s1, s2 = float(rng.uniform(0, 5)), float(rng.uniform(0, 5))
-        q = coeff.shift(coeff.shift(p, s1), s2)
-        r = coeff.shift(p, s1 + s2)
+        q = p.shift(s1).shift(s2)
+        r = p.shift(s1 + s2)
         ts = np.linspace(0.0, 10.0, 37)
         assert np.array_equal(np.asarray(q(ts)), np.asarray(p(ts + (s1 + s2))))
         assert np.array_equal(np.asarray(r(ts)), np.asarray(p(ts + (s1 + s2))))
@@ -145,7 +145,7 @@ def test_shift_group_law_exact():
 
 def test_shift_consistency_pointwise():
     p = coeff.make_periodic(1.0, 0.5, 2 * math.pi)
-    q = coeff.shift(p, 2 * math.pi)
+    q = p.shift(2 * math.pi)
     ts = np.linspace(0, 10, 101)
     assert np.max(np.abs(q(ts) - p(ts))) == pytest.approx(0.0, abs=1e-12)
 

@@ -53,7 +53,7 @@ def test_history_weights_integral_differentiates_to_the_weights():
     # mean of G equals G(t) up to rounding (4e-12 here); interpolating log G
     # under the same trapezoid integral misses by 2e-7
     noise = coeff.make_noise(17, t_lo=0.0, t_hi=12.0)
-    G, _ = equilibria._history_weights(noise, 0.0, 12.0)
+    _, G = equilibria._weights(noise, 0.0, np.array([12.0]))
     ts = noise.t_lo + noise.dt * (np.arange(200, 12000, 97) + 0.5)
     h = 0.25 * noise.dt
     mean = G.integral(ts - h, ts + h) / (2.0 * h)
@@ -72,29 +72,45 @@ def test_truncation_horizon_controls_tail():
 
 def test_equilibrium_values_bounded_by_noise_range():
     noise = coeff.make_noise(21, xi_max=0.5, t_lo=-60.0, t_hi=60.0)
-    sample = equilibria.random_equilibrium(noise, np.linspace(0, 50, 501))
+    t_trunc = equilibria.truncation_horizon(noise)
+    ys = equilibria.equilibrium_values(noise, np.linspace(0, 50, 501), t_trunc)
     lo = 1.0 + float(noise.values.min())
     hi = 1.0 + float(noise.values.max())
-    assert float(sample.values.min()) > 0.9 * lo
-    assert float(sample.values.max()) < 1.1 * hi
-    assert sample.tail_bound < 1e-8
+    assert float(ys.min()) > 0.9 * lo
+    assert float(ys.max()) < 1.1 * hi
+    assert equilibria.tail_bound(noise, t_trunc) < 1e-8
 
 
 def test_equilibrium_solves_the_logistic_equation():
     noise = coeff.make_noise(33, xi_max=0.5, t_lo=-60.0, t_hi=30.0)
     ts = np.arange(0.0, 20.0 + 1e-12, noise.dt)
-    sample = equilibria.random_equilibrium(noise, ts)
-    assert equilibria.logistic_residual(sample, noise) < 1e-3
+    ys = equilibria.equilibrium_values(noise, ts,
+                                       equilibria.truncation_horizon(noise))
+    assert equilibria.logistic_residual(ts, ys, noise) < 1e-3
 
 
 def test_equilibrium_cocycle_identity():
     # evolving Y(0) forward along the same realization reproduces Y(t)
     noise = coeff.make_noise(5, xi_max=0.5, t_lo=-60.0, t_hi=60.0)
     ts = np.arange(0.0, 50.0 + 1e-12, 0.001)
-    sample = equilibria.random_equilibrium(noise, ts)
-    u = equilibria.real_noise_ode_solution(float(sample.values[0]), noise, ts)
-    rel = np.abs(u / sample.values - 1.0)
-    assert float(rel.max()) <= 2 * sample.tail_bound + 1e-9
+    t_trunc = equilibria.truncation_horizon(noise)
+    ys = equilibria.equilibrium_values(noise, ts, t_trunc)
+    u = equilibria.real_noise_ode_solution(float(ys[0]), noise, ts)
+    rel = np.abs(u / ys - 1.0)
+    assert float(rel.max()) <= 2 * equilibria.tail_bound(noise, t_trunc) + 1e-9
+
+
+def test_equilibrium_cocycle_identity_between_noise_samples():
+    # at times between the noise samples both sides take the weight
+    # exp(P(t)) exactly and share the sampled history integral, so the
+    # identity holds to rounding; reading the weight off its linear
+    # interpolant misses by 3e-6 here
+    noise = coeff.make_noise(17, t_lo=-60.0, t_hi=12.0)
+    ts = np.linspace(0.0, 12.0, 50)
+    ys = equilibria.equilibrium_values(noise, ts,
+                                       equilibria.truncation_horizon(noise))
+    u = equilibria.real_noise_ode_solution(float(ys[0]), noise, ts)
+    assert float(np.max(np.abs(u / ys - 1.0))) <= 1e-9
 
 
 def test_stability_prefactor_frozen_values():

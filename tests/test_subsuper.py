@@ -71,11 +71,11 @@ def test_make_wave_params_periodic_defaults():
 
 def test_frame_position_closed_forms():
     p1 = coeff.make_constant(1.0)
-    assert subsuper.frame_position(p1, 0.8, 10.0) == pytest.approx(20.5)
+    assert kppsolve.frame_position(p1, 0.8, 10.0) == pytest.approx(20.5)
     p2 = coeff.make_periodic(1.0, 0.5, 2 * math.pi)
     t = 2 * math.pi
     want = (0.36 * t + t) / 0.6     # the oscillation integrates to zero
-    assert subsuper.frame_position(p2, 0.6, t) == pytest.approx(want, rel=1e-12)
+    assert kppsolve.frame_position(p2, 0.6, t) == pytest.approx(want, rel=1e-12)
 
 
 def _fd_residual(curve, path, t, xs, ht=1e-5, hx=1e-3):
@@ -91,7 +91,7 @@ def test_supersolution_residual_is_nonnegative():
     p = coeff.make_periodic(1.0, 0.4, 5.0)
     sup = subsuper.supersolution(p, 0.8)
     for t in (0.7, 3.2, 11.0):
-        c = float(subsuper.frame_position(p, 0.8, t))
+        c = float(kppsolve.frame_position(p, 0.8, t))
         xs = c + np.array([0.5, 1.0, 2.5, 5.0])      # right of the kink
         n = _fd_residual(sup, p, t, xs)
         phi = sup(t, xs)
@@ -118,7 +118,7 @@ def test_lower_solution_residual_is_nonpositive():
         # - mu mu_tilde) p2 with p2 the subtracted exponential
         a_t = float(p(t))
         eps = params.B.scale * a_t - float(params.B.Bprime(t))
-        xi = xs - np.asarray(subsuper.frame_position(p, mu, t))
+        xi = xs - np.asarray(kppsolve.frame_position(p, mu, t))
         p2 = d * math.exp((r - 1.0) * -float(params.B.B(t))) * np.exp(-mu_t * xi)
         phi = low(t, xs)
         want = a_t * phi ** 2 - (r - 1.0) * (eps + params.delta * a_t
@@ -155,7 +155,7 @@ def test_capped_lower_profile_shape():
     dense = np.linspace(xp - 5.0, xp + 5.0, 200001)
     assert abs(float(dense[np.argmax(base(t, dense))]) - xp) < 1e-3
     # the analytic peak value
-    want = math.exp(-0.8 * (xp - float(subsuper.frame_position(p, 0.8, t)))) \
+    want = math.exp(-0.8 * (xp - float(kppsolve.frame_position(p, 0.8, t)))) \
         * (1.0 - 0.8 / 1.0)
     assert peak == pytest.approx(want, rel=1e-12)
 
