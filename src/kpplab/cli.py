@@ -53,6 +53,9 @@ OUT_KEYS = {"out_dir", "label"}
 # keys holding two numbers or a list of numbers (not scalars, like most keys)
 _PAIR_KEYS = {"horizon", "span", "fit_window", "thresholds"}
 _NUMBER_LIST_KEYS = {"c_grid", "shift_set", "t_checks"}
+# scalar keys holding text; every other scalar key holds a number
+_TEXT_KEYS = {"path_kind", "u0_kind", "label", "out_dir", "sweep_command",
+              "sweep_key"}
 
 COMMAND_KEYS = {
     "mean": PATH_KEYS | OUT_KEYS | {"r_min", "horizon", "stride"},
@@ -81,6 +84,16 @@ def _floats(cfg, **keys):
     return {name: float(cfg[key]) for name, key in keys.items() if key in cfg}
 
 
+def _is_number(value, integral):
+    """Whether float(value) reads value -- and, for an integral key, whether
+    int(value) does so without dropping a fraction, as int() would silently."""
+    try:
+        number = float(value)
+        return not integral or number == float(int(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _validate_keys(cfg, command):
     """cfg without its null values, which count as left out, once every
     key is known to the command and has the right shape."""
@@ -103,8 +116,11 @@ def _validate_keys(cfg, command):
             shape, ok = "a list", listed
         elif key == "base":
             shape, ok = "an object", isinstance(value, dict)
-        else:
+        elif key in _TEXT_KEYS:
             shape, ok = "a scalar", not listed and not isinstance(value, dict)
+        else:
+            shape = "an integer" if key == "seed" else "a number"
+            ok = _is_number(value, integral=key == "seed")
         if not ok:
             raise ConfigError("config key %r must be %s, got %r"
                               % (key, shape, value))

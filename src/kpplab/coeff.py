@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
 
 from ._files import opened, write_table
+from ._lapack import dgttrs
 
 __all__ = [
     "CoefficientPath", "ConstantPath", "PeriodicPath", "TwoLevelPath",
@@ -438,8 +438,9 @@ class NoisePath(_UniformSamples):
     diagonal, solved by LAPACK dgttrs with identity pivots.  Its forward
     sweep computes b_i - (-rho) x_{i-1}, the same two roundings as the plain
     loop; its back sweep subtracts 0 * x and divides by 1, both exact.  So
-    the samples are bit for bit those of the loop, and the only scipy
-    module needed is scipy.linalg, which the diffusion solve loads anyway.
+    the samples are bit for bit those of the loop, and dgttrs comes from
+    the same compiled LAPACK extension as the diffusion solve's routines
+    (see kpplab._lapack), so no further scipy module is loaded.
     """
 
     kind = "noise"

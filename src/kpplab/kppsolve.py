@@ -13,7 +13,9 @@ symmetric, but halving its first and last rows makes it a symmetric
 positive definite M-matrix.  It is factored once per solve as L D L^T
 (LAPACK dpttrf) and each step solves against the right-hand side with its
 end entries halved as well (dpttrs); halving is exact in binary, so this is
-the same linear system.
+the same linear system.  Both routines are scipy's f2py wrappers, loaded
+from scipy's compiled LAPACK extension by kpplab._lapack without importing
+the scipy.linalg package.
 
 After each step, entries with |u| below the smallest normal float are set
 to 0.  The solution ahead of a front decays into subnormal numbers, which
@@ -41,9 +43,9 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from ._files import opened, write_table
+from ._lapack import dpttrf, dpttrs
 
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",

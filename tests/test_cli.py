@@ -115,6 +115,7 @@ def test_main_usage_errors(tmp_path, capsys):
 
 
 _SHAPE_BASE = {
+    "mean": {"r_min": 2.0, "horizon": [0, 20]},
     "takeover": {"x_lo": -10.0, "x_hi": 30.0, "dx": 0.5, "dt": 0.05,
                  "t_end": 2.0},
     "interval": {"c_grid": [2.0], "shift_set": [0.0], "t_probe": 2.0},
@@ -129,7 +130,7 @@ _SHAPE_BASE = {
     ("takeover", "dx=null"), ("takeover", "dx=[1]"), ("takeover", "dt={}"),
     ("interval", "c_grid=2"), ("sweep", "sweep_values=3"),
     ("takeover", "fit_window=3"), ("interval", "thresholds=0.5"),
-    ("certify", "span=4"),
+    ("certify", "span=4"), ("mean", "r_min=abc"), ("mean", "seed=1.5"),
 ])
 def test_misshapen_value_is_a_usage_error_naming_the_key(command, override,
                                                          tmp_path, capsys):
@@ -387,15 +388,27 @@ def test_module_is_executable():
     assert summary["a_hat_est"] == pytest.approx(1.0)
 
 
-def test_import_loads_no_heavy_scipy_subpackages():
-    # a fresh process: the test oracles import scipy.integrate themselves
-    code = ("import sys, kpplab, kpplab.cli; print(' '.join(sorted(m for m in "
-            "('scipy.signal', 'scipy.stats', 'scipy.integrate', "
-            "'scipy.optimize') if m in sys.modules)))")
+def _fresh_process_prints(code):
+    # a fresh process: the test oracles load scipy.integrate, and with it
+    # scipy.linalg, into this one
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == ""
+    return out.stdout.split()
+
+
+def test_import_loads_no_heavy_scipy_subpackages():
+    assert _fresh_process_prints(
+        "import sys, kpplab, kpplab.cli; print(*sorted(m for m in sys.modules "
+        "if m.startswith('scipy')))") == ["scipy.linalg._flapack"]
+
+
+def test_lapack_wrappers_are_the_ones_scipy_exports():
+    # scipy.linalg imported after kpplab must reuse the loaded extension
+    assert _fresh_process_prints(
+        "import kpplab, scipy.linalg.lapack as s; from kpplab import _lapack; "
+        "print(*(getattr(_lapack, n) is getattr(s, n) "
+        "for n in ('dpttrf', 'dpttrs', 'dgttrs')))") == ["True"] * 3
 
 
 def test_every_exported_name_resolves():
