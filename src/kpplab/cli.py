@@ -118,9 +118,11 @@ def _validate_keys(cfg, command):
             shape, ok = "an object", isinstance(value, dict)
         elif key in _TEXT_KEYS:
             shape, ok = "a scalar", not listed and not isinstance(value, dict)
+        elif key == "seed":
+            shape = "a nonnegative integer"
+            ok = _is_number(value, integral=True) and float(value) >= 0
         else:
-            shape = "an integer" if key == "seed" else "a number"
-            ok = _is_number(value, integral=key == "seed")
+            shape, ok = "a number", _is_number(value, integral=False)
         if not ok:
             raise ConfigError("config key %r must be %s, got %r"
                               % (key, shape, value))
@@ -261,13 +263,21 @@ def cmd_takeover(cfg):
     path, grid, config, t_end = _solve_setup(cfg, "takeover")
     u0 = _u0_from_config(cfg, "heaviside")
     field0 = kppsolve.init(u0.pop("kind"), grid, u0)
+    run = kppsolve.plan(field0, path, t_end, config)
+    level = float(cfg.get("level", 0.5))
+    checks = [fronts.FrontTracker(run, (level, 0.25) if level == 0.5 else (level,))]
+    if "h" in cfg:
+        t_checks = cfg.get("t_checks") or [float(run.times[-1])]
+        checks.append(fronts.TakeoverCheck(
+            run, path, float(cfg["h"]), [float(t) for t in t_checks],
+            **_floats(cfg, r_min="r_min", outer_tol="outer_tol",
+                      inner_level="inner_level")))
     try:
-        traj = kppsolve.solve(field0, path, t_end, config)
+        trace, *takeover = kppsolve.verify(
+            kppsolve.march(field0, path, t_end, config), *checks)
     except kppsolve.FrontMarginError as exc:
         return EXIT_INCONCLUSIVE, _write_artifact(cfg, "takeover",
                                                   {"aborted": str(exc)})
-    level = float(cfg.get("level", 0.5))
-    trace = fronts.track(traj, levels=(level, 0.25) if level == 0.5 else (level,))
     try:
         est = fronts.estimate_speed(
             trace, level=level, **_floats(cfg, burn_in="burn_in"),
@@ -281,12 +291,7 @@ def cmd_takeover(cfg):
         "n_samples": est.n_samples, "level": est.level,
     }
     code = EXIT_OK
-    if "h" in cfg:
-        t_checks = cfg.get("t_checks") or [float(traj.times[-1])]
-        report = fronts.takeover_verify(
-            traj, path, float(cfg["h"]), [float(t) for t in t_checks],
-            **_floats(cfg, r_min="r_min", outer_tol="outer_tol",
-                      inner_level="inner_level"))
+    for report in takeover:         # one report when h is set, else none
         results["takeover"] = {
             "passed": report.passed, "c_hat": report.c_hat, "h": report.h,
             "rows": [list(r) for r in report.rows],
@@ -331,10 +336,11 @@ def cmd_stability(cfg):
     amp = 0.5 * (u0_sup - u0_inf)
     vals = mid + amp * np.sin(2 * math.pi * grid.x / wavelength)
     field0 = kppsolve.init("custom-samples", grid, {"values": vals})
-    traj = kppsolve.solve(field0, path, t_end, config)
-    report = equilibria.verify_stability_decay(
-        traj, path, bound=equilibria.stability_bound(u0_inf, u0_sup),
+    check = equilibria.StabilityCheck(
+        kppsolve.plan(field0, path, t_end, config), path,
+        bound=equilibria.stability_bound(u0_inf, u0_sup),
         **_floats(cfg, slack="slack"))
+    report, = kppsolve.verify(kppsolve.march(field0, path, t_end, config), check)
     results = {
         "passed": report.passed, "max_violation": report.max_violation,
         "worst_time": report.worst_time, "prefactor": report.prefactor,
@@ -357,10 +363,12 @@ def cmd_certify(cfg):
     lower = subsuper.lower_solution(path, params)
     field0 = kppsolve.init("custom-samples", grid,
                            {"values": upper(0.0, grid.x)})
-    traj = kppsolve.solve(field0, path, t_end, config)
+    run = kppsolve.plan(field0, path, t_end, config)
     slack = _floats(cfg, slack="slack")
-    above = subsuper.certify_ordering(traj, upper, "above", **slack)
-    below = subsuper.certify_ordering(traj, lower, "below", **slack)
+    above, below = kppsolve.verify(
+        kppsolve.march(field0, path, t_end, config),
+        subsuper.OrderingCheck(run, upper, "above", **slack),
+        subsuper.OrderingCheck(run, lower, "below", **slack))
     results = {
         "params": {"mu": mu, "mu_tilde": mu_tilde, "delta": params.delta,
                    "d": params.d, "B_norm": params.B.B_norm,

@@ -20,11 +20,12 @@ import numpy as np
 
 from ._files import write_table
 from .coeff import _UniformSamples
+from .kppsolve import verify
 
 __all__ = [
     "logistic_solution", "real_noise_ode_solution", "truncation_horizon",
     "tail_bound", "equilibrium_values", "logistic_residual",
-    "stability_bound", "StabilityBound", "verify_stability_decay",
+    "stability_bound", "StabilityBound", "StabilityCheck", "verify_stability_decay",
     "StabilityReport", "scheme_slack", "trajectory_slack",
     "SLACK_C1", "SLACK_C2",
 ]
@@ -140,7 +141,13 @@ def tail_bound(noise, t_trunc):
 
 def equilibrium_values(noise, ts, t_trunc):
     """Pullback equilibrium Y(t) = W(t) / (integral of G over [t - T, t])
-    at times ts, T = t_trunc, with the weights of `_weights`."""
+    at times ts, T = t_trunc, with the weights of `_weights`.
+
+    The weights share one shift, so over a long range of ts the early ones
+    leave the normal floats (near 750 time units at the default noise);
+    that raises ValueError naming the range instead of dividing by an
+    underflowed integral.
+    """
     ts = np.asarray(ts, dtype=float)
     t_min, t_max = float(ts.min()), float(ts.max())
     if noise.t_lo > t_min - t_trunc + 1e-9 * noise.dt:
@@ -149,7 +156,12 @@ def equilibrium_values(noise, ts, t_trunc):
             "truncation %g needs history from %g"
             % (noise.t_lo, t_min, t_max, t_trunc, t_min - t_trunc))
     W, G = _weights(noise, t_min - t_trunc, ts)
-    return W / G.integral(ts - t_trunc, ts)
+    history = G.integral(ts - t_trunc, ts)
+    if min(W.min(), history.min()) < np.finfo(float).tiny:
+        raise ValueError(
+            "the equilibrium's weights underflow on the horizon [%g, %g]: "
+            "evaluate it on shorter ranges" % (t_min, t_max))
+    return W / history
 
 
 def logistic_residual(ts, ys, noise):
@@ -218,32 +230,51 @@ class StabilityReport:
         write_table(file, ("t", "sup_dist", "bound", "violation"), rows, None)
 
 
-def verify_stability_decay(trajectory, path, bound=None, slack=None):
-    """Check sup_x |u(t,x) - 1| <= M exp(-A(t)) + slack along a trajectory.
+class StabilityCheck:
+    """Per-frame check of sup_x |u(t,x) - 1| <= M exp(-A(t)) + slack.
 
-    The bound defaults to stability_bound of the first stored frame's
-    range, and slack to the scheme-error model at the dx and dt recorded in
-    trajectory.meta (ValueError when they are missing).
+    Set up from the trajectory or plan of a run; step(t, u) takes the
+    frames in order (see kppsolve.verify) and finish() gives the
+    StabilityReport.  The bound defaults to stability_bound of the first
+    frame's range, and slack to the scheme-error model at the dx and dt
+    recorded in the run's meta (ValueError when they are missing).
     Violation is the worst signed excess over envelope + slack; positive
     excess below the slack is discretization error, not a counterexample.
-    sup_x |u - 1| is max(max u - 1, 1 - min u) per frame, from row
-    reductions of the stored frames with no frame-sized temporary; it is
-    the same float as the max of |u - 1|, since u - 1 rounds monotonically
-    in u and 1 - u rounds to its negation.
+    sup_x |u - 1| is max(max u - 1, 1 - min u), from two reductions of the
+    frame with no frame-sized temporary; it is the same float as the max of
+    |u - 1|, since u - 1 rounds monotonically in u and 1 - u rounds to its
+    negation.
     """
-    frames = np.asarray(trajectory.frames, dtype=float)
-    times = np.asarray(trajectory.times, dtype=float)
-    if float(frames[0].min()) <= 0.0:
-        raise ValueError("stability bound needs strictly positive initial data")
-    if bound is None:
-        bound = stability_bound(float(frames[0].min()), float(frames[0].max()))
-    if slack is None:
-        slack = trajectory_slack(trajectory)
-    deviations = np.maximum(frames.max(axis=1) - 1.0, 1.0 - frames.min(axis=1))
-    envelope = bound.envelope(path, times, t0=float(times[0]))
-    gap = deviations - envelope - slack
-    k = int(np.argmax(gap))
-    return StabilityReport(passed=bool(gap[k] <= 0.0), max_violation=float(gap[k]),
-                           worst_time=float(times[k]), prefactor=bound.M,
-                           slack=float(slack), times=times, deviations=deviations,
-                           envelope=envelope)
+
+    def __init__(self, run, path, bound=None, slack=None):
+        self.path, self.bound = path, bound
+        self.slack = trajectory_slack(run) if slack is None else slack
+        self.times = np.asarray(run.times, dtype=float)
+        self.deviations = np.empty(self.times.size)
+        self.k = 0
+
+    def step(self, t, u):
+        lo, hi = float(u.min()), float(u.max())
+        if self.k == 0:
+            if lo <= 0.0:
+                raise ValueError("stability bound needs strictly positive initial data")
+            if self.bound is None:
+                self.bound = stability_bound(lo, hi)
+        self.deviations[self.k] = max(hi - 1.0, 1.0 - lo)
+        self.k += 1
+
+    def finish(self):
+        times = self.times
+        envelope = self.bound.envelope(self.path, times, t0=float(times[0]))
+        gap = self.deviations - envelope - self.slack
+        k = int(np.argmax(gap))
+        return StabilityReport(passed=bool(gap[k] <= 0.0), max_violation=float(gap[k]),
+                               worst_time=float(times[k]), prefactor=self.bound.M,
+                               slack=float(self.slack), times=times,
+                               deviations=self.deviations, envelope=envelope)
+
+
+def verify_stability_decay(trajectory, path, bound=None, slack=None):
+    """StabilityCheck of a stored trajectory: the same report as a check
+    fed by march during the run."""
+    return verify(trajectory, StabilityCheck(trajectory, path, bound, slack))[0]

@@ -24,8 +24,8 @@ from ._files import write_table
 
 __all__ = [
     "FrontTrace", "SpeedEstimate", "SpeedInterval", "SubadditivityReport",
-    "TakeoverReport", "OrderingReport", "TailReport",
-    "front_position", "track", "estimate_speed", "default_shift_set",
+    "TakeoverReport", "OrderingReport", "TailReport", "FrontTracker",
+    "TakeoverCheck", "front_position", "track", "estimate_speed", "default_shift_set",
     "probe_speed_interval", "subadditivity_check", "takeover_verify",
     "profile_ordering_check", "tail_uniformity",
 ]
@@ -81,21 +81,36 @@ class FrontTrace:
         write_table(file, ["t"] + cols, rows, meta)
 
 
-def track(trajectory, levels=(0.5, 0.25)):
-    """Extract per-frame front positions at each level."""
-    positions = {}
-    grid = trajectory.grid
-    for lv in levels:
-        xs = np.full(trajectory.times.size, np.nan)
-        for k in range(trajectory.times.size):
-            p = front_position(kppsolve.Field(grid, trajectory.frames[k]), lv)
+class FrontTracker:
+    """Per-frame front positions at each level, NaN where a frame has no
+    front.  Set up from the trajectory or plan of a run; step(t, u) takes
+    the frames in order (see kppsolve.verify) and finish() gives the
+    FrontTrace, whose provenance is the run record and frame."""
+
+    def __init__(self, run, levels):
+        self.grid, self.levels = run.grid, tuple(levels)
+        self.times = np.array(run.times, dtype=float)
+        self.positions = {lv: np.full(self.times.size, np.nan) for lv in self.levels}
+        self.provenance = dict(run.meta, frame=run.frame)
+        self.k = 0
+
+    def step(self, t, u):
+        field = kppsolve.Field(self.grid, u)
+        for lv in self.levels:
+            p = front_position(field, lv)
             if p is not None:
-                xs[k] = p
-        positions[lv] = xs
-    prov = dict(trajectory.meta)
-    prov["frame"] = trajectory.frame
-    return FrontTrace(times=trajectory.times.copy(), levels=tuple(levels),
-                      positions=positions, provenance=prov)
+                self.positions[lv][self.k] = p
+        self.k += 1
+
+    def finish(self):
+        return FrontTrace(times=self.times, levels=self.levels,
+                          positions=self.positions, provenance=self.provenance)
+
+
+def track(trajectory, levels=(0.5, 0.25)):
+    """Per-frame front positions at each level of a stored trajectory: the
+    same trace as a FrontTracker fed by march during the run."""
+    return kppsolve.verify(trajectory, FrontTracker(trajectory, levels))[0]
 
 
 @dataclass
@@ -210,8 +225,11 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
                                   store_stride=int(round(t_probe / dt)))
 
     field0 = kppsolve.init(kind_name, grid, u0_params)
-    finals = [kppsolve.solve(field0, path.shift(s), t_probe, config).frames[-1]
-              for s in shifts]
+    finals = []
+    for s in shifts:
+        for _, u in kppsolve.march(field0, path.shift(s), t_probe, config):
+            pass
+        finals.append(u)
 
     x = grid.x
     decisions = {}
@@ -297,8 +315,8 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, margin=50.0,
         grid = kppsolve.make_grid(-(margin + 20.0),
                                   kppsolve.suggest_domain(p, t_end, margin), dx)
         field0 = kppsolve.init("heaviside", grid, {})
-        traj = kppsolve.solve(field0, p, t_end, config)
-        return track(traj, levels=(0.5,))
+        tracker = FrontTracker(kppsolve.plan(field0, p, t_end, config), (0.5,))
+        return kppsolve.verify(kppsolve.march(field0, p, t_end, config), tracker)[0]
 
     base = heaviside_trace(path, 2.0 * axis[-1])
     cache = {}
@@ -349,39 +367,64 @@ class TakeoverReport:
     inner_level: float
 
 
-def takeover_verify(trajectory, path, h, t_checks, *,
-                    r_min=5.0, outer_tol=1e-3, inner_level=0.99):
-    """Check decay beyond speed c_hat + h and take-over inside c_hat - h.
+class TakeoverCheck:
+    """Per-frame check of decay beyond speed c_hat + h and take-over inside
+    c_hat - h.
 
     c_hat = 2 sqrt(a_hat_est) comes from the path's windowed means over the
-    trajectory horizon, with windows from min(r_min, horizon / 4) up.  Each
-    check time must be a stored frame; the final check must have the outer
-    sup below outer_tol and the inner inf above inner_level for an overall
-    pass.
+    run's horizon, with windows from min(r_min, horizon / 4) up.  Each check
+    time must be a stored time of the run (KeyError) with nodes beyond
+    (c_hat + h) t (ValueError); both are checked when the check is set up
+    from the trajectory or plan of the run, in the order of t_checks.
+    step(t, u) takes the frames in order (see kppsolve.verify) and keeps
+    (t, outer sup, inner inf) at the check times; the final check must have
+    the outer sup below outer_tol and the inner inf above inner_level for
+    finish() to report a pass.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    t0, t_end = float(trajectory.times[0]), float(trajectory.times[-1])
-    mean_est = coeff.estimate_means(path, min(r_min, (t_end - t0) / 4.0),
-                                    (t0, t_end))
-    c_hat = 2.0 * math.sqrt(mean_est.a_hat_est)
-    x = trajectory.grid.x
-    rows = []
-    for t in t_checks:
-        frame = trajectory.frame_at(t)
-        outer = x >= (c_hat + h) * t
-        inner = x <= (c_hat - h) * t
-        if not outer.any():
-            raise ValueError("domain too small: no nodes beyond x = %g at t=%g"
-                             % ((c_hat + h) * t, t))
-        inner_inf = float(frame.values[inner].min()) if inner.any() \
-            else float(frame.values[0])
-        rows.append((float(t), float(frame.values[outer].max()), inner_inf))
-    last = rows[-1]
-    passed = last[1] <= outer_tol and last[2] >= inner_level
-    return TakeoverReport(passed=bool(passed), c_hat=c_hat, h=float(h),
-                          rows=rows, outer_tol=float(outer_tol),
-                          inner_level=float(inner_level))
+
+    def __init__(self, run, path, h, t_checks, *,
+                 r_min=5.0, outer_tol=1e-3, inner_level=0.99):
+        if h <= 0:
+            raise ValueError("h must be positive")
+        t0, t_end = float(run.times[0]), float(run.times[-1])
+        mean_est = coeff.estimate_means(path, min(r_min, (t_end - t0) / 4.0),
+                                        (t0, t_end))
+        self.c_hat = 2.0 * math.sqrt(mean_est.a_hat_est)
+        self.h, self.outer_tol, self.inner_level = h, outer_tol, inner_level
+        x = run.grid.x
+        self.checks = []     # (frame index, t, outer mask, inner mask)
+        for t in t_checks:
+            k = run.index_at(t)
+            outer = x >= (self.c_hat + h) * t
+            inner = x <= (self.c_hat - h) * t
+            if not outer.any():
+                raise ValueError("domain too small: no nodes beyond x = %g at t=%g"
+                                 % ((self.c_hat + h) * t, t))
+            self.checks.append((k, float(t), outer, inner))
+        self.rows = [None] * len(self.checks)
+        self.k = 0
+
+    def step(self, t, u):
+        for i, (k, t_check, outer, inner) in enumerate(self.checks):
+            if k == self.k:
+                inner_inf = float(u[inner].min()) if inner.any() else float(u[0])
+                self.rows[i] = (t_check, float(u[outer].max()), inner_inf)
+        self.k += 1
+
+    def finish(self):
+        last = self.rows[-1]
+        passed = last[1] <= self.outer_tol and last[2] >= self.inner_level
+        return TakeoverReport(passed=bool(passed), c_hat=self.c_hat,
+                              h=float(self.h), rows=self.rows,
+                              outer_tol=float(self.outer_tol),
+                              inner_level=float(self.inner_level))
+
+
+def takeover_verify(trajectory, path, h, t_checks, **limits):
+    """TakeoverCheck of a stored trajectory, with its keyword limits: the
+    same report as a check fed by march during the run."""
+    check = TakeoverCheck(trajectory, path, h, t_checks, **limits)
+    return kppsolve.verify(trajectory, check)[0]
 
 
 @dataclass

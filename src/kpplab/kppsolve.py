@@ -29,6 +29,15 @@ bounded and a spike narrower than dt must still count.  solve() reads sup a
 for every step with one array call to path.max_on before the loop; the loop
 reads sup u each step and does only scalar arithmetic for the gate.
 
+march() is the step loop: a generator that yields (t, u) at each stored
+time, every u a new read-only array.  The verifiers are checks with a
+step(t, u) and a finish(); verify() feeds them from march, so a command
+checks its run as it goes and never holds it, or from a stored Trajectory,
+which iterates as march does.  plan() gives a run's Trajectory without its
+frames (grid, stored times, frame shifts, run record) to set checks up
+before the first step, and solve() collects march's frames into a
+Trajectory.
+
 Moving-frame solves (SolveConfig(dt=..., mu=...): setting mu selects the
 moving frame) use the time-dependent frame speed c(t) = (mu^2 + a(t)) / mu,
 the speed at which the exponential ansatz exp(-mu x) is stationary; the
@@ -50,7 +59,8 @@ from ._lapack import dpttrf, dpttrs
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",
     "StepSizeError", "FrontMarginError",
-    "make_grid", "init", "solve", "suggest_domain", "frame_position",
+    "make_grid", "init", "plan", "march", "verify", "solve", "suggest_domain",
+    "frame_position",
 ]
 
 # fields below this value count as "unoccupied" for boundary-safety checks
@@ -245,7 +255,8 @@ def _advance(values, dt, a_mid, diffuse, grid, config):
 
 @dataclass
 class Trajectory:
-    """Stored frames of a solve, with exact frame-shift bookkeeping."""
+    """Stored frames of a solve, with exact frame-shift bookkeeping; frames
+    is None in the Trajectory that plan() gives before a run."""
 
     grid: Grid1D
     times: np.ndarray
@@ -259,10 +270,19 @@ class Trajectory:
         """'moving' when the run used a moving frame (mu set), else 'fixed'."""
         return "fixed" if self.mu is None else "moving"
 
-    def frame_at(self, t):
+    def __iter__(self):
+        """(t, u) for each stored frame, as march yields them."""
+        return zip(self.times.tolist(), self.frames)
+
+    def index_at(self, t):
+        """Index of the stored time t; KeyError when no stored time is t."""
         k = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
             raise KeyError("no stored frame at t=%g (nearest %g)" % (t, self.times[k]))
+        return k
+
+    def frame_at(self, t):
+        k = self.index_at(t)
         return Field(self.grid, self.frames[k].copy(), float(self.times[k]))
 
     def to_csv(self, file):
@@ -340,33 +360,65 @@ def _watched_sides(values):
     return sides
 
 
-def solve(init_field, path, t_end, config):
-    """Run from init_field.t to t_end, storing frames at the config stride.
-
-    The stored frames are the initial one, one every stride steps and the
-    last step's; they are written into one (1 + ceil(n_steps / stride), n)
-    array allocated before the loop, so the trajectory is held once.
-    Aborts with FrontMarginError if the solution becomes occupied inside
-    the safety margin of a boundary that started unoccupied (the front ran
-    out of room; speed estimates past this point would be contaminated).
-    The margin is capped at a quarter of the domain so small test domains
-    stay usable; margin=0 disables the check.  Raises StepSizeError at the
-    first step that breaks the step-size or CFL gate; the gate's sup a on
-    every step comes from one path.max_on call over all steps.
-    """
-    grid = init_field.grid
+def _schedule(t0, t_end, config):
+    """(n_steps, stride) of a run from t0 to t_end; ValueError unless
+    t_end - t0 is a positive multiple of dt."""
     dt = config.dt
-    t0 = float(init_field.t)
     span = t_end - t0
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end - t0 = %g is not a positive multiple of dt = %g"
                          % (span, dt))
+    return n_steps, config.store_stride or max(1, int(round(0.5 / dt)))
+
+
+def plan(init_field, path, t_end, config):
+    """The Trajectory of a run before it is made, with frames None.
+
+    It holds the grid, the times march yields frames at (the initial one,
+    one every stride steps and the last step's), their frame shifts and the
+    run record, so the per-frame checks can be set up from it exactly as
+    from a stored trajectory.  Raises ValueError when t_end - t0 is not a
+    positive multiple of dt or the path does not cover the run.
+    """
+    grid = init_field.grid
+    t0 = float(init_field.t)
+    n_steps, stride = _schedule(t0, t_end, config)
     if path.t_lo > t0 + 1e-12 or path.t_hi < t_end - 1e-12:
         raise ValueError("path range [%g, %g] does not cover the solve span [%g, %g]"
                          % (path.t_lo, path.t_hi, t0, t_end))
+    steps = np.append(np.arange(0, n_steps, stride), n_steps)
+    times = t0 + steps * config.dt
+    if config.mu is not None:
+        shift = frame_position(path, config.mu, times, t0)
+    else:
+        shift = np.zeros_like(times)
+    meta = {"dt": config.dt, "dx": grid.dx, "stride": stride,
+            "margin": config.margin, "t0": t0, "t_end": t_end}
+    return Trajectory(grid=grid, times=times, frames=None, mu=config.mu,
+                      frame_shift=shift, meta=meta)
 
-    stride = config.store_stride or max(1, int(round(0.5 / dt)))
+
+def march(init_field, path, t_end, config):
+    """Run from init_field.t to t_end, yielding (t, u) at the times of
+    plan(init_field, path, t_end, config).
+
+    Each u is a new read-only array that the solver never writes again, so
+    a consumer may keep it without a copy; nothing else is kept between
+    steps.  Raises FrontMarginError when the solution becomes occupied
+    inside the safety margin of a boundary that started unoccupied (the
+    front ran out of room; speed estimates past this point would be
+    contaminated), checked with finiteness at every yielded frame.  The
+    margin is capped at a quarter of the domain so small test domains stay
+    usable; margin=0 disables the check.  Raises StepSizeError at the first
+    step that breaks the step-size or CFL gate; the gate's sup a on every
+    step comes from one path.max_on call over all steps.
+    """
+    times = iter(plan(init_field, path, t_end, config).times.tolist())
+    grid = init_field.grid
+    dt = config.dt
+    t0 = float(init_field.t)
+    n_steps, stride = _schedule(t0, t_end, config)
     margin = min(config.margin, 0.25 * (grid.x_hi - grid.x_lo))
     m_nodes = int(round(margin / grid.dx))
     watched = _watched_sides(init_field.values) if m_nodes > 0 else []
@@ -376,14 +428,8 @@ def solve(init_field, path, t_end, config):
     starts = t0 + np.arange(n_steps) * dt
     a_max = path.max_on(starts, starts + dt)
 
-    n_frames = 1 + -(-n_steps // stride)
-    times = np.empty(n_frames)
-    frames = np.empty((n_frames, grid.n))
-    times[0] = t0
-    frames[0] = init_field.values
-    u = frames[0]     # read only: each step returns a new array
-
-    def safety_check(vals, t):
+    def checked(vals):
+        t = next(times)
         if not np.all(np.isfinite(vals)):
             raise RuntimeError("non-finite field values at t=%g" % t)
         for side in watched:
@@ -392,28 +438,42 @@ def solve(init_field, path, t_end, config):
                 raise FrontMarginError(
                     "front entered the %s safety margin (%g space units) at t=%g; "
                     "enlarge the domain" % (side, margin, t))
+        vals.flags.writeable = False
+        return t, vals
 
-    safety_check(u, t0)
-    j = 1
+    u = np.array(init_field.values, dtype=float)
+    yield checked(u)
     for k in range(n_steps):
         t = t0 + k * dt
         _check_step_bounds(a_max.item(k), t, dt, float(u.max()), grid, config)
         u = _advance(u, dt, mids[k], diffuse, grid, config)
         if (k + 1) % stride == 0 or k + 1 == n_steps:
-            t_new = t0 + (k + 1) * dt
-            safety_check(u, t_new)
-            times[j] = t_new
-            frames[j] = u
-            j += 1
+            yield checked(u)
 
-    if config.mu is not None:
-        shift = frame_position(path, config.mu, times, t0)
-    else:
-        shift = np.zeros_like(times)
-    meta = {"dt": dt, "dx": grid.dx, "stride": stride, "margin": config.margin,
-            "t0": t0, "t_end": t_end}
-    return Trajectory(grid=grid, times=times, frames=frames,
-                      mu=config.mu, frame_shift=shift, meta=meta)
+
+def verify(frames, *checks):
+    """Pass every (t, u) of `frames` (march(...) or a Trajectory) to each
+    check's step(t, u), in the order given, and return the list of the
+    checks' finish() results.
+
+    A check is set up from the trajectory or plan of the run, reads each
+    frame once and keeps a few numbers per frame, so checks fed by march
+    see the whole run without it ever being stored."""
+    for t, u in frames:
+        for check in checks:
+            check.step(t, u)
+    return [check.finish() for check in checks]
+
+
+def solve(init_field, path, t_end, config):
+    """The Trajectory of march(init_field, path, t_end, config): its frames
+    are written into one (n_frames, n) array allocated before the first
+    step, so the trajectory is held once."""
+    traj = plan(init_field, path, t_end, config)
+    traj.frames = np.empty((traj.times.size, init_field.grid.n))
+    for j, (_, u) in enumerate(march(init_field, path, t_end, config)):
+        traj.frames[j] = u
+    return traj
 
 
 def suggest_domain(path, t_end, margin=50.0):

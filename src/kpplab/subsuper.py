@@ -11,8 +11,9 @@ parameters satisfy the admissibility inequalities enforced by WaveParams.
 The capped variant freezes phi at its interior maximum, giving a bounded
 nonnegative initial datum that still sits below the solution.
 
-certify_ordering checks either bound against a stored trajectory frame by
-frame, with an explicit discretization slack.
+OrderingCheck checks either bound frame by frame, with an explicit
+discretization slack, during a run (fed by kppsolve.march) or against a
+stored trajectory (certify_ordering).
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ import numpy as np
 from . import coeff
 from ._files import write_table
 from .equilibria import trajectory_slack
-from .kppsolve import frame_position
+from .kppsolve import frame_position, verify
 
 __all__ = [
     "WaveParams", "BoundCurve", "CertifyReport", "InitialOrderingError",
     "choose_delta", "lower_threshold", "default_amplitude",
     "make_wave_params", "supersolution",
-    "lower_solution", "capped_lower", "certify_ordering",
+    "lower_solution", "capped_lower", "OrderingCheck", "certify_ordering",
 ]
 
 
@@ -229,47 +230,62 @@ class CertifyReport:
         write_table(file, ("t", "max_violation", "location"), self.rows, None)
 
 
-def certify_ordering(trajectory, bound, relation, region=None, slack=None):
-    """Frame-by-frame check that the trajectory stays on one side of a bound.
+class OrderingCheck:
+    """Per-frame check that a run stays on one side of a bound.
 
-    relation "above" asserts u <= bound, "below" asserts bound <= u, both
-    up to a discretization slack (defaulting to the scheme's error model at
-    the dx and dt recorded in trajectory.meta; ValueError when they are
-    missing).  The comparison is restricted to the
+    Set up from the trajectory or plan of a run; step(t, u) takes the
+    frames in order (see kppsolve.verify) and finish() gives the
+    CertifyReport.  relation "above" asserts u <= bound, "below" asserts
+    bound <= u, both up to a discretization slack (defaulting to the
+    scheme's error model at the dx and dt recorded in the run's meta;
+    ValueError when they are missing).  The comparison is restricted to the
     bound's validity region when it has one, or to the interval returned by
     region(t).  A violation already present at the first frame raises
     InitialOrderingError since comparison arguments only propagate an
-    ordering that holds initially.
+    ordering that holds initially; fed by march, that is before any step.
     """
-    if relation not in ("above", "below"):
-        raise ValueError("relation must be 'above' or 'below'")
-    if slack is None:
-        slack = trajectory_slack(trajectory)
-    x = trajectory.grid.x
-    rows = []
-    worst, worst_t = -math.inf, math.nan
-    for k, t in enumerate(trajectory.times):
-        u = trajectory.frames[k]
+
+    def __init__(self, run, bound, relation, region=None, slack=None):
+        if relation not in ("above", "below"):
+            raise ValueError("relation must be 'above' or 'below'")
+        self.bound, self.relation, self.region = bound, relation, region
+        self.slack = trajectory_slack(run) if slack is None else slack
+        self.x = run.grid.x
+        self.rows = []
+        self.worst, self.worst_t = -math.inf, math.nan
+
+    def step(self, t, u):
+        x, bound = self.x, self.bound
         b = bound(t, x)
         mask = np.ones(x.size, dtype=bool)
-        if region is not None:
-            lo, hi = region(float(t))
+        if self.region is not None:
+            lo, hi = self.region(float(t))
             mask &= (x >= lo) & (x <= hi)
         elif bound.rho is not None:
             mask &= x >= bound.rho(float(t))
         if not mask.any():
             raise ValueError("empty comparison region at t=%g" % t)
-        diff = (u - b) if relation == "above" else (b - u)
+        diff = (u - b) if self.relation == "above" else (b - u)
         j = int(np.argmax(np.where(mask, diff, -math.inf)))
         viol = float(diff[j])
-        rows.append((float(t), viol, float(x[j])))
-        if viol > worst:
-            worst, worst_t = viol, float(t)
-        if k == 0 and viol > slack:
+        self.rows.append((float(t), viol, float(x[j])))
+        if viol > self.worst:
+            self.worst, self.worst_t = viol, float(t)
+        if len(self.rows) == 1 and viol > self.slack:
             raise InitialOrderingError(
                 "ordering '%s' violated by %g at the initial frame; "
                 "the initial data does not sit on the claimed side" %
-                (relation, viol))
-    return CertifyReport(passed=bool(worst <= slack), relation=relation,
-                         max_violation=worst, worst_time=worst_t,
-                         slack=float(slack), rows=rows)
+                (self.relation, viol))
+
+    def finish(self):
+        return CertifyReport(passed=bool(self.worst <= self.slack),
+                             relation=self.relation, max_violation=self.worst,
+                             worst_time=self.worst_t, slack=float(self.slack),
+                             rows=self.rows)
+
+
+def certify_ordering(trajectory, bound, relation, region=None, slack=None):
+    """OrderingCheck of a stored trajectory: the same report as a check fed
+    by march during the run."""
+    return verify(trajectory,
+                  OrderingCheck(trajectory, bound, relation, region, slack))[0]

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -131,6 +132,7 @@ _SHAPE_BASE = {
     ("interval", "c_grid=2"), ("sweep", "sweep_values=3"),
     ("takeover", "fit_window=3"), ("interval", "thresholds=0.5"),
     ("certify", "span=4"), ("mean", "r_min=abc"), ("mean", "seed=1.5"),
+    ("mean", "seed=-1"),
 ])
 def test_misshapen_value_is_a_usage_error_naming_the_key(command, override,
                                                          tmp_path, capsys):
@@ -376,6 +378,32 @@ def test_cmd_sweep_validation():
     with pytest.raises(cli.ConfigError, match="sweep_key"):
         cli.cmd_sweep({"sweep_command": "mean", "sweep_key": "dt",
                        "sweep_values": [1], "base": {}})
+
+
+_NOISE_MEAN = ["mean", "--set", "path_kind=noise-equilibrium", "--set", "seed=1",
+               "--set", "r_min=5"]
+
+
+def test_noise_equilibrium_past_its_range_names_the_horizon(capsys):
+    # one shift for all weights: past about 750 time units the early ones
+    # underflow, which must be a usage error and not a division by zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(_NOISE_MEAN + ["--set", "path_t_hi=1600",
+                                       "--set", "horizon=[0,1600]"])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[0, 1600]" in err
+
+
+def test_noise_equilibrium_within_its_range_is_unchanged(capsys):
+    assert cli.main(_NOISE_MEAN + ["--set", "path_t_hi=700",
+                                   "--set", "horizon=[0,700]"]) == cli.EXIT_OK
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    # the values this build gave before the underflow guard existed
+    assert (summary["a_lower_est"], summary["a_hat_est"],
+            summary["a_upper_est"]) == (0.657602157589, 0.99327059099,
+                                        1.31295005433)
 
 
 def test_module_is_executable():

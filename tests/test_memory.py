@@ -1,11 +1,14 @@
-"""Memory held by trajectories: the frames exist once per solve, per binary
-read or write, and per verifier call; the verifiers' copy-free reductions
-give the same floats as the elementwise expressions they replace.
+"""Memory held by trajectories: the frames exist once per solve and per
+binary read, not at all in a binary write or a verifier call, and not at
+all in the stability, certify and takeover commands, which check each frame
+as kppsolve.march yields it; the verifiers' copy-free reductions give the
+same floats as the elementwise expressions they replace.
 
 Each peak is measured with tracemalloc, which sees numpy's array buffers,
 and compared with frames.nbytes of a trajectory on the certify grid
 (2001 nodes, 801 frames, about 12 MiB).  A second copy of the frames
-anywhere in the call shows as a ratio near 2 (near 1 for a write).
+anywhere in the call shows as a ratio near 2 (near 1 for a write); a
+command that stored its run would show a ratio of at least 1.
 """
 
 import tracemalloc
@@ -13,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kpplab import coeff, equilibria, fronts, kppsolve
+from kpplab import cli, coeff, equilibria, fronts, kppsolve, subsuper
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +77,47 @@ def test_tail_uniformity_makes_no_frame_copy(traj):
     x_hi = traj.grid.x_hi
     assert peak_ratio(traj, lambda: fronts.tail_uniformity(
         traj, [0.0, x_hi], (0.0, 40.0))) <= 0.1
+
+
+# the memory-test grid and run as command configs: 801 frames of 2001 nodes
+GRID_CFG = {"path_kind": "constant", "path_value": 1.0, "x_lo": -60.0,
+            "x_hi": 140.0, "dx": 0.1, "dt": 0.005, "t_end": 40.0,
+            "stride_time": 0.05}
+COMMANDS = {
+    "stability": (cli.cmd_stability, {"margin": 0.0, "u0_inf": 0.5,
+                                      "u0_sup": 2.0}),
+    "certify": (cli.cmd_certify, {"mu": 0.8, "mu_tilde": 1.0,
+                                  "span": [0.0, 40.0]}),
+    "takeover": (cli.cmd_takeover, {"u0_kind": "heaviside", "h": 0.5}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_holds_no_trajectory(name, traj):
+    command, keys = COMMANDS[name]
+    cfg = dict(GRID_CFG, **keys)
+    code, _ = command(dict(cfg))
+    assert code == cli.EXIT_OK
+    assert peak_ratio(traj, lambda: command(dict(cfg))) <= 0.1
+
+
+def test_marched_frames_are_read_only_and_never_rewritten(case):
+    path, field0, config = case
+    held = [u for _, u in kppsolve.march(field0, path, 1.0, config)]
+    for u in held:
+        with pytest.raises(ValueError, match="read-only"):
+            u[0] = 1.0
+    assert np.array_equal(held, kppsolve.solve(field0, path, 1.0, config).frames)
+
+
+def test_certify_initial_ordering_fails_before_any_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(kppsolve, "_advance", no_step)
+    cfg = dict(GRID_CFG, **COMMANDS["certify"][1], slack=-1.0)
+    with pytest.raises(subsuper.InitialOrderingError):
+        cli.cmd_certify(cfg)
 
 
 # entries below 0.5, where 1 - u can round; in [0.5, 2], where u - 1 and
