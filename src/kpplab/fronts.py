@@ -24,10 +24,9 @@ from ._files import write_table
 
 __all__ = [
     "FrontTrace", "SpeedEstimate", "SpeedInterval", "SubadditivityReport",
-    "TakeoverReport", "OrderingReport", "TailReport", "FrontTracker",
-    "TakeoverCheck", "front_position", "track", "estimate_speed", "default_shift_set",
-    "probe_speed_interval", "subadditivity_check", "takeover_verify",
-    "profile_ordering_check", "tail_uniformity",
+    "TakeoverReport", "TailReport", "FrontTracker", "TakeoverCheck",
+    "front_position", "track", "estimate_speed", "probe_speed_interval",
+    "subadditivity_check", "takeover_verify", "tail_uniformity",
 ]
 
 
@@ -157,11 +156,6 @@ def estimate_speed(trace, burn_in=None, level=None, window=None):
                          n_samples=int(ts.size), level=float(level))
 
 
-def default_shift_set(scale, n=8):
-    """n shifts spread over one period scale of the path, starting at 0."""
-    return [scale * k / n for k in range(n)]
-
-
 @dataclass
 class SpeedInterval:
     c_lo: float
@@ -192,8 +186,9 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
                          domain=None, margin=50.0):
     """Classify each probe speed c as spread or vanish at time t_probe.
 
-    For every shift s the equation is solved once with the shifted path;
-    each c is then judged from the final frame: spread needs the solution
+    For every shift s the equation is solved once with the shifted path,
+    all shifts marched as one system (kppsolve.march_runs); each c is then
+    judged from the final frame: spread needs the solution
     above eps_spread everywhere inside the ray |x| <= c t (both rays for
     compact data, the left-filled region x <= c t otherwise), across all
     shifts; vanish needs it below eps_vanish beyond the ray.  Strict
@@ -225,11 +220,10 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
                                   store_stride=int(round(t_probe / dt)))
 
     field0 = kppsolve.init(kind_name, grid, u0_params)
-    finals = []
-    for s in shifts:
-        for _, u in kppsolve.march(field0, path.shift(s), t_probe, config):
-            pass
-        finals.append(u)
+    for _, finals in kppsolve.march_runs([field0] * len(shifts),
+                                         [path.shift(s) for s in shifts],
+                                         t_probe, config):
+        pass
 
     x = grid.x
     decisions = {}
@@ -298,38 +292,45 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, margin=50.0,
     v(t,s) = x(t) + x_s(s) - x(t+s), where x is the level-1/2 front of the
     Heaviside run under the path and x_s that of a fresh Heaviside run
     under the path shifted by t.  m_hat is the largest defect.  With
-    check_doubling, the axis is refined by midpoints (reusing every solve
-    already made) and the relative change of m_hat is reported; growth
-    beyond 20% flags an unstable estimate.  Pair times must be >= 2 so that
-    fronts exist.
-    n_jobs is accepted for old callers and ignored: the solves run one
-    after another.
+    check_doubling, the axis is refined by midpoints and the relative
+    change of m_hat is reported; growth beyond 20% flags an unstable
+    estimate.  Pair times must be >= 2 so that fronts exist.  The base run
+    is marched alone; every shifted run (one per distinct time of the axis
+    and, with check_doubling, of its midpoints) is marched up front as one
+    system through kppsolve.march_runs, so an error comes from the earliest
+    step at which any shifted run fails.  n_jobs is accepted for old
+    callers and ignored.
     """
     axis = sorted(float(t) for t in times)
+    if not axis:
+        raise ValueError("need at least one pair time")
     if axis[0] < 2.0:
         raise ValueError("pair times must be >= 2 so fronts exist")
+    fine = _midpoint_refine(axis) if check_doubling else axis
     config = kppsolve.SolveConfig(dt=dt, margin=margin)
 
-    def heaviside_trace(p, t_end):
+    def heaviside_run(p, t_end):
         # each run's domain is sized for its own path and horizon
         grid = kppsolve.make_grid(-(margin + 20.0),
                                   kppsolve.suggest_domain(p, t_end, margin), dx)
         field0 = kppsolve.init("heaviside", grid, {})
-        tracker = FrontTracker(kppsolve.plan(field0, p, t_end, config), (0.5,))
-        return kppsolve.verify(kppsolve.march(field0, p, t_end, config), tracker)[0]
+        return field0, FrontTracker(kppsolve.plan(field0, p, t_end, config), (0.5,))
 
-    base = heaviside_trace(path, 2.0 * axis[-1])
-    cache = {}
-
-    def shifted_trace(t):
-        if t not in cache:
-            cache[t] = heaviside_trace(path.shift(t), axis[-1])
-        return cache[t]
+    field0, tracker = heaviside_run(path, 2.0 * axis[-1])
+    base = kppsolve.verify(kppsolve.march(field0, path, 2.0 * axis[-1], config),
+                           tracker)[0]
+    shifts = sorted(set(fine))
+    paths = [path.shift(t) for t in shifts]
+    fields, trackers = zip(*(heaviside_run(p, axis[-1]) for p in paths))
+    for t, us in kppsolve.march_runs(fields, paths, axis[-1], config):
+        for tracker, u in zip(trackers, us):
+            tracker.step(t, u)
+    traces = {t: tracker.finish() for t, tracker in zip(shifts, trackers)}
 
     def fill(t_axis, s_axis):
         v = np.empty((len(t_axis), len(s_axis)))
         for i, t in enumerate(t_axis):
-            tr = shifted_trace(t)
+            tr = traces[t]
             for j, s in enumerate(s_axis):
                 xt = base.position_at(t)
                 xs = tr.position_at(s)
@@ -347,7 +348,6 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, margin=50.0,
         m_hat=float(v.max()), argmax_pair=(axis[k[0]], axis[k[1]]),
         provenance={"dx": dx, "dt": dt, "level": 0.5, **path.describe()})
     if check_doubling:
-        fine = _midpoint_refine(axis)
         v2 = fill(fine, fine)
         m2 = float(v2.max())
         change = (m2 - report.m_hat) / max(1.0, abs(report.m_hat))
@@ -425,48 +425,6 @@ def takeover_verify(trajectory, path, h, t_checks, **limits):
     same report as a check fed by march during the run."""
     check = TakeoverCheck(trajectory, path, h, t_checks, **limits)
     return kppsolve.verify(trajectory, check)[0]
-
-
-@dataclass
-class OrderingReport:
-    rows: list                 # (t, viol_left, viol_right)
-    max_violation: float
-    band: float
-
-
-def profile_ordering_check(traj_a, traj_b, times, *, level=0.5):
-    """Steepness ordering of centered profiles.
-
-    Both trajectories are centered at their own level crossing per time;
-    the first should dominate left of the crossing and be dominated right
-    of it.  A band of 2 dx of traj_a's grid around the crossing is exempt
-    (the crossing locations themselves only agree to interpolation
-    accuracy); the report records it.
-    """
-    grid = traj_a.grid
-    band = 2.0 * grid.dx
-    x = grid.x
-    rows = []
-    worst = 0.0
-    for t in times:
-        fa = traj_a.frame_at(t)
-        fb = traj_b.frame_at(t)
-        xa = front_position(fa, level)
-        xb = front_position(fb, level)
-        if xa is None or xb is None:
-            raise ValueError("missing level-%g crossing at t=%g" % (level, t))
-        lo = max(x[0] - xa, x[0] - xb)
-        hi = min(x[-1] - xa, x[-1] - xb)
-        xi = np.arange(lo, hi, grid.dx)
-        ua = np.interp(xi + xa, x, fa.values)
-        ub = np.interp(xi + xb, x, fb.values)
-        left = xi <= -band
-        right = xi >= band
-        viol_left = float(np.max(ub[left] - ua[left], initial=0.0))
-        viol_right = float(np.max(ua[right] - ub[right], initial=0.0))
-        rows.append((float(t), viol_left, viol_right))
-        worst = max(worst, viol_left, viol_right)
-    return OrderingReport(rows=rows, max_violation=worst, band=float(band))
 
 
 @dataclass

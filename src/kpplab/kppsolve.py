@@ -25,18 +25,31 @@ or below -tiny are left alone so that a positivity fault still shows.
 
 A step-size gate keeps each step monotone: dt * sup a * max(1, 2 sup u - 1)
 <= 1/2, with sup a taken over the whole step, since paths need not be
-bounded and a spike narrower than dt must still count.  solve() reads sup a
-for every step with one array call to path.max_on before the loop; the loop
-reads sup u each step and does only scalar arithmetic for the gate.
+bounded and a spike narrower than dt must still count.  The step loop reads
+sup a for every step with one array call to path.max_on before the loop,
+and sup u each step; the gate itself is scalar arithmetic.
 
-march() is the step loop: a generator that yields (t, u) at each stored
-time, every u a new read-only array.  The verifiers are checks with a
-step(t, u) and a finish(); verify() feeds them from march, so a command
-checks its run as it goes and never holds it, or from a stored Trajectory,
-which iterates as march does.  plan() gives a run's Trajectory without its
-frames (grid, stored times, frame shifts, run record) to set checks up
-before the first step, and solve() collects march's frames into a
-Trajectory.
+march_runs() is the step loop: a generator that marches K runs (one field,
+path and grid each, sharing dt, t0 and t_end) as one system and yields
+(t, (u_1, ..., u_K)) at each stored time; march() is its one-run case.  The
+fields lie end to end in one vector, and the K diffusion matrices form one
+tridiagonal matrix whose off-diagonal entry is 0 between runs, factored
+once.  With a zero coupling the LAPACK recurrences pass each block through
+unchanged (b - b_prev * 0 forward, x - x_next * 0 backward; at most the
+sign of a zero differs, and the flush makes every zero +0), so each run is
+bitwise the run marched alone, whatever its grid.  The reaction, the end-row
+halving, the flush and the finiteness check each take one pass over the
+vector, so the fixed cost of a step's numpy and LAPACK calls is paid once
+for all runs.  Each run keeps its own reaction rate, moving-frame shift,
+gate and margin bands.  A step writes into one of two work arrays made once
+per march, except a step whose frame is stored: it gets a new array, which
+is marked read-only, and each u_r is a view of it that is never written
+again.  The verifiers are checks with a step(t, u) and a finish(); verify()
+feeds them from march, so a command checks its run as it goes and never
+holds it, or from a stored Trajectory, which iterates as march does.
+plan() gives a run's Trajectory without its frames (grid, stored times,
+frame shifts, run record) to set checks up before the first step, and
+solve() collects march's frames into a Trajectory.
 
 Moving-frame solves (SolveConfig(dt=..., mu=...): setting mu selects the
 moving frame) use the time-dependent frame speed c(t) = (mu^2 + a(t)) / mu,
@@ -59,8 +72,8 @@ from ._lapack import dpttrf, dpttrs
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",
     "StepSizeError", "FrontMarginError",
-    "make_grid", "init", "plan", "march", "verify", "solve", "suggest_domain",
-    "frame_position",
+    "make_grid", "init", "plan", "march", "march_runs", "verify", "solve",
+    "suggest_domain", "frame_position",
 ]
 
 # fields below this value count as "unoccupied" for boundary-safety checks
@@ -69,6 +82,8 @@ WATCH_LEVEL = 0.05
 META_KEYS = ("dt", "dx", "stride", "margin", "t0", "t_end")
 # magnitudes below this (the subnormals) are flushed to 0 after each step
 TINY = np.finfo(float).tiny
+# a step is monotone while dt * sup a * max(1, 2 sup u - 1) stays at or below this
+GATE_LIMIT = 0.5 + 1e-12
 
 
 class StepSizeError(ValueError):
@@ -132,6 +147,11 @@ class SolveConfig:
             raise ValueError("moving frame needs a positive exponent mu")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
+        if self.store_stride is not None and not (
+                isinstance(self.store_stride, (int, np.integer))
+                and self.store_stride >= 1):
+            raise ValueError("store_stride must be None or an integer >= 1, not %r"
+                             % (self.store_stride,))
 
 
 def init(kind, grid, params=None):
@@ -190,26 +210,37 @@ def frame_position(path, mu, t, t0=0.0):
     return (mu * mu * (t - t0) + path.integral(np.full_like(t, t0), t)) / mu
 
 
-def _diffusion_ldlt(grid, dt):
-    """Prefactored backward-Euler solve with I - dt * Laplacian (zero-flux).
+def _diffusion_ldlt(grids, dt):
+    """Prefactored backward-Euler solve with I - dt * Laplacian (zero-flux)
+    on each grid, the grids' systems stacked as one block-diagonal system.
 
     Zero-flux boundaries via mirror ghost nodes give row sums of exactly 1,
     so constants are preserved and the inverse is a monotone averaging.
     The end rows carry -2 lam off the diagonal; halving them (w = 1/2 there,
     1 elsewhere) gives the symmetric positive definite tridiagonal
     diag(w (1 + 2 lam)) with -lam off the diagonal, factored here as
-    L D L^T.  Returns solve(b), which overwrites b with the solution.
+    L D L^T.  The off-diagonal entry between one grid's last node and the
+    next grid's first is 0.  Returns solve(b), which overwrites b (the
+    grids' fields end to end) with the solution.
     """
-    lam = dt / grid.dx ** 2
-    d = np.full(grid.n, 1.0 + 2.0 * lam)
-    d[0] = d[-1] = 0.5 * (1.0 + 2.0 * lam)
-    d, e, info = dpttrf(d, np.full(grid.n - 1, -lam))
+    diag, off, ends = [], [], []
+    for grid in grids:
+        lam = dt / grid.dx ** 2
+        d = np.full(grid.n, 1.0 + 2.0 * lam)
+        d[0] = d[-1] = 0.5 * (1.0 + 2.0 * lam)
+        ends += [len(off), len(off) + grid.n - 1]     # the grid's end rows
+        diag.append(d)
+        off += [-lam] * (grid.n - 1) + [0.0]
+    d, e, info = dpttrf(np.concatenate(diag), np.array(off[:-1]))
     if info != 0:
-        raise RuntimeError("dpttrf failed (info=%d) for lam=%g" % (info, lam))
+        raise RuntimeError("dpttrf failed (info=%d) for dt=%g" % (info, dt))
 
     def solve(b):
-        b[0] *= 0.5
-        b[-1] *= 0.5
+        if len(ends) == 2:      # one grid: two scalar updates beat an index array
+            b[0] *= 0.5
+            b[-1] *= 0.5
+        else:
+            b[ends] *= 0.5
         x, info = dpttrs(d, e, b, overwrite_b=True)
         if info != 0:
             raise RuntimeError("dpttrs failed (info=%d)" % info)
@@ -218,9 +249,10 @@ def _diffusion_ldlt(grid, dt):
     return solve
 
 
-def _flush_subnormals(u):
-    """Set entries with |u| < TINY to 0 in place; a non-decreasing map."""
-    np.copyto(u, 0.0, where=np.abs(u) < TINY)
+def _flush_subnormals(u, w=None):
+    """Set entries with |u| < TINY to 0 in place; a non-decreasing map.
+    w, when given, is a scratch array the size of u for |u|."""
+    np.copyto(u, 0.0, where=np.abs(u, w) < TINY)
     return u
 
 
@@ -228,7 +260,7 @@ def _check_step_bounds(a_max, t, dt, u_max, grid, config):
     """Raise StepSizeError if the step from t, with sup a = a_max on
     [t, t + dt] and sup u = u_max, is not monotone or breaks the CFL bound."""
     gate = dt * a_max * max(1.0, 2.0 * u_max - 1.0)
-    if gate > 0.5 + 1e-12:
+    if gate > GATE_LIMIT:
         raise StepSizeError(
             "reaction step too large at t=%g: dt*a_max*max(1, 2 sup u - 1) = "
             "%g * %g * %g = %g > 0.5" % (t, dt, a_max, max(1.0, 2.0 * u_max - 1.0), gate))
@@ -241,16 +273,21 @@ def _check_step_bounds(a_max, t, dt, u_max, grid, config):
                 % (t, c_max, dt, grid.dx, cfl))
 
 
-def _advance(values, dt, a_mid, diffuse, grid, config):
-    """One split step: reaction, advection, diffusion, subnormal flush.
-    Returns a new array."""
-    u = values
-    u = u + dt * a_mid * u * (1.0 - u)
-    if config.mu is not None:
-        nu = ((config.mu ** 2 + a_mid) / config.mu) * dt / grid.dx
-        u[:-1] += nu * (u[1:] - u[:-1])
-        # last node keeps its value: zero-gradient inflow
-    return _flush_subnormals(diffuse(u))
+def _advance(u, out, rate, nus, diffuse, slices, w):
+    """One split step of the runs held end to end in u, written into out (u
+    is not written): reaction with rate = dt a_mid (one float, or one per
+    node), upwind advection by each run's nu (moving frame; nus is None in
+    the fixed frame), diffusion, subnormal flush.  w is a scratch array the
+    size of u.  Returns out."""
+    np.multiply(rate, u, out)
+    np.multiply(out, np.subtract(1.0, u, w), out)
+    np.add(u, out, out)
+    if nus is not None:
+        for sl, nu in zip(slices, nus):
+            v = out[sl]
+            v[:-1] += nu * (v[1:] - v[:-1])
+            # last node keeps its value: zero-gradient inflow
+    return _flush_subnormals(diffuse(out), w)
 
 
 @dataclass
@@ -403,51 +440,110 @@ def march(init_field, path, t_end, config):
     """Run from init_field.t to t_end, yielding (t, u) at the times of
     plan(init_field, path, t_end, config).
 
-    Each u is a new read-only array that the solver never writes again, so
-    a consumer may keep it without a copy; nothing else is kept between
-    steps.  Raises FrontMarginError when the solution becomes occupied
-    inside the safety margin of a boundary that started unoccupied (the
-    front ran out of room; speed estimates past this point would be
-    contaminated), checked with finiteness at every yielded frame.  The
-    margin is capped at a quarter of the domain so small test domains stay
-    usable; margin=0 disables the check.  Raises StepSizeError at the first
-    step that breaks the step-size or CFL gate; the gate's sup a on every
-    step comes from one path.max_on call over all steps.
+    Each u is a read-only array that the solver never writes again, so a
+    consumer may keep it without a copy.  Raises FrontMarginError when the
+    solution becomes occupied inside the safety margin of a boundary that
+    started unoccupied (the front ran out of room; speed estimates past
+    this point would be contaminated), checked with finiteness at every
+    yielded frame.  The margin is capped at a quarter of the domain so
+    small test domains stay usable; margin=0 disables the check.  Raises
+    StepSizeError at the first step that breaks the step-size or CFL gate;
+    the gate's sup a on every step comes from one path.max_on call over all
+    steps.  This is march_runs with one run.
     """
-    times = iter(plan(init_field, path, t_end, config).times.tolist())
-    grid = init_field.grid
-    dt = config.dt
-    t0 = float(init_field.t)
-    n_steps, stride = _schedule(t0, t_end, config)
-    margin = min(config.margin, 0.25 * (grid.x_hi - grid.x_lo))
-    m_nodes = int(round(margin / grid.dx))
-    watched = _watched_sides(init_field.values) if m_nodes > 0 else []
+    for t, (u,) in march_runs([init_field], [path], t_end, config):
+        yield t, u
 
-    diffuse = _diffusion_ldlt(grid, dt)
-    mids = np.asarray(path(t0 + (np.arange(n_steps) + 0.5) * dt), dtype=float)
+
+def march_runs(init_fields, paths, t_end, config):
+    """Run each init_fields[r] under paths[r] from their common start time
+    to t_end as one system, yielding (t, (u_1, ..., u_K)) at the times of
+    plan(init_fields[r], paths[r], t_end, config), which are the same for
+    every run.
+
+    The grids may differ.  Each u_r is a read-only view of one new array
+    and equals, bit for bit, the frame march(init_fields[r], paths[r],
+    t_end, config) yields at t.  Every check of march is made per run (its
+    own margin bands, and its own sup a and sup u in the gate); an error
+    is the one that run raises alone, from the earliest step or frame where
+    any run fails, the first run in order within a step.  Raises ValueError
+    unless there is one path per field and the fields share their start
+    time.
+    """
+    if not init_fields or len(init_fields) != len(paths):
+        raise ValueError("need one path per initial field, and at least one run")
+    t0 = float(init_fields[0].t)
+    if any(float(f.t) != t0 for f in init_fields):
+        raise ValueError("the runs do not share their start time t0")
+    times = iter([plan(f, p, t_end, config) for f, p in zip(init_fields, paths)]
+                 [0].times.tolist())
+    grids = [f.grid for f in init_fields]
+    sizes = np.array([grid.n for grid in grids])
+    bounds = np.append(0, np.cumsum(sizes))
+    slices = list(map(slice, bounds[:-1].tolist(), bounds[1:].tolist()))
+    dt = config.dt
+    n_steps, stride = _schedule(t0, t_end, config)
+
+    bands = []     # (nodes of the whole vector, side, margin) per watched side
+    for f, sl in zip(init_fields, slices):
+        margin = min(config.margin, 0.25 * (f.grid.x_hi - f.grid.x_lo))
+        m_nodes = int(round(margin / f.grid.dx))
+        for side in _watched_sides(f.values) if m_nodes > 0 else []:
+            nodes = slice(sl.start, sl.start + m_nodes) if side == "left" \
+                else slice(sl.stop - m_nodes, sl.stop)
+            bands.append((nodes, side, margin))
+
+    diffuse = _diffusion_ldlt(grids, dt)
+    mids, a_max = np.empty((2, len(paths), n_steps))
     starts = t0 + np.arange(n_steps) * dt
-    a_max = path.max_on(starts, starts + dt)
+    for r, p in enumerate(paths):
+        mids[r] = p(t0 + (np.arange(n_steps) + 0.5) * dt)
+        a_max[r] = p.max_on(starts, starts + dt)
+    # dt sup a of all runs (written over starts, which is not needed again),
+    # times the factor of the largest sup u, bounds every run's reaction
+    # gate: the runs' own gates are read when it trips, and on every step
+    # where some run's CFL gate trips (set to inf there)
+    dta_top = np.max(a_max, axis=0, out=starts)
+    dta_top *= dt
+    nus = None
+    if config.mu is not None:
+        dxs = np.array([[grid.dx] for grid in grids])
+        nus = (config.mu ** 2 + mids) / config.mu * dt / dxs
+        dta_top[((config.mu ** 2 + a_max) / config.mu * dt / dxs
+                 > 1.0 + 1e-12).any(axis=0)] = np.inf
+    rates = np.multiply(dt, mids, out=mids)
 
     def checked(vals):
         t = next(times)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise RuntimeError("non-finite field values at t=%g" % t)
-        for side in watched:
-            band = vals[:m_nodes] if side == "left" else vals[-m_nodes:]
-            if band.max() > WATCH_LEVEL:
+        for nodes, side, margin in bands:
+            if vals[nodes].max() > WATCH_LEVEL:
                 raise FrontMarginError(
                     "front entered the %s safety margin (%g space units) at t=%g; "
                     "enlarge the domain" % (side, margin, t))
         vals.flags.writeable = False
-        return t, vals
+        return t, tuple(vals[sl] for sl in slices)
 
-    u = np.array(init_field.values, dtype=float)
+    work, *spare = np.empty((3, bounds[-1]))
+    u = np.concatenate([np.asarray(f.values, dtype=float) for f in init_fields])
     yield checked(u)
     for k in range(n_steps):
         t = t0 + k * dt
-        _check_step_bounds(a_max.item(k), t, dt, float(u.max()), grid, config)
-        u = _advance(u, dt, mids[k], diffuse, grid, config)
-        if (k + 1) % stride == 0 or k + 1 == n_steps:
+        u_top = float(u.max())
+        if u_top != u_top or \
+                not dta_top.item(k) * max(1.0, 2.0 * u_top - 1.0) <= GATE_LIMIT:
+            u_max = np.maximum.reduceat(u, bounds[:-1]).tolist()
+            for r, grid in enumerate(grids):
+                _check_step_bounds(a_max.item(r, k), t, dt, u_max[r], grid, config)
+        store = (k + 1) % stride == 0 or k + 1 == n_steps
+        # a stored frame gets a new array; other steps alternate two buffers
+        out = np.empty(bounds[-1]) if store else \
+            spare[1] if u is spare[0] else spare[0]
+        rate = rates[0, k] if len(grids) == 1 else np.repeat(rates[:, k], sizes)
+        u = _advance(u, out, rate, None if nus is None else nus[:, k],
+                     diffuse, slices, work)
+        if store:
             yield checked(u)
 
 

@@ -128,11 +128,6 @@ def test_estimate_speed_on_real_run():
     assert abs(est.endpoint_rate - est.speed) < 0.15
 
 
-def test_default_shift_set():
-    s = fronts.default_shift_set(8.0, n=4)
-    assert s == [0.0, 2.0, 4.0, 6.0]
-
-
 def test_probe_interval_classifies_constant_path():
     p = coeff.make_constant(1.0)
     itv = fronts.probe_speed_interval(
@@ -185,6 +180,63 @@ def test_subadditivity_rejects_early_times():
     p = coeff.make_constant(1.0)
     with pytest.raises(ValueError, match="pair times"):
         fronts.subadditivity_check(p, [1.0, 4.0])
+    with pytest.raises(ValueError, match="at least one pair time"):
+        fronts.subadditivity_check(p, [])
+
+
+def test_subadditivity_marches_each_shift_once(monkeypatch):
+    marched = []
+    march_runs = kppsolve.march_runs
+
+    def recorded(fields, paths, t_end, config):
+        marched.append(sorted(p.offset for p in paths))
+        return march_runs(fields, paths, t_end, config)
+
+    monkeypatch.setattr(kppsolve, "march_runs", recorded)
+    p = coeff.make_constant(1.0)
+    rep = fronts.subadditivity_check(p, [4.0, 2.0, 4.0], dx=0.2, dt=0.01,
+                                     margin=30.0, check_doubling=True)
+    assert marched == [[0.0], [2.0, 3.0, 4.0]]     # the base run, then every shift
+    assert rep.t_axis == (2.0, 4.0, 4.0)
+    assert np.array_equal(rep.violations[1], rep.violations[2])
+
+
+def _heaviside_trace(p, t_end, dx, dt, margin):
+    """The level-1/2 trace of one Heaviside run, solved alone and stored."""
+    grid = kppsolve.make_grid(-(margin + 20.0),
+                              kppsolve.suggest_domain(p, t_end, margin), dx)
+    traj = kppsolve.solve(kppsolve.init("heaviside", grid, {}), p, t_end,
+                          kppsolve.SolveConfig(dt=dt, margin=margin))
+    return fronts.track(traj, (0.5,)), grid.n
+
+
+def test_subadditivity_equals_runs_solved_one_at_a_time():
+    p = coeff.make_periodic(1.0, 0.6, 7.0)
+    axis, dx, dt, margin = [2.0, 3.5, 6.0], 0.2, 0.01, 30.0
+    rep = fronts.subadditivity_check(p, axis, dx=dx, dt=dt, margin=margin)
+    base, _ = _heaviside_trace(p, 2.0 * axis[-1], dx, dt, margin)
+    shifted = {t: _heaviside_trace(p.shift(t), axis[-1], dx, dt, margin) for t in axis}
+    assert len({n for _, n in shifted.values()}) > 1     # the grids differ
+    want = [[base.position_at(t) + shifted[t][0].position_at(s) - base.position_at(t + s)
+             for s in axis] for t in axis]
+    assert np.array_equal(rep.violations, np.array(want))
+
+
+def test_probe_interval_equals_runs_solved_one_at_a_time():
+    p = coeff.make_periodic(1.0, 0.6, 3.0)
+    c_grid, shifts, t_probe = [1.4, 2.0, 2.6], [0.0, 0.8, 1.9], 12.0
+    itv = fronts.probe_speed_interval(p, "heaviside", c_grid, shifts, t_probe,
+                                      dx=0.2, dt=0.01, domain=(-60.0, 90.0))
+    grid = kppsolve.make_grid(-60.0, 90.0, 0.2)
+    config = kppsolve.SolveConfig(dt=0.01, store_stride=1200)
+    for s in shifts:
+        traj = kppsolve.solve(kppsolve.init("heaviside", grid, {}), p.shift(s),
+                              t_probe, config)
+        u = traj.frames[-1]
+        for c in c_grid:
+            inside, outside = grid.x <= c * t_probe, grid.x >= c * t_probe
+            assert itv.decisions[(c, s)] == (float(u[inside].min()),
+                                             float(u[outside].max()))
 
 
 def test_takeover_verify_constant_path():
@@ -203,19 +255,6 @@ def test_takeover_verify_constant_path():
         fronts.takeover_verify(traj, p, 10.0, [50.0])
     with pytest.raises(ValueError, match="positive"):
         fronts.takeover_verify(traj, p, 0.0, [50.0])
-
-
-def test_profile_ordering_steep_vs_shallow():
-    p = coeff.make_constant(1.0)
-    g = kppsolve.make_grid(-30.0, 80.0, 0.1)
-    cfg = kppsolve.SolveConfig(dt=0.005, store_stride=1000)
-    steep = kppsolve.solve(kppsolve.init("heaviside", g, {}), p, 15.0, cfg)
-    shallow = kppsolve.solve(kppsolve.init("front-like", g, {"mu": 0.8}),
-                             p, 15.0, cfg)
-    rep = fronts.profile_ordering_check(steep, shallow, [5.0, 10.0, 15.0])
-    assert rep.max_violation < 0.05
-    assert rep.band == pytest.approx(0.2)
-    assert len(rep.rows) == 3
 
 
 def test_tail_uniformity_nested_probes():

@@ -125,7 +125,7 @@ def test_diffusion_solve_matches_dense_mirror_ghost(n, lam):
     mat[0, 1] = mat[-1, -2] = -2.0 * lam    # mirror ghost nodes
     b = np.random.default_rng(n).uniform(0.0, 1.0, n)
     ref = np.linalg.solve(mat, b)
-    got = kppsolve._diffusion_ldlt(g, dt)(b.copy())
+    got = kppsolve._diffusion_ldlt([g], dt)(b.copy())
     assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
@@ -231,6 +231,16 @@ def test_store_stride_and_frame_lookup():
     assert fr.t == 0.5
     with pytest.raises(KeyError):
         traj.frame_at(0.3)
+
+
+@pytest.mark.parametrize("stride", [2.5, -3, 0])
+def test_store_stride_must_be_a_positive_integer(stride):
+    # 2.5 used to label frames with the wrong times and leave rows of solve's
+    # frames unwritten, -3 ended the run in "generator raised StopIteration"
+    # and 0 stood for the default
+    with pytest.raises(ValueError, match="store_stride"):
+        kppsolve.SolveConfig(dt=0.01, store_stride=stride)
+    assert kppsolve.SolveConfig(dt=0.01, store_stride=np.int64(3)).store_stride == 3
 
 
 def test_store_keeps_last_frame_when_stride_does_not_divide_steps():
@@ -379,3 +389,101 @@ def test_suggest_domain_scales_with_horizon():
     d100 = kppsolve.suggest_domain(p, 100.0)
     assert d100 > d50
     assert d100 == pytest.approx(2.0 * 100.0 * 1.1 + 50.0, rel=1e-12)
+
+
+# -- several runs marched as one block-diagonal system --------------------
+
+def _bits(u):
+    return np.asarray(u).view(np.int64)
+
+
+def _assert_joint_equals_alone(fields, paths, t_end, config):
+    """Every view march_runs yields is bitwise the frame of that run's own
+    march, at every stored time; returns the number of stored frames."""
+    joint = list(kppsolve.march_runs(fields, paths, t_end, config))
+    for r, (f, p) in enumerate(zip(fields, paths)):
+        alone = list(kppsolve.march(f, p, t_end, config))
+        assert [t for t, _ in alone] == [t for t, _ in joint]
+        for (_, u), (_, us) in zip(alone, joint):
+            assert np.array_equal(_bits(us[r]), _bits(u))
+    return len(joint)
+
+
+def test_march_runs_is_each_run_alone_on_different_grids():
+    p = coeff.make_periodic(1.0, 0.5, 3.0)
+    grids = [kppsolve.make_grid(-10.0, 40.0, 0.1),
+             kppsolve.make_grid(-5.0, 20.0, 0.25),
+             kppsolve.make_grid(-10.0, 30.0, 0.2)]
+    fields = [kppsolve.init("heaviside", grids[0], {}),
+              kppsolve.init("compact-bump", grids[1], {"lo": -2.0, "hi": 2.0}),
+              kppsolve.init("front-like", grids[2], {"mu": 0.7})]
+    paths = [p, p.shift(1.1), p.shift(2.4)]
+    config = kppsolve.SolveConfig(dt=0.005, store_stride=90, margin=0.0)
+    assert _assert_joint_equals_alone(fields, paths, 4.0, config) == 10
+
+
+def test_march_runs_is_each_run_alone_in_the_moving_frame():
+    p = coeff.make_periodic(1.0, 0.3, 4.0)
+    grids = [kppsolve.make_grid(-15.0, 25.0, 0.1),
+             kppsolve.make_grid(-20.0, 20.0, 0.125)]
+    fields = [kppsolve.init("front-like", g, {"mu": 0.8}) for g in grids]
+    config = kppsolve.SolveConfig(dt=0.002, mu=0.8, store_stride=200, margin=0.0)
+    assert _assert_joint_equals_alone(fields, [p, p.shift(0.7)], 2.0, config) == 6
+
+
+def _error_of(frames):
+    with pytest.raises((kppsolve.StepSizeError, kppsolve.FrontMarginError)) as err:
+        for _ in frames:
+            pass
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("case", ["margin", "reaction", "cfl"])
+def test_march_runs_raises_the_failing_runs_own_error(case):
+    # one run fails mid-run; the others would finish; the joint march
+    # raises what the failing run raises alone, at the same t
+    safe = coeff.make_constant(1.0)
+    if case == "margin":
+        fields = [kppsolve.init("heaviside", kppsolve.make_grid(-20.0, x_hi, 0.2), {})
+                  for x_hi in (200.0, 60.0)]
+        paths, t_end = [safe, safe], 40.0
+        config = kppsolve.SolveConfig(dt=0.01, margin=20.0)
+    elif case == "reaction":
+        # the two-level spike of test_step_size_gates trips the gate mid-run
+        g = kppsolve.make_grid(0.0, 5.0, 0.5)
+        fields = [kppsolve.init("constant", g, {"value": 1.0})] * 2
+        paths, t_end = [safe, coeff.make_two_level()], 20.0
+        config = kppsolve.SolveConfig(dt=0.2, margin=0.0)
+    else:
+        # c = 1 + a(t) reaches 2.9 > dx / dt = 2.5 on the finer grid only
+        grids = [kppsolve.make_grid(-5.0, 5.0, 0.1), kppsolve.make_grid(-5.0, 5.0, 0.05)]
+        fields = [kppsolve.init("front-like", g, {"mu": 1.0}) for g in grids]
+        p = coeff.make_periodic(1.0, 0.9, 4.0)
+        paths, t_end = [p, p], 4.0
+        config = kppsolve.SolveConfig(dt=0.02, mu=1.0, margin=0.0)
+    kind, message = _error_of(kppsolve.march(fields[1], paths[1], t_end, config))
+    assert " at t=0:" not in message and "t=0;" not in message
+    assert _error_of(kppsolve.march_runs(fields, paths, t_end, config)) == (kind, message)
+    # the first run finishes alone
+    for _ in kppsolve.march(fields[0], paths[0], t_end, config):
+        pass
+
+
+def test_march_runs_yields_read_only_views_and_checks_its_input():
+    p = coeff.make_constant(1.0)
+    g = kppsolve.make_grid(-5.0, 5.0, 0.5)
+    fields = [kppsolve.init("heaviside", g, {}), kppsolve.init("constant", g, {})]
+    config = kppsolve.SolveConfig(dt=0.01, store_stride=10, margin=0.0)
+    held = list(kppsolve.march_runs(fields, [p, p], 0.3, config))
+    for _, us in held:
+        for u in us:
+            with pytest.raises(ValueError, match="read-only"):
+                u[0] = 1.0
+            with pytest.raises(ValueError):
+                u.flags.writeable = True
+    assert np.array_equal(held[0][1][1], fields[1].values)
+    late = kppsolve.Field(g, fields[0].values, 0.1)
+    with pytest.raises(ValueError, match="start time"):
+        next(kppsolve.march_runs([fields[0], late], [p, p], 0.3, config))
+    with pytest.raises(ValueError, match="one path per"):
+        next(kppsolve.march_runs(fields, [p], 0.3, config))
