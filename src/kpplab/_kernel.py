@@ -1,0 +1,120 @@
+"""The compiled step of kppsolve.march_runs, built from _step.c on first import.
+
+kpp_step (see _step.c) makes one whole step of every run in one pass over
+the field: reaction, upwind, end-row halving, LAPACK dptts2's two sweeps on
+dpttrf's factor, the subnormal flush and sup u.  It replaces about eight
+numpy passes and a dpttrs call, whose fixed costs made most of a step on
+the grids kpplab runs.
+
+The library is compiled with `cc -O2 -fPIC -shared -ffp-contract=off`.
+-ffp-contract=off is what keeps the results bitwise those of numpy and
+LAPACK: without it the compiler may fuse a multiply and an add into one
+FMA, which rounds once instead of twice.  No flag that changes rounding
+(-march=native, -ffast-math) may be added.  The library is cached in the
+package's __pycache__ directory under a name keyed by a CRC of the flags
+and the source, written to a temporary file and renamed into place, so
+concurrent first imports do not clash; the cache is written whatever
+PYTHONDONTWRITEBYTECODE says.  Where __pycache__ cannot be written, the
+library is built in a temporary directory for this process only.  Without
+a C compiler the import raises ImportError; there is no other step.
+"""
+
+import ctypes
+import os
+import zlib
+
+import numpy as np
+
+__all__ = ["FLAGS", "LIBRARY", "layout", "step"]
+
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_SOURCE = os.path.join(_HERE, "_step.c")
+
+
+class _March(ctypes.Structure):
+    # struct kpp_march of _step.c
+    _fields_ = [("runs", ctypes.c_ssize_t), ("steps", ctypes.c_ssize_t),
+                ("bounds", ctypes.c_void_p), ("rates", ctypes.c_void_p),
+                ("nus", ctypes.c_void_p), ("d", ctypes.c_void_p),
+                ("e", ctypes.c_void_p)]
+
+
+def _build(target):
+    """Compile _step.c into the library `target`, through a temporary file
+    in its directory; OSError when that directory cannot be written."""
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
+    os.close(fd)
+    cmd = ["cc", *FLAGS, "-o", tmp, _SOURCE]
+    try:
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise ImportError("kpplab compiles its step on first import and "
+                              "could not run %r: %s" % (" ".join(cmd), exc)) from None
+        if done.returncode != 0:
+            raise ImportError("%r failed:\n%s" % (" ".join(cmd), done.stderr))
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _load():
+    with open(_SOURCE, "rb") as fh:
+        key = zlib.crc32(" ".join(FLAGS).encode() + b"\0" + fh.read())
+    name = "_step-%08x.so" % key
+    cached = os.path.join(_HERE, "__pycache__", name)
+    if os.path.exists(cached):
+        return cached, ctypes.CDLL(cached)
+    try:
+        os.makedirs(os.path.dirname(cached), exist_ok=True)
+        _build(cached)
+        return cached, ctypes.CDLL(cached)
+    except OSError:
+        pass
+    import shutil
+    import tempfile
+
+    where = tempfile.mkdtemp(prefix="kpplab-")
+    try:
+        _build(os.path.join(where, name))
+        return None, ctypes.CDLL(os.path.join(where, name))
+    finally:
+        shutil.rmtree(where, ignore_errors=True)
+
+
+# the cached library's path (None when built for this process only)
+LIBRARY, _lib = _load()
+step = _lib.kpp_step
+step.argtypes = [ctypes.POINTER(_March), ctypes.c_ssize_t, ctypes.c_void_p,
+                 ctypes.c_void_p]
+step.restype = ctypes.c_double
+
+
+def layout(bounds, rates, nus, d, e):
+    """The march that step(layout, k, u, out) reads: run offsets `bounds`
+    (K + 1 integers), rates and nus (K rows of n_steps floats; nus None in
+    the fixed frame) and dpttrf's factor d, e.  The arrays are kept with
+    it.  step writes the field after step k of the field at address u into
+    the buffer at address out and returns its largest entry."""
+    bounds = np.ascontiguousarray(bounds, dtype=np.intp)
+    arrays = [np.ascontiguousarray(a, dtype=float) for a in (rates, d, e)]
+    if nus is not None:
+        nus = np.ascontiguousarray(nus, dtype=float)
+        if nus.shape != arrays[0].shape:
+            raise ValueError("rates and nus differ in shape")
+    rates, d, e = arrays
+    n = int(bounds[-1])
+    if rates.ndim != 2 or rates.shape[0] != bounds.size - 1 or \
+            d.size != n or e.size != n - 1:
+        raise ValueError("the run layout does not match the factor's size")
+    march = _March(bounds.size - 1, rates.shape[1], bounds.ctypes.data,
+                   rates.ctypes.data, None if nus is None else nus.ctypes.data,
+                   d.ctypes.data, e.ctypes.data)
+    march.arrays = (bounds, rates, nus, d, e)
+    return march

@@ -1,7 +1,7 @@
-"""The three LAPACK routines kpplab calls, loaded without scipy.linalg.
+"""The two LAPACK routines kpplab calls, loaded without scipy.linalg.
 
-dpttrf/dpttrs (the diffusion solve in kppsolve) and dgttrs (the noise
-recursion in coeff) live in scipy's compiled f2py extension
+dpttrf (the factor of the diffusion matrix in kppsolve) and dgttrs (the
+noise recursion in coeff) live in scipy's compiled f2py extension
 scipy.linalg._flapack.  Reaching them through scipy.linalg.lapack runs
 scipy/linalg/__init__.py first, which with scipy 1.17 loads 85 scipy
 modules (numpy.f2py and numpy.testing among their imports) and accounted
@@ -10,6 +10,11 @@ extension in scipy's directory and loads only it, registered under its own
 name so that a later `import scipy.linalg` reuses it: the names exported
 here are the very objects scipy.linalg.lapack exports, and every result is
 the same.
+
+The solve with dpttrf's factor at each step is not a LAPACK call: the
+compiled step of kpplab._kernel runs dptts2's two sweeps itself, with the
+same operations in the same order (built with -ffp-contract=off, so no
+multiply and add are fused), and gives dpttrs's results bit for bit.
 """
 
 import importlib.machinery
@@ -17,7 +22,7 @@ import importlib.util
 import os
 import sys
 
-__all__ = ["dpttrf", "dpttrs", "dgttrs"]
+__all__ = ["dpttrf", "dgttrs"]
 
 _NAME = "scipy.linalg._flapack"
 
@@ -33,4 +38,4 @@ if _flapack is None:
     sys.modules[_NAME] = _flapack
     _spec.loader.exec_module(_flapack)
 
-dpttrf, dpttrs, dgttrs = _flapack.dpttrf, _flapack.dpttrs, _flapack.dgttrs
+dpttrf, dgttrs = _flapack.dpttrf, _flapack.dgttrs

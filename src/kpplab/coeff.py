@@ -28,7 +28,7 @@ __all__ = [
     "CoefficientPath", "ConstantPath", "PeriodicPath", "TwoLevelPath",
     "TabulatedPath", "NoisePath", "MeanEstimate", "PiecewiseB",
     "make_constant", "make_periodic", "make_two_level", "make_noise",
-    "windowed_mean", "estimate_means", "build_B",
+    "estimate_means", "build_B",
     "equilibrium_path",
 ]
 
@@ -503,13 +503,6 @@ def make_two_level():
 
 def make_noise(seed, kappa=1.0, sigma=0.5, xi_max=0.75, dt=1e-3, t_lo=0.0, t_hi=100.0):
     return NoisePath(seed, kappa, sigma, xi_max, dt, t_lo, t_hi)
-
-
-def windowed_mean(path, s, t):
-    """Mean of the path over [s, t] using its exact integral."""
-    if not t > s:
-        raise ValueError("need t > s")
-    return float(path.integral(s, t)) / (t - s)
 
 
 @dataclass

@@ -301,9 +301,13 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, margin=50.0,
     step at which any shifted run fails.  n_jobs is accepted for old
     callers and ignored.
     """
-    axis = sorted(float(t) for t in times)
+    axis = [float(t) for t in times]
     if not axis:
         raise ValueError("need at least one pair time")
+    for t in axis:
+        if not math.isfinite(t):
+            raise ValueError("pair times must be finite, not %r" % t)
+    axis.sort()
     if axis[0] < 2.0:
         raise ValueError("pair times must be >= 2 so fronts exist")
     fine = _midpoint_refine(axis) if check_doubling else axis

@@ -3,14 +3,18 @@
 Nothing here may call into the package's own quadrature, ODE, or
 front-finding code paths beyond plain path evaluation a(t): quadrature is
 re-done with dense trapezoids on fresh sample grids, ODE references come
-from scipy's adaptive integrator, and the front scan is a literal
-right-to-left loop.
+from scipy's adaptive integrator, the front scan is a literal right-to-left
+loop, and the solver's step is redone with numpy and LAPACK's dpttrs and
+again with Python floats.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dpttrs
+
+TINY = np.finfo(float).tiny
 
 
 def quad_integral(path, s, t, n=20001):
@@ -102,3 +106,50 @@ def brute_front(x, u, level):
             frac = (u[i] - level) / (u[i] - u[i + 1])
             return x[i] + frac * (x[i + 1] - x[i])
     return None
+
+
+# -- one step of the solver: the runs' fields lie end to end in u, run r in
+# u[bounds[r]:bounds[r + 1]], with reaction rates[r] = dt a_r and upwind
+# Courant numbers nus[r] (None in the fixed frame); (d, e) is dpttrf's
+# L D L^T factor of the stacked diffusion matrix with halved end rows
+
+
+def lapack_step(u, bounds, rates, nus, d, e):
+    """The step as numpy and LAPACK calls (the solver's step before it was
+    compiled): returns the new field and its max."""
+    out = np.repeat(rates, np.diff(bounds)) * u
+    out = u + out * (1.0 - u)
+    if nus is not None:
+        for lo, hi, nu in zip(bounds[:-1], bounds[1:], nus):
+            v = out[lo:hi]
+            v[:-1] += nu * (v[1:] - v[:-1])
+    out[bounds[:-1]] *= 0.5
+    out[bounds[1:] - 1] *= 0.5
+    x, info = dpttrs(d, e, out)
+    assert info == 0
+    x[np.abs(x) < TINY] = 0.0
+    return x, x.max()
+
+
+def float_step(u, bounds, rates, nus, d, e):
+    """The step in Python floats, one operation at a time, with LAPACK
+    dptts2's two sweeps written out: returns the new field, its max and the
+    number of nonzero entries the flush set to 0."""
+    b = []
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rate = float(rates[r])
+        v = [x + (rate * x) * (1.0 - x) for x in u[lo:hi].tolist()]
+        if nus is not None:
+            nu = float(nus[r])
+            v = [a + nu * (c - a) for a, c in zip(v, v[1:])] + v[-1:]
+        v[0] *= 0.5
+        v[-1] *= 0.5
+        b += v
+    d, e = d.tolist(), e.tolist()
+    for i in range(1, len(b)):
+        b[i] = b[i] - b[i - 1] * e[i - 1]
+    b[-1] = b[-1] / d[-1]
+    for i in range(len(b) - 2, -1, -1):
+        b[i] = b[i] / d[i] - b[i + 1] * e[i]
+    out = np.array([0.0 if abs(x) < TINY else x for x in b])
+    return out, out.max(), sum(1 for x in b if 0.0 < abs(x) < TINY)

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import shutil
 import subprocess
 import sys
 import warnings
 
 import pytest
 
+import kpplab
 from kpplab import cli, coeff
 
 
@@ -436,7 +439,51 @@ def test_lapack_wrappers_are_the_ones_scipy_exports():
     assert _fresh_process_prints(
         "import kpplab, scipy.linalg.lapack as s; from kpplab import _lapack; "
         "print(*(getattr(_lapack, n) is getattr(s, n) "
-        "for n in ('dpttrf', 'dpttrs', 'dgttrs')))") == ["True"] * 3
+        "for n in ('dpttrf', 'dgttrs')))") == ["True"] * 2
+
+
+_PACKAGE = os.path.dirname(os.path.abspath(kpplab.__file__))
+
+
+def _import_cli(package_root, **env):
+    """Import kpplab.cli from package_root in a fresh process with the
+    environment changes env; prints where the compiled step came from."""
+    return subprocess.run(
+        [sys.executable, "-c", "import kpplab.cli; from kpplab import _kernel; "
+         "print(_kernel.LIBRARY)"],
+        env=dict(os.environ, PYTHONPATH=package_root, **env),
+        capture_output=True, text=True, timeout=120)
+
+
+def _cold_copy(tmp_path):
+    """A copy of the package with no cache; returns its root."""
+    shutil.copytree(_PACKAGE, tmp_path / "kpplab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return str(tmp_path)
+
+
+def test_warm_cache_imports_without_a_compiler():
+    from kpplab import _kernel     # built or found by this process's import
+
+    assert os.path.dirname(_kernel.LIBRARY) == os.path.join(_PACKAGE, "__pycache__")
+    assert not [f for f in os.listdir(_PACKAGE) if f.endswith(".so")]
+    out = _import_cli(os.path.dirname(_PACKAGE), PATH="")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [_kernel.LIBRARY]
+
+
+def test_cold_package_without_a_compiler_raises_import_error(tmp_path):
+    out = _import_cli(_cold_copy(tmp_path), PATH="")
+    assert out.returncode != 0
+    assert "ImportError" in out.stderr and "'cc " in out.stderr
+
+
+def test_unwritable_cache_builds_the_step_for_the_process(tmp_path):
+    root = _cold_copy(tmp_path)
+    (tmp_path / "kpplab" / "__pycache__").write_text("")   # not a directory
+    out = _import_cli(root, PYTHONDONTWRITEBYTECODE="1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["None"]
 
 
 def test_every_exported_name_resolves():

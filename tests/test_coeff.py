@@ -15,7 +15,7 @@ def test_constant_eval_and_means():
     p = coeff.make_constant(1.0)
     assert p(7.3) == 1.0
     assert p.shift(5.0)(0.0) == 2.0 - 1.0
-    assert coeff.windowed_mean(p, 2.0, 9.0) == 1.0
+    assert float(p.integral(2.0, 9.0)) / (9.0 - 2.0) == 1.0
     est = coeff.estimate_means(p, 1.0, (0.0, 10.0))
     assert (est.a_lower_est, est.a_hat_est, est.a_upper_est) == (1.0, 1.0, 1.0)
 
@@ -30,7 +30,8 @@ def test_constant_rejects_nonpositive():
 def test_periodic_values_and_period_mean():
     p = coeff.make_periodic(1.0, 0.5, 2 * math.pi)
     assert p(math.pi / 2) == pytest.approx(1.5, abs=1e-12)
-    assert coeff.windowed_mean(p, 0.0, 2 * math.pi) == pytest.approx(1.0, abs=1e-12)
+    assert float(p.integral(0.0, 2 * math.pi)) / (2 * math.pi) == \
+        pytest.approx(1.0, abs=1e-12)
     est = coeff.estimate_means(p, 2 * math.pi, (0.0, 20 * math.pi))
     for v in (est.a_lower_est, est.a_hat_est, est.a_upper_est):
         assert v == pytest.approx(1.0, abs=1e-8)
@@ -98,7 +99,8 @@ def test_two_level_spike_extrema():
 
 def test_two_level_first_block_mean_exact():
     p = coeff.make_two_level()
-    assert coeff.windowed_mean(p, 0.25, 1.25) == pytest.approx(1.0, abs=1e-12)
+    assert float(p.integral(0.25, 1.25)) / (1.25 - 0.25) == \
+        pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_level_integral_matches_breakpoint_trapezoid():
@@ -169,11 +171,6 @@ def test_means_ordering_and_widening():
 def test_estimate_means_rejects_short_horizon():
     with pytest.raises(ValueError):
         coeff.estimate_means(coeff.make_constant(1.0), 10.0, (0.0, 15.0))
-
-
-def test_windowed_mean_rejects_reversed_bounds():
-    with pytest.raises(ValueError):
-        coeff.windowed_mean(coeff.make_constant(1.0), 5.0, 2.0)
 
 
 def test_noise_determinism_and_bounds():
@@ -505,7 +502,7 @@ def test_equilibrium_path_zero_noise_is_one():
 def test_equilibrium_path_long_average_near_one():
     noise = coeff.make_noise(71, xi_max=0.5, t_lo=-60.0, t_hi=260.0)
     p = coeff.equilibrium_path(noise, 0.0, 250.0, dt=0.01)
-    assert coeff.windowed_mean(p, 0.0, 250.0) == pytest.approx(1.0, abs=0.05)
+    assert float(p.integral(0.0, 250.0)) / 250.0 == pytest.approx(1.0, abs=0.05)
 
 
 def test_equilibrium_path_needs_history():

@@ -182,6 +182,11 @@ def test_subadditivity_rejects_early_times():
         fronts.subadditivity_check(p, [1.0, 4.0])
     with pytest.raises(ValueError, match="at least one pair time"):
         fronts.subadditivity_check(p, [])
+    # a NaN time used to fail in math.sqrt, an infinite one in int()
+    for times, bad in (([math.nan, 4.0], "nan"), ([4.0, math.inf], "inf"),
+                       ([-math.inf, 4.0], "-inf")):
+        with pytest.raises(ValueError, match="pair times must be finite, not %s" % bad):
+            fronts.subadditivity_check(p, times)
 
 
 def test_subadditivity_marches_each_shift_once(monkeypatch):

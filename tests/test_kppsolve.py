@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from kpplab import coeff, equilibria, kppsolve
+from kpplab import _kernel, coeff, equilibria, kppsolve
 
 import oracles
 
@@ -114,6 +114,14 @@ def test_constants_are_scheme_fixed_points():
     assert float(np.max(np.abs(traj.frames))) == 0.0
 
 
+def _kernel_step(march, k, u):
+    """(field, sup) after step k of u, from the compiled step."""
+    u = np.ascontiguousarray(u, dtype=float)
+    out = np.empty_like(u)
+    top = _kernel.step(march, k, u.ctypes.data, out.ctypes.data)
+    return out, top
+
+
 @pytest.mark.parametrize("n", [3, 4, 257])
 @pytest.mark.parametrize("lam", [0.05, 40.0])
 def test_diffusion_solve_matches_dense_mirror_ghost(n, lam):
@@ -125,7 +133,10 @@ def test_diffusion_solve_matches_dense_mirror_ghost(n, lam):
     mat[0, 1] = mat[-1, -2] = -2.0 * lam    # mirror ghost nodes
     b = np.random.default_rng(n).uniform(0.0, 1.0, n)
     ref = np.linalg.solve(mat, b)
-    got = kppsolve._diffusion_ldlt([g], dt)(b.copy())
+    # with reaction rate 0 the step is the diffusion solve alone
+    march = _kernel.layout([0, n], np.zeros((1, 1)), None,
+                           *kppsolve._diffusion_ldlt([g], dt))
+    got, _ = _kernel_step(march, 0, b)
     assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
@@ -142,16 +153,118 @@ def test_stored_frames_have_no_subnormals():
     assert np.count_nonzero(frames[-1]) > g.n // 4
 
 
+# (x_lo, dx, n, Heaviside step x0): at dt = 0.001 the tail ahead of each
+# step passes through the subnormals inside its grid at every step
+KERNEL_GRIDS = [(-10.0, 0.5, 200, 0.0), (-8.0, 0.4, 210, -2.0),
+                (-12.0, 0.6, 190, 1.5)]
+
+
+@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("mu", [None, 0.8])
+def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
+    dt, n_steps = 0.001, 200
+    grids, fields = [], []
+    for x_lo, dx, n, x0 in KERNEL_GRIDS[:runs]:
+        grids.append(kppsolve.Grid1D(x_lo, x_lo + dx * (n - 1), n))
+        fields.append(kppsolve.init("heaviside", grids[-1], {"x0": x0}).values)
+    bounds = np.append(0, np.cumsum([g.n for g in grids]))
+    p = coeff.make_periodic(1.0, 0.5, 0.07)
+    mids = np.array([p.shift(0.03 * r)((np.arange(n_steps) + 0.5) * dt)
+                     for r in range(runs)])
+    nus = None if mu is None else \
+        (mu * mu + mids) / mu * dt / np.array([[g.dx] for g in grids])
+    d, e = kppsolve._diffusion_ldlt(grids, dt)
+    march = _kernel.layout(bounds, dt * mids, nus, d, e)
+    got = ref = lap = np.concatenate(fields)
+    for k in range(n_steps):
+        nu_k = None if nus is None else nus[:, k]
+        got, top = _kernel_step(march, k, got)
+        ref, ref_top, n_flushed = oracles.float_step(ref, bounds, dt * mids[:, k],
+                                                     nu_k, d, e)
+        lap, lap_top = oracles.lapack_step(lap, bounds, dt * mids[:, k], nu_k, d, e)
+        assert np.array_equal(_bits(got), _bits(ref)), "step %d" % k
+        assert np.array_equal(_bits(lap), _bits(ref)), "step %d" % k
+        assert _bits(top) == _bits(ref_top) == _bits(lap_top)
+        assert n_flushed > 0, "step %d" % k
+
+
+
+def _identity_step(values):
+    """The compiled step with reaction rate 0 and the factor of the identity
+    on the values between two zero end entries: only the flush acts."""
+    u = np.concatenate([[0.0], values, [0.0]])
+    march = _kernel.layout([0, u.size], np.zeros((1, 1)), None,
+                           np.ones(u.size), np.zeros(u.size - 1))
+    out, top = _kernel_step(march, 0, u)
+    return out[1:-1], top
+
+
 def test_flush_changes_only_subnormals():
     tiny = kppsolve.TINY
     sub = np.nextafter(0.0, 1.0)
     u = np.array([-1.0, -tiny, -tiny / 2, -sub, -0.0, 0.0, sub, tiny / 2,
-                  np.nextafter(tiny, 0.0), tiny, 1.0, math.nan])
-    out = kppsolve._flush_subnormals(u.copy())
+                  np.nextafter(tiny, 0.0), tiny, 1.0])
+    out, top = _identity_step(u)
     keep = ~(np.abs(u) < tiny)
-    assert np.array_equal(out[keep], u[keep], equal_nan=True)
-    assert np.all(out[~keep] == 0.0)
-    assert np.all(np.diff(out[:-1]) >= 0.0)      # still non-decreasing
+    assert np.array_equal(_bits(out[keep]), _bits(u[keep]))
+    assert np.array_equal(_bits(out[~keep]), _bits(np.zeros(np.sum(~keep))))
+    assert np.all(np.diff(out) >= 0.0)      # still non-decreasing
+    assert top == 1.0
+
+
+def test_kernel_sup_is_ndarray_max():
+    rng = np.random.default_rng(5)
+    for values in (rng.uniform(-2.0, 1.0, 50), -rng.uniform(1.0, 2.0, 7)):
+        out, top = _identity_step(values)
+        assert _bits(top) == _bits(np.append(out, 0.0).max())   # the two end zeros
+    march = _kernel.layout([0, 4], np.zeros((1, 1)), None, np.ones(4), np.zeros(3))
+    out, top = _kernel_step(march, 0, [-1.0, -2.0, -3.0, 4.0])
+    assert top == out[-1] == 2.0         # the last entry, halved
+    # a NaN anywhere spreads through the sweeps and is the sup, as in numpy
+    for at in (0, 3, 6):
+        values = np.linspace(0.0, 1.0, 7)
+        values[at] = math.nan
+        out, top = _identity_step(values)
+        assert math.isnan(top) and np.isnan(out).all()
+    # an overflow to -inf in the second run reaches the first as -inf * 0 =
+    # NaN where the runs meet: the sup is NaN though the last entry is not
+    g = kppsolve.Grid1D(0.0, 1.0, 5)
+    march = _kernel.layout([0, 5, 10], np.full((2, 1), 0.1), None,
+                           *kppsolve._diffusion_ldlt([g, g], 0.01))
+    out, top = _kernel_step(march, 0, np.repeat([0.5, 1e308], 5))
+    assert np.isnan(out[:5]).all() and np.all(out[5:] == -math.inf)
+    assert math.isnan(top)
+
+
+class _NanMidpoint:
+    """a = 1, except NaN at the midpoint t = 0.105 of the step from 0.1."""
+    t_lo, t_hi = -math.inf, math.inf
+
+    def __call__(self, t):
+        return np.where(np.abs(t - 0.105) < 1e-9, math.nan, 1.0)
+
+    def max_on(self, s, t):
+        return np.ones_like(s)
+
+
+def test_nan_in_the_field_reaches_the_gate(monkeypatch):
+    # a NaN rate at step 10 makes the field NaN; every later step reads the
+    # runs' own gates with sup u NaN, until the stored frame at t = 0.2
+    calls = []
+    check = kppsolve._check_step_bounds
+
+    def recorded(a_max, t, dt, u_max, grid, config):
+        calls.append((round(t, 9), u_max))
+        return check(a_max, t, dt, u_max, grid, config)
+
+    monkeypatch.setattr(kppsolve, "_check_step_bounds", recorded)
+    f = kppsolve.init("heaviside", kppsolve.make_grid(-5.0, 5.0, 0.5), {})
+    with pytest.raises(RuntimeError, match="non-finite field values at t=0.2"):
+        kppsolve.solve(f, _NanMidpoint(), 1.0,
+                       kppsolve.SolveConfig(dt=0.01, store_stride=20, margin=0.0))
+    assert [t for t, _ in calls] == [0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17,
+                                     0.18, 0.19]
+    assert all(math.isnan(u_max) for _, u_max in calls)
 
 
 def test_step_size_gates():
@@ -323,6 +436,15 @@ def test_solve_config_rejects_nonpositive_mu():
     for mu in (0, -1):
         with pytest.raises(ValueError, match="positive exponent mu"):
             kppsolve.SolveConfig(0.01, mu=mu)
+
+
+@pytest.mark.parametrize("name", ["dt", "mu", "margin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_solve_config_rejects_non_finite_values(name, value):
+    # dt=nan and margin=nan used to pass and fail inside march, naming no key
+    keys = dict({"dt": 0.01}, **{name: value})
+    with pytest.raises(ValueError, match="^%s must be finite, not %s$" % (name, value)):
+        kppsolve.SolveConfig(**keys)
 
 
 def test_frame_follows_mu_through_binary_roundtrip():
