@@ -4,7 +4,9 @@ kpp_step (see _step.c) makes one whole step of every run in one pass over
 the field: reaction, upwind, end-row halving, LAPACK dptts2's two sweeps on
 dpttrf's factor, the subnormal flush and sup u.  It replaces about eight
 numpy passes and a dpttrs call, whose fixed costs made most of a step on
-the grids kpplab runs.
+the grids kpplab runs.  Runs share no chain of the sweeps, so it sweeps
+them in groups of up to 4 that advance together, and the latencies of
+their chains overlap.
 
 The library is compiled with `cc -O2 -fPIC -shared -ffp-contract=off`.
 -ffp-contract=off is what keeps the results bitwise those of numpy and
@@ -98,11 +100,18 @@ step.restype = ctypes.c_double
 
 def layout(bounds, rates, nus, d, e):
     """The march that step(layout, k, u, out) reads: run offsets `bounds`
-    (K + 1 integers), rates and nus (K rows of n_steps floats; nus None in
-    the fixed frame) and dpttrf's factor d, e.  The arrays are kept with
-    it.  step writes the field after step k of the field at address u into
-    the buffer at address out and returns its largest entry."""
+    (K + 1 integers from 0 to d.size, each run at least 3 nodes), rates and
+    nus (K rows of n_steps floats; nus None in the fixed frame) and
+    dpttrf's factor d, e.  The arrays are kept with it.  step writes the
+    field after step k of the field at address u into the buffer at
+    address out and returns its largest entry."""
     bounds = np.ascontiguousarray(bounds, dtype=np.intp)
+    if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0:
+        raise ValueError("the run bounds must be K + 1 offsets from 0, not %s"
+                         % bounds.tolist())
+    if (np.diff(bounds) < 3).any():
+        raise ValueError("each run needs at least 3 nodes, not %s"
+                         % np.diff(bounds).tolist())
     arrays = [np.ascontiguousarray(a, dtype=float) for a in (rates, d, e)]
     if nus is not None:
         nus = np.ascontiguousarray(nus, dtype=float)

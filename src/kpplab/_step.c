@@ -2,8 +2,8 @@
  * kpplab._kernel.
  *
  * The K runs' fields lie end to end in one vector; run r holds the entries
- * [bounds[r], bounds[r + 1]).  kpp_step reads the field u at step k and
- * writes the next one into out (a different buffer):
+ * [bounds[r], bounds[r + 1]), at least 3 of them.  kpp_step reads the
+ * field u at step k and writes the next one into out (a different buffer):
  *
  *   reaction  v = u + (rate u)(1 - u), rate = dt a_r at the step's midpoint;
  *   upwind    v[i] + nu (v[i + 1] - v[i]) on every node but a run's last
@@ -11,18 +11,31 @@
  *   halving   of each run's first and last entry;
  *   solve     L D L^T x = b with LAPACK dpttrf's factor (d, e) of the
  *             stacked diffusion matrix, by the two sweeps of LAPACK dptts2
- *             over the whole vector (e is 0 between runs);
+ *             over each run's block (e is 0 between runs);
  *   flush     x = 0 where |x| < DBL_MIN, after the solve.
  *
  * It returns the largest entry of out, NaN when out holds a NaN (as
  * numpy's ndarray.max).  Each entry is made by the same floating-point
  * operations, in the same order, as numpy's elementwise calls and
- * LAPACK's dptts2, so the result is bitwise theirs.  That holds only while
- * the compiler fuses no multiply and add, hence -ffp-contract=off.
+ * LAPACK's dptts2 on the run alone, so the result is bitwise theirs.  That
+ * holds only while the compiler fuses no multiply and add, hence
+ * -ffp-contract=off.  On a finite field it is also dptts2 on the whole
+ * vector, whose zero coupling between runs (b - prev * 0) changes at most
+ * the sign of a zero, which the flush erases; a NaN or an overflow stays
+ * in its own run here, where the coupling would carry it on as NaN.
+ *
+ * Each sweep is a chain of dependent multiplies and subtractions, and runs
+ * share no chain, so the runs are swept in groups of up to GROUP that
+ * advance together: node j of every run in the group before node j + 1,
+ * over the group's shortest length, then the rest of each run alone.  The
+ * chains' latencies then overlap instead of adding up.
  */
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
+
+#define GROUP 4                /* runs swept together (the unroll pragmas
+                                  below name it as 4: they take no macro) */
 
 struct kpp_march {
     ptrdiff_t runs;            /* K */
@@ -34,53 +47,227 @@ struct kpp_march {
     const double *d, *e;       /* dpttrf's D (n entries) and L (n - 1) */
 };
 
+/* what one step reads and writes; out is not u */
+struct sweep {
+    const double *u, *d, *e;
+    double *out;
+    int moving;                /* the march is in the moving frame */
+};
+
 static double react(double u, double rate)
 {
     return u + (rate * u) * (1.0 - u);
 }
 
+/* the upwind update of the reacted v by its reacted right neighbour w */
+static double upwind(const struct sweep *s, double v, double w, double nu)
+{
+    return s->moving ? v + nu * (w - v) : v;
+}
+
+static double flush(double x)
+{
+    return fabs(x) < DBL_MIN ? 0.0 : x;
+}
+
+static double sup(double top, double y)
+{
+    return y > top || y != y ? y : top;
+}
+
+/* forward sweep at node i, neither first nor last of its run: *v is the
+   reacted u[i] and becomes the reacted u[i + 1]; out[i] gets y[i] / d[i],
+   the first operation of dptts2's backward sweep; returns y[i] */
+static inline double forward(const struct sweep *s, ptrdiff_t i, double rate,
+                             double nu, double *v, double prev)
+{
+    const double w = react(s->u[i + 1], rate);
+    double b = upwind(s, *v, w, nu);
+
+    *v = w;
+    b = b - prev * s->e[i - 1];
+    s->out[i] = b / s->d[i];
+    return b;
+}
+
+/* backward sweep at node i on the unflushed x[i + 1], then the flush;
+   returns x[i] and raises *top to the flushed entry */
+static inline double backward(const struct sweep *s, ptrdiff_t i, double x,
+                              double *top)
+{
+    x = s->out[i] - x * s->e[i];
+    s->out[i] = flush(x);
+    *top = sup(*top, s->out[i]);
+    return x;
+}
+
+/* the forward sweep of one run from its node i on, its last node hi - 1
+   (zero-gradient inflow) halved */
+static void forward_rest(const struct sweep *s, ptrdiff_t i, ptrdiff_t hi,
+                         double rate, double nu, double v, double prev)
+{
+    double b;
+
+    for (; i < hi - 1; i++)
+        prev = forward(s, i, rate, nu, &v, prev);
+    b = v * 0.5;
+    b = b - prev * s->e[i - 1];
+    s->out[i] = b / s->d[i];
+}
+
+/* the backward sweep of one run from its node i down to lo, on the
+   unflushed x[i + 1]; returns the sup of top and the flushed entries */
+static double backward_rest(const struct sweep *s, ptrdiff_t i, ptrdiff_t lo,
+                            double x, double top)
+{
+    for (; i >= lo; i--)
+        x = backward(s, i, x, &top);
+    return top;
+}
+
+/* one run of a group: its entries [lo, hi), its reaction rate and Courant
+   number, and the state of its sweeps */
+struct lane {
+    ptrdiff_t lo, hi;
+    double rate, nu, v, prev, x, top;
+};
+
+/* the forward sweep of the w runs of g together over their nodes 1 to
+   len - 2.  w is a constant 1 to GROUP where this is inlined and the lane
+   loops are unrolled, so that the lanes' state, copied into locals,
+   stays in registers. */
+static inline __attribute__((always_inline)) void
+forward_together(const struct sweep *s, struct lane *g, int w, ptrdiff_t len)
+{
+    double v[GROUP], prev[GROUP], rate[GROUP], nu[GROUP];
+    ptrdiff_t j, lo[GROUP];
+    int l;
+
+#pragma GCC unroll 4
+    for (l = 0; l < w; l++) {
+        v[l] = g[l].v;
+        prev[l] = g[l].prev;
+        rate[l] = g[l].rate;
+        nu[l] = g[l].nu;
+        lo[l] = g[l].lo;
+    }
+    for (j = 1; j < len - 1; j++) {
+#pragma GCC unroll 4
+        for (l = 0; l < w; l++)
+            prev[l] = forward(s, lo[l] + j, rate[l], nu[l], &v[l], prev[l]);
+    }
+#pragma GCC unroll 4
+    for (l = 0; l < w; l++) {
+        g[l].v = v[l];
+        g[l].prev = prev[l];
+    }
+}
+
+/* the backward sweep of the w runs of g together over their nodes hi - 2
+   down to hi - len, as forward_together */
+static inline __attribute__((always_inline)) void
+backward_together(const struct sweep *s, struct lane *g, int w, ptrdiff_t len)
+{
+    double x[GROUP], top[GROUP];
+    ptrdiff_t j, hi[GROUP];
+    int l;
+
+#pragma GCC unroll 4
+    for (l = 0; l < w; l++) {
+        x[l] = g[l].x;
+        top[l] = g[l].top;
+        hi[l] = g[l].hi;
+    }
+    for (j = 2; j <= len; j++) {
+#pragma GCC unroll 4
+        for (l = 0; l < w; l++)
+            x[l] = backward(s, hi[l] - j, x[l], &top[l]);
+    }
+#pragma GCC unroll 4
+    for (l = 0; l < w; l++) {
+        g[l].x = x[l];
+        g[l].top = top[l];
+    }
+}
+
+/* the step of the w <= GROUP runs from run r on; returns their sup */
+static double group(const struct kpp_march *m, const struct sweep *s,
+                    ptrdiff_t k, ptrdiff_t r, int w)
+{
+    struct lane g[GROUP];
+    ptrdiff_t len = m->bounds[r + 1] - m->bounds[r];
+    double top = -INFINITY;
+    int l;
+
+    /* forward sweep (solve L y = b), b made node by node: each run's first
+       node, halved; the interior the runs have in common together; each
+       run's rest alone */
+    for (l = 0; l < w; l++) {
+        struct lane *a = &g[l];
+        double v0, b;
+
+        a->lo = m->bounds[r + l];
+        a->hi = m->bounds[r + l + 1];
+        if (a->hi - a->lo < len)
+            len = a->hi - a->lo;
+        a->rate = m->rates[(r + l) * m->steps + k];
+        a->nu = s->moving ? m->nus[(r + l) * m->steps + k] : 0.0;
+        v0 = react(s->u[a->lo], a->rate);
+        a->v = react(s->u[a->lo + 1], a->rate);
+        b = upwind(s, v0, a->v, a->nu) * 0.5;
+        a->prev = b;
+        s->out[a->lo] = b / s->d[a->lo];
+    }
+    switch (w) {
+    case 1:
+        forward_together(s, g, 1, len);
+        break;
+    case 2:
+        forward_together(s, g, 2, len);
+        break;
+    case 3:
+        forward_together(s, g, 3, len);
+        break;
+    default:
+        forward_together(s, g, GROUP, len);
+    }
+    for (l = 0; l < w; l++)
+        forward_rest(s, g[l].lo + len - 1, g[l].hi, g[l].rate, g[l].nu,
+                     g[l].v, g[l].prev);
+
+    /* backward sweep (solve D L^T x = y) from each run's last node, as the
+       forward sweep */
+    for (l = 0; l < w; l++) {
+        g[l].x = s->out[g[l].hi - 1];
+        s->out[g[l].hi - 1] = g[l].top = flush(g[l].x);
+    }
+    switch (w) {
+    case 1:
+        backward_together(s, g, 1, len);
+        break;
+    case 2:
+        backward_together(s, g, 2, len);
+        break;
+    case 3:
+        backward_together(s, g, 3, len);
+        break;
+    default:
+        backward_together(s, g, GROUP, len);
+    }
+    for (l = 0; l < w; l++)
+        top = sup(top, backward_rest(s, g[l].hi - len - 1, g[l].lo, g[l].x,
+                                     g[l].top));
+    return top;
+}
+
 double kpp_step(const struct kpp_march *m, ptrdiff_t k, const double *u,
                 double *out)
 {
-    const double *d = m->d, *e = m->e;
-    const ptrdiff_t n = m->bounds[m->runs];
-    double b, prev = 0.0, x, top;
-    ptrdiff_t i;
+    const struct sweep s = {u, m->d, m->e, out, m->nus != NULL};
+    double top = -INFINITY;
 
-    /* forward sweep (solve L y = b), b made node by node; out[i] gets
-       y[i] / d[i], the first operation of dptts2's backward sweep */
-    for (ptrdiff_t r = 0; r < m->runs; r++) {
-        const ptrdiff_t lo = m->bounds[r], hi = m->bounds[r + 1];
-        const double rate = m->rates[r * m->steps + k];
-        const double nu = m->nus ? m->nus[r * m->steps + k] : 0.0;
-        double v = react(u[lo], rate);
-        for (i = lo; i < hi; i++) {
-            if (i + 1 < hi) {
-                const double w = react(u[i + 1], rate);
-                b = m->nus ? v + nu * (w - v) : v;
-                v = w;
-            } else {
-                b = v;           /* zero-gradient inflow at the last node */
-            }
-            if (i == lo || i + 1 == hi)
-                b *= 0.5;
-            if (i > 0)
-                b = b - prev * e[i - 1];
-            prev = b;
-            out[i] = b / d[i];
-        }
-    }
-
-    /* backward sweep (solve D L^T x = y) on the unflushed x[i + 1], then
-       the flush and the maximum of the flushed entries */
-    x = out[n - 1];
-    out[n - 1] = top = fabs(x) < DBL_MIN ? 0.0 : x;
-    for (i = n - 2; i >= 0; i--) {
-        x = out[i] - x * e[i];
-        const double y = fabs(x) < DBL_MIN ? 0.0 : x;
-        out[i] = y;
-        if (y > top || y != y)
-            top = y;
-    }
+    for (ptrdiff_t r = 0; r < m->runs; r += GROUP)
+        top = sup(top, group(m, &s, k, r, m->runs - r < GROUP ?
+                                          (int)(m->runs - r) : GROUP));
     return top;
 }

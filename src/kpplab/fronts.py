@@ -186,10 +186,10 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
                          domain=None, margin=50.0):
     """Classify each probe speed c as spread or vanish at time t_probe.
 
-    For every shift s the equation is solved once with the shifted path,
-    all shifts marched as one system (kppsolve.march_runs); each c is then
-    judged from the final frame: spread needs the solution
-    above eps_spread everywhere inside the ray |x| <= c t (both rays for
+    For every distinct shift s the equation is solved once with the shifted
+    path, all of them marched as one system (kppsolve.march_runs); each c
+    is then judged from the final frame: spread needs the solution above
+    eps_spread everywhere inside the ray |x| <= c t (both rays for
     compact data, the left-filled region x <= c t otherwise), across all
     shifts; vanish needs it below eps_vanish beyond the ray.  Strict
     inequalities: a tie is neither, which can only widen [c_lo, c_hi].
@@ -220,8 +220,9 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
                                   store_stride=int(round(t_probe / dt)))
 
     field0 = kppsolve.init(kind_name, grid, u0_params)
-    for _, finals in kppsolve.march_runs([field0] * len(shifts),
-                                         [path.shift(s) for s in shifts],
+    distinct = sorted(set(shifts))
+    for _, finals in kppsolve.march_runs([field0] * len(distinct),
+                                         [path.shift(s) for s in distinct],
                                          t_probe, config):
         pass
 
@@ -233,7 +234,7 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
         inside = (np.abs(x) <= reach) if two_sided else (x <= reach)
         outside = (np.abs(x) >= reach) if two_sided else (x >= reach)
         mins, maxs = [], []
-        for s, u in zip(shifts, finals):
+        for s, u in zip(distinct, finals):
             m_in = float(u[inside].min()) if inside.any() else math.nan
             m_out = float(u[outside].max()) if outside.any() else math.nan
             decisions[(c, s)] = (m_in, m_out)

@@ -27,7 +27,12 @@ every result is bitwise theirs; -ffp-contract=off keeps the compiler from
 fusing a multiply and an add into one FMA, which would round once where
 they round twice.  A step takes about 37 us at n = 5001 and 7.6 us at
 n = 1001 (2-core Xeon VM); the sweeps are chains of dependent multiplies
-and subtractions, whose latency is most of that.
+and subtractions, whose latency is most of that.  The runs of a march
+share no chain, so the kernel sweeps them in groups of up to 4 that
+advance node by node together, and their latencies overlap: a node-step
+of a march of 5 runs of about 1660 nodes costs about 20% less than with
+the runs swept one after another, and of 7 runs of 3701 nodes about 30%
+less.
 
 After each step, entries with |u| below the smallest normal float are set
 to 0.  The solution ahead of a front decays into subnormal numbers, which
@@ -46,23 +51,23 @@ path and grid each, sharing dt, t0 and t_end) as one system and yields
 (t, (u_1, ..., u_K)) at each stored time; march() is its one-run case.  The
 fields lie end to end in one vector, and the K diffusion matrices form one
 tridiagonal matrix whose off-diagonal entry is 0 between runs, factored
-once.  With a zero coupling the LAPACK recurrences pass each block through
-unchanged (b - b_prev * 0 forward, x - x_next * 0 backward; at most the
-sign of a zero differs, and the flush makes every zero +0), so each run is
-bitwise the run marched alone, whatever its grid.  The kernel's pass and
-the finiteness check of a stored frame cover the whole vector, so the fixed
-cost of a step is paid once for all runs.  Each run keeps its own reaction
-rate, moving-frame shift, gate and margin bands.  The addresses the kernel
-reads (the runs' bounds, rates and Courant numbers, the factor and two work
-arrays) are taken once per march.  A step writes into one of the work
-arrays, except a step whose frame is stored: it gets a new array, which
-is marked read-only, and each u_r is a view of it that is never written
-again.  The verifiers are checks with a step(t, u) and a finish(); verify()
-feeds them from march, so a command checks its run as it goes and never
-holds it, or from a stored Trajectory, which iterates as march does.
-plan() gives a run's Trajectory without its frames (grid, stored times,
-frame shifts, run record) to set checks up before the first step, and
-solve() collects march's frames into a Trajectory.
+once.  The kernel sweeps each run's block from its own first and last
+node, so runs share no chain: each run is bitwise the run marched alone,
+whatever its grid, and a NaN or an overflow stays in the run it arose
+in.  The kernel's call and the finiteness check of a stored frame cover
+the whole vector, so the fixed cost of a step is paid once for all runs.
+Each run keeps its own reaction rate, moving-frame shift, gate and margin
+bands.  The addresses the kernel reads (the runs' bounds, rates and
+Courant numbers, the factor and two work arrays) are taken once per
+march.  A step writes into one of the work arrays, except a step whose
+frame is stored: it gets a new array, which is marked read-only, and each
+u_r is a view of it that is never written again.  The verifiers are
+checks with a step(t, u) and a finish(); verify() feeds them from march,
+so a command checks its run as it goes and never holds it, or from a
+stored Trajectory, which iterates as march does.  plan() gives a run's
+Trajectory without its frames (grid, stored times, frame shifts, run
+record) to set checks up before the first step, and solve() collects
+march's frames into a Trajectory.
 
 Moving-frame solves (SolveConfig(dt=..., mu=...): setting mu selects the
 moving frame) use the time-dependent frame speed c(t) = (mu^2 + a(t)) / mu,

@@ -206,6 +206,25 @@ def test_subadditivity_marches_each_shift_once(monkeypatch):
     assert np.array_equal(rep.violations[1], rep.violations[2])
 
 
+def test_probe_interval_marches_each_shift_once(monkeypatch):
+    marched = []
+    march_runs = kppsolve.march_runs
+
+    def recorded(fields, paths, t_end, config):
+        marched.append([p.offset for p in paths])
+        return march_runs(fields, paths, t_end, config)
+
+    monkeypatch.setattr(kppsolve, "march_runs", recorded)
+    p = coeff.make_constant(1.0)
+    itv = fronts.probe_speed_interval(p, "front-like", [1.6, 2.2],
+                                      [1.0, 0.0, 1.0], t_probe=10.0, dx=0.2,
+                                      dt=0.01)
+    assert marched == [[0.0, 1.0]]
+    assert itv.shifts == (0.0, 1.0, 1.0)
+    assert itv.to_dict()["shifts"] == [0.0, 1.0, 1.0]
+    assert set(itv.decisions) == {(c, s) for c in (1.6, 2.2) for s in (0.0, 1.0)}
+
+
 def _heaviside_trace(p, t_end, dx, dt, margin):
     """The level-1/2 trace of one Heaviside run, solved alone and stored."""
     grid = kppsolve.make_grid(-(margin + 20.0),

@@ -2,6 +2,7 @@
 
 import io
 import math
+import subprocess
 
 import numpy as np
 import pytest
@@ -153,13 +154,18 @@ def test_stored_frames_have_no_subnormals():
     assert np.count_nonzero(frames[-1]) > g.n // 4
 
 
-# (x_lo, dx, n, Heaviside step x0): at dt = 0.001 the tail ahead of each
-# step passes through the subnormals inside its grid at every step
+# (x_lo, dx, n, Heaviside step x0): at dt = 0.001 the tail ahead of the
+# step on each of the first three grids passes through the subnormals at
+# every step.  Nine runs of very different lengths are swept in groups of
+# 4 (shortest 57), 4 (shortest 3) and 1; five in groups of 4 and 1.
 KERNEL_GRIDS = [(-10.0, 0.5, 200, 0.0), (-8.0, 0.4, 210, -2.0),
-                (-12.0, 0.6, 190, 1.5)]
+                (-12.0, 0.6, 190, 1.5), (-5.0, 0.3, 57, -1.0),
+                (-1.0, 1.0, 3, 0.0), (-9.0, 0.45, 120, 0.5),
+                (-11.0, 0.5, 260, 1.0), (-3.0, 0.25, 31, -0.5),
+                (-2.0, 0.7, 4, 0.0)]
 
 
-@pytest.mark.parametrize("runs", [1, 3])
+@pytest.mark.parametrize("runs", [1, 3, 5, 9])
 @pytest.mark.parametrize("mu", [None, 0.8])
 def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
     dt, n_steps = 0.001, 200
@@ -226,14 +232,23 @@ def test_kernel_sup_is_ndarray_max():
         values[at] = math.nan
         out, top = _identity_step(values)
         assert math.isnan(top) and np.isnan(out).all()
-    # an overflow to -inf in the second run reaches the first as -inf * 0 =
-    # NaN where the runs meet: the sup is NaN though the last entry is not
+    # an overflow to -inf stays in its own run, whichever side of the other
+    # run it is on: the other run is bitwise its one-run step, and the sup is
+    # ndarray.max of the whole output
     g = kppsolve.Grid1D(0.0, 1.0, 5)
+    alone, alone_top = _kernel_step(
+        _kernel.layout([0, 5], np.full((1, 1), 0.1), None,
+                       *kppsolve._diffusion_ldlt([g], 0.01)),
+        0, np.full(5, 0.5))
     march = _kernel.layout([0, 5, 10], np.full((2, 1), 0.1), None,
                            *kppsolve._diffusion_ldlt([g, g], 0.01))
-    out, top = _kernel_step(march, 0, np.repeat([0.5, 1e308], 5))
-    assert np.isnan(out[:5]).all() and np.all(out[5:] == -math.inf)
-    assert math.isnan(top)
+    for fine, big in ((slice(0, 5), slice(5, 10)), (slice(5, 10), slice(0, 5))):
+        u = np.full(10, 0.5)
+        u[big] = 1e308
+        out, top = _kernel_step(march, 0, u)
+        assert np.all(out[big] == -math.inf)
+        assert np.array_equal(_bits(out[fine]), _bits(alone))
+        assert _bits(top) == _bits(out.max()) == _bits(alone_top)
 
 
 class _NanMidpoint:
@@ -265,6 +280,61 @@ def test_nan_in_the_field_reaches_the_gate(monkeypatch):
     assert [t for t, _ in calls] == [0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17,
                                      0.18, 0.19]
     assert all(math.isnan(u_max) for _, u_max in calls)
+
+
+def test_nan_run_stays_in_its_own_run(monkeypatch):
+    # a NaN run marched ahead of a normal one fails as it does alone; until
+    # then the normal run's frames are bitwise its own march, and the gates
+    # read its own finite sup u while the NaN run's reads NaN
+    bad = kppsolve.init("heaviside", kppsolve.make_grid(-5.0, 5.0, 0.5), {})
+    good = kppsolve.init("heaviside", kppsolve.make_grid(-6.0, 9.0, 0.25), {})
+    p = coeff.make_constant(1.0)
+    config = kppsolve.SolveConfig(dt=0.01, store_stride=10, margin=0.0)
+    alone = [u for _, u in kppsolve.march(good, p, 1.0, config)]
+    with pytest.raises(RuntimeError, match="non-finite field values at t=0.2"):
+        for _ in kppsolve.march(bad, _NanMidpoint(), 1.0, config):
+            pass
+    calls = []
+    check = kppsolve._check_step_bounds
+
+    def recorded(a_max, t, dt, u_max, grid, config):
+        calls.append((grid, u_max))
+        return check(a_max, t, dt, u_max, grid, config)
+
+    monkeypatch.setattr(kppsolve, "_check_step_bounds", recorded)
+    frames = []
+    with pytest.raises(RuntimeError, match="non-finite field values at t=0.2"):
+        for _, (_, u) in kppsolve.march_runs([bad, good], [_NanMidpoint(), p],
+                                             1.0, config):
+            frames.append(u)
+    assert len(frames) == 2                 # t = 0 and 0.1
+    for u, ref in zip(frames, alone):
+        assert np.array_equal(_bits(u), _bits(ref))
+    assert len(calls) == 18                 # both runs' gates, t = 0.11 to 0.19
+    assert all(math.isnan(u_max) for grid, u_max in calls if grid is bad.grid)
+    assert all(0.0 < u_max <= 1.0 for grid, u_max in calls if grid is good.grid)
+
+
+def test_kernel_source_compiles_without_warnings():
+    done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+                           "-ffp-contract=off", _kernel._SOURCE],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("bounds, n, match", [
+    ([1, 5, 10], 10, "offsets from 0"),
+    ([0, 5, 3], 3, "at least 3 nodes"),             # runs out of order
+    ([0, 5, 5, 10], 10, "at least 3 nodes"),        # an empty run
+    ([0, 2, 10], 10, "at least 3 nodes"),
+    ([0, 5, 10], 12, "factor's size"),
+    ([[0, 5, 10]], 10, "offsets from 0"),
+])
+def test_layout_rejects_bounds_that_overrun_the_vector(bounds, n, match):
+    runs = max(np.size(bounds) - 1, 1)
+    with pytest.raises(ValueError, match=match):
+        _kernel.layout(bounds, np.zeros((runs, 1)), None, np.ones(n),
+                       np.zeros(n - 1))
 
 
 def test_step_size_gates():
