@@ -1,12 +1,14 @@
-"""The compiled step of kppsolve.march_runs, built from _step.c on first import.
+"""The compiled code of kpplab, built from _step.c on first import.
 
-kpp_step (see _step.c) makes one whole step of every run in one pass over
-the field: reaction, upwind, end-row halving, LAPACK dptts2's two sweeps on
-dpttrf's factor, the subnormal flush and sup u.  It replaces about eight
-numpy passes and a dpttrs call, whose fixed costs made most of a step on
-the grids kpplab runs.  Runs share no chain of the sweeps, so it sweeps
-them in groups of up to 4 that advance together, and the latencies of
-their chains overlap.
+step (kpp_step) makes one whole step of every run of kppsolve.march_runs in
+one pass over the field: reaction, upwind, end-row halving, LAPACK dptts2's
+two sweeps on the diffusion factor, the subnormal flush and sup u.  It
+replaces about eight numpy passes and a dpttrs call, whose fixed costs
+made most of a step on the grids kpplab runs.  Runs share no chain of the
+sweeps, so it sweeps them in groups of up to 4 that advance together, and
+the latencies of their chains overlap.  factor (kpp_factor) is LAPACK
+dpttrf, which gives that factor, and ar1 (kpp_ar1) the AR(1) recursion of
+coeff.NoisePath as LAPACK dgttrs computes it; both work in place.
 
 The library is compiled with `cc -O2 -fPIC -shared -ffp-contract=off`.
 -ffp-contract=off is what keeps the results bitwise those of numpy and
@@ -27,7 +29,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["FLAGS", "LIBRARY", "layout", "step"]
+__all__ = ["FLAGS", "LIBRARY", "layout", "step", "factor", "ar1"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -96,15 +98,43 @@ step = _lib.kpp_step
 step.argtypes = [ctypes.POINTER(_March), ctypes.c_ssize_t, ctypes.c_void_p,
                  ctypes.c_void_p]
 step.restype = ctypes.c_double
+_lib.kpp_factor.argtypes = [ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
+_lib.kpp_factor.restype = ctypes.c_ssize_t
+_lib.kpp_ar1.argtypes = [ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p]
+_lib.kpp_ar1.restype = None
+
+
+def _address(a):
+    """The address of the float64 array a, which is written in place."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous or \
+            not a.flags.writeable:
+        raise ValueError("need a writeable contiguous float64 array")
+    return a.ctypes.data
+
+
+def factor(d, e):
+    """LAPACK dpttrf: the L D L^T factor of the symmetric tridiagonal matrix
+    with diagonal d and off-diagonal e, written over them.  Returns
+    dpttrf's info: 0, or i + 1 where d[i] is the first non-positive pivot
+    (d.size when only the last one is)."""
+    if e.size != d.size - 1:
+        raise ValueError("e needs %d entries, not %d" % (d.size - 1, e.size))
+    return _lib.kpp_factor(d.size, _address(d), _address(e))
+
+
+def ar1(rho, x):
+    """x[i] = rho x[i - 1] + x[i] for i >= 1, in place, rounded as
+    x[i] - (-rho) x[i - 1] (the forward sweep of LAPACK dgttrs)."""
+    _lib.kpp_ar1(x.size, rho, _address(x))
 
 
 def layout(bounds, rates, nus, d, e):
     """The march that step(layout, k, u, out) reads: run offsets `bounds`
     (K + 1 integers from 0 to d.size, each run at least 3 nodes), rates and
-    nus (K rows of n_steps floats; nus None in the fixed frame) and
-    dpttrf's factor d, e.  The arrays are kept with it.  step writes the
-    field after step k of the field at address u into the buffer at
-    address out and returns its largest entry."""
+    nus (K rows of n_steps floats; nus None in the fixed frame) and the
+    diffusion factor d, e that factor gives.  The arrays are kept with it.
+    step writes the field after step k of the field at address u into the
+    buffer at address out and returns its largest entry."""
     bounds = np.ascontiguousarray(bounds, dtype=np.intp)
     if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0:
         raise ValueError("the run bounds must be K + 1 offsets from 0, not %s"

@@ -1,5 +1,9 @@
-/* One step of kpplab.kppsolve.march_runs, compiled and loaded by
- * kpplab._kernel.
+/* The compiled code of kpplab, loaded by kpplab._kernel: one step of
+ * kpplab.kppsolve.march_runs (kpp_step), and at the end of this file the
+ * two recursions that set runs up, the diffusion factor (kpp_factor, as
+ * LAPACK dpttrf) and the noise recursion (kpp_ar1, as the forward sweep of
+ * LAPACK dgtts2), bitwise those routines under the same -ffp-contract=off
+ * as the step.
  *
  * The K runs' fields lie end to end in one vector; run r holds the entries
  * [bounds[r], bounds[r + 1]), at least 3 of them.  kpp_step reads the
@@ -9,9 +13,9 @@
  *   upwind    v[i] + nu (v[i + 1] - v[i]) on every node but a run's last
  *             (moving frame only: nus is NULL in the fixed frame);
  *   halving   of each run's first and last entry;
- *   solve     L D L^T x = b with LAPACK dpttrf's factor (d, e) of the
- *             stacked diffusion matrix, by the two sweeps of LAPACK dptts2
- *             over each run's block (e is 0 between runs);
+ *   solve     L D L^T x = b with the factor (d, e) of the stacked diffusion
+ *             matrix that kpp_factor gives, by the two sweeps of LAPACK
+ *             dptts2 over each run's block (e is 0 between runs);
  *   flush     x = 0 where |x| < DBL_MIN, after the solve.
  *
  * It returns the largest entry of out, NaN when out holds a NaN (as
@@ -44,7 +48,7 @@ struct kpp_march {
     const double *rates;       /* rates[r * steps + k]: dt a_r(t_k + dt / 2) */
     const double *nus;         /* the runs' upwind Courant numbers, laid out
                                   as rates; NULL in the fixed frame */
-    const double *d, *e;       /* dpttrf's D (n entries) and L (n - 1) */
+    const double *d, *e;       /* kpp_factor's D (n entries) and L (n - 1) */
 };
 
 /* what one step reads and writes; out is not u */
@@ -270,4 +274,34 @@ double kpp_step(const struct kpp_march *m, ptrdiff_t k, const double *u,
         top = sup(top, group(m, &s, k, r, m->runs - r < GROUP ?
                                           (int)(m->runs - r) : GROUP));
     return top;
+}
+
+/* LAPACK dpttrf: the L D L^T factor of the symmetric tridiagonal matrix
+   with diagonal d (n entries) and off-diagonal e (n - 1), written over
+   them, by netlib's operations in netlib's order.  Returns LAPACK's info:
+   0, or i + 1 where d[i] is the first non-positive pivot (n when only the
+   last one is). */
+ptrdiff_t kpp_factor(ptrdiff_t n, double *d, double *e)
+{
+    for (ptrdiff_t i = 0; i < n - 1; i++) {
+        double ei;
+
+        if (d[i] <= 0.0)
+            return i + 1;
+        ei = e[i];
+        e[i] = ei / d[i];
+        d[i + 1] = d[i + 1] - e[i] * ei;
+    }
+    return n > 0 && d[n - 1] <= 0.0 ? n : 0;
+}
+
+/* the AR(1) recursion x[i] = rho x[i - 1] + x[i] over x's n entries, in
+   place, as LAPACK dgtts2's forward sweep with identity pivots and -rho
+   below the diagonal computes it: x[i] - (-rho) x[i - 1] */
+void kpp_ar1(ptrdiff_t n, double rho, double *x)
+{
+    const double l = -rho;
+
+    for (ptrdiff_t i = 1; i < n; i++)
+        x[i] = x[i] - l * x[i - 1];
 }

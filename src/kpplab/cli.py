@@ -113,7 +113,7 @@ def _validate_keys(cfg, command):
             ok = listed and (len(value) == 2 or not pair) and all(
                 isinstance(v, numbers.Real) for v in value)
         elif key == "sweep_values":
-            shape, ok = "a list", listed
+            shape, ok = "a non-empty list", listed and len(value) > 0
         elif key == "base":
             shape, ok = "an object", isinstance(value, dict)
         elif key in _TEXT_KEYS:
@@ -243,9 +243,8 @@ def cmd_mean(cfg):
     path = path_from_config(cfg)
     r_min = float(_require(cfg, "r_min", "mean"))
     horizon = _require(cfg, "horizon", "mean")
-    stride = cfg.get("stride")
     est = coeff.estimate_means(path, r_min, tuple(float(h) for h in horizon),
-                               stride=float(stride) if stride else None)
+                               **_floats(cfg, stride="stride"))
     results = {
         "a_lower_est": est.a_lower_est, "a_hat_est": est.a_hat_est,
         "a_upper_est": est.a_upper_est, "speed_band": list(est.speed_band),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._files import opened, write_table
-from ._lapack import dgttrs
+from ._kernel import ar1
 
 __all__ = [
     "CoefficientPath", "ConstantPath", "PeriodicPath", "TwoLevelPath",
@@ -434,13 +434,9 @@ class NoisePath(_UniformSamples):
     Shifting the time origin reuses the same realization.
 
     The AR(1) recursion x_i = rho x_{i-1} + e_i, with x_0 drawn from the
-    stationary law, is the unit lower-bidiagonal system with -rho below the
-    diagonal, solved by LAPACK dgttrs with identity pivots.  Its forward
-    sweep computes b_i - (-rho) x_{i-1}, the same two roundings as the plain
-    loop; its back sweep subtracts 0 * x and divides by 1, both exact.  So
-    the samples are bit for bit those of the loop, and dgttrs comes from
-    the same compiled LAPACK extension as the diffusion solve's routines
-    (see kpplab._lapack), so no further scipy module is loaded.
+    stationary law, runs in the compiled code of kpplab._kernel (ar1) as
+    e_i - (-rho) x_{i-1}: the same two roundings as the plain loop, so the
+    samples are bit for bit those of the loop.
     """
 
     kind = "noise"
@@ -463,19 +459,11 @@ class NoisePath(_UniformSamples):
         rho = math.exp(-self.kappa * dt)
         stat_sd = self.sigma / math.sqrt(2.0 * self.kappa)
         step_sd = self.sigma * math.sqrt((1.0 - rho * rho) / (2.0 * self.kappa))
-        # the wrapper rejects systems of order below 3; rows past the path
-        # come after it in the lower-triangular sweep and never feed back
-        order = max(n, 3)
-        x = np.zeros(order)
+        x = np.empty(n)
         x[0] = stat_sd * rng.standard_normal()
-        x[1:n] = step_sd * rng.standard_normal(n - 1)
-        zeros = np.zeros(order - 1)
-        x, info = dgttrs(np.full(order - 1, -rho), np.ones(order), zeros,
-                         zeros[1:], np.arange(1, order + 1, dtype=np.int32),
-                         x, overwrite_b=True)
-        if info != 0:
-            raise RuntimeError("dgttrs failed (info=%d)" % info)
-        super().__init__(t_lo, dt, self.xi_max * np.tanh(x[:n]))
+        x[1:] = step_sd * rng.standard_normal(n - 1)
+        ar1(rho, x)
+        super().__init__(t_lo, dt, self.xi_max * np.tanh(x))
 
     @property
     def dt(self):
@@ -546,6 +534,8 @@ def estimate_means(path, r_min, horizon, stride=None):
                          % (span, r_min))
     if stride is None:
         stride = r_min / 50.0
+    elif not 0 < stride < math.inf:
+        raise ValueError("stride must be finite and positive, not %r" % stride)
 
     lengths = []
     ell = float(r_min)

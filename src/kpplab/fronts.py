@@ -24,9 +24,9 @@ from ._files import write_table
 
 __all__ = [
     "FrontTrace", "SpeedEstimate", "SpeedInterval", "SubadditivityReport",
-    "TakeoverReport", "TailReport", "FrontTracker", "TakeoverCheck",
+    "TakeoverReport", "FrontTracker", "TakeoverCheck",
     "front_position", "track", "estimate_speed", "probe_speed_interval",
-    "subadditivity_check", "takeover_verify", "tail_uniformity",
+    "subadditivity_check", "takeover_verify",
 ]
 
 
@@ -391,6 +391,8 @@ class TakeoverCheck:
                  r_min=5.0, outer_tol=1e-3, inner_level=0.99):
         if h <= 0:
             raise ValueError("h must be positive")
+        if len(t_checks) == 0:
+            raise ValueError("need at least one check time")
         t0, t_end = float(run.times[0]), float(run.times[-1])
         mean_est = coeff.estimate_means(path, min(r_min, (t_end - t0) / 4.0),
                                         (t0, t_end))
@@ -430,38 +432,3 @@ def takeover_verify(trajectory, path, h, t_checks, **limits):
     same report as a check fed by march during the run."""
     check = TakeoverCheck(trajectory, path, h, t_checks, **limits)
     return kppsolve.verify(trajectory, check)[0]
-
-
-@dataclass
-class TailReport:
-    x_probes: tuple
-    deviations: tuple          # sup over window, x <= probe of |v - 1|
-    t_window: tuple
-
-
-def tail_uniformity(trajectory, x_probes, t_window):
-    """Sup deviation from the level 1 left of each probe position.
-
-    Intended for moving-frame runs where the profile should flatten to 1
-    on the left; deviations are automatically nonincreasing as probes move
-    left because the regions nest.  Stored times and grid nodes increase,
-    so the window and each region are slices: every deviation is
-    max(max v - 1, 1 - min v) over a view of the frames, the same float as
-    the max of |v - 1| without a frame-sized temporary.
-    """
-    times = trajectory.times
-    rows = slice(np.searchsorted(times, t_window[0] - 1e-12, side="left"),
-                 np.searchsorted(times, t_window[1] + 1e-12, side="right"))
-    frames = trajectory.frames[rows]
-    if frames.shape[0] == 0:
-        raise ValueError("no stored frames inside the window %s" % (t_window,))
-    x = trajectory.grid.x
-    devs = []
-    for p in x_probes:
-        region = frames[:, :np.searchsorted(x, p, side="right")]
-        if region.size == 0:
-            raise ValueError("probe %g is left of the whole grid" % p)
-        devs.append(float(max(region.max() - 1.0, 1.0 - region.min())))
-    return TailReport(x_probes=tuple(float(p) for p in x_probes),
-                      deviations=tuple(devs),
-                      t_window=(float(t_window[0]), float(t_window[1])))

@@ -10,11 +10,10 @@ purpose.
 
 The diffusion matrix I - dt L with mirror-ghost (zero-flux) ends is not
 symmetric, but halving its first and last rows makes it a symmetric
-positive definite M-matrix.  It is factored once per solve as L D L^T
-(LAPACK dpttrf, scipy's f2py wrapper, loaded by kpplab._lapack without
-importing the scipy.linalg package) and each step solves against the
-right-hand side with its end entries halved as well; halving is exact in
-binary, so this is the same linear system.
+positive definite M-matrix.  It is factored once per solve as L D L^T,
+by kpp_factor in _step.c, which is LAPACK dpttrf bit for bit, and each
+step solves against the right-hand side with its end entries halved as
+well; halving is exact in binary, so this is the same linear system.
 
 Each step is one call of a C function, kpp_step in _step.c, which
 kpplab._kernel compiles on first import with `cc -O2 -fPIC -shared
@@ -85,8 +84,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._files import opened, write_table
-from ._kernel import layout, step as _step
-from ._lapack import dpttrf
+from ._kernel import factor, layout, step as _step
 
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",
@@ -242,10 +240,11 @@ def _diffusion_ldlt(grids, dt):
     so constants are preserved and the inverse is a monotone averaging.
     The end rows carry -2 lam off the diagonal; halving them (w = 1/2 there,
     1 elsewhere) gives the symmetric positive definite tridiagonal
-    diag(w (1 + 2 lam)) with -lam off the diagonal, factored here by LAPACK
-    dpttrf.  The off-diagonal entry between one grid's last node and the
-    next grid's first is 0.  The step (kpplab._kernel) halves the
-    right-hand side's end entries and solves with the factor.
+    diag(w (1 + 2 lam)) with -lam off the diagonal, factored here in the
+    compiled code of kpplab._kernel, bitwise as LAPACK dpttrf would.  The
+    off-diagonal entry between one grid's last node and the next grid's
+    first is 0.  The step (kpplab._kernel) halves the right-hand side's end
+    entries and solves with the factor.
     """
     diag, off = [], []
     for grid in grids:
@@ -254,7 +253,8 @@ def _diffusion_ldlt(grids, dt):
         d[0] = d[-1] = 0.5 * (1.0 + 2.0 * lam)
         diag.append(d)
         off += [-lam] * (grid.n - 1) + [0.0]
-    d, e, info = dpttrf(np.concatenate(diag), np.array(off[:-1]))
+    d, e = np.concatenate(diag), np.array(off[:-1])
+    info = factor(d, e)
     if info != 0:
         raise RuntimeError("dpttrf failed (info=%d) for dt=%g" % (info, dt))
     return d, e

@@ -110,8 +110,9 @@ def brute_front(x, u, level):
 
 # -- one step of the solver: the runs' fields lie end to end in u, run r in
 # u[bounds[r]:bounds[r + 1]], with reaction rates[r] = dt a_r and upwind
-# Courant numbers nus[r] (None in the fixed frame); (d, e) is dpttrf's
-# L D L^T factor of the stacked diffusion matrix with halved end rows
+# Courant numbers nus[r] (None in the fixed frame); (d, e) is the L D L^T
+# factor of the stacked diffusion matrix with halved end rows, as LAPACK
+# dpttrf gives it
 
 
 def lapack_step(u, bounds, rates, nus, d, e):

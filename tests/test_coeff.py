@@ -173,6 +173,13 @@ def test_estimate_means_rejects_short_horizon():
         coeff.estimate_means(coeff.make_constant(1.0), 10.0, (0.0, 15.0))
 
 
+@pytest.mark.parametrize("stride", [0.0, -1.0, math.nan, math.inf])
+def test_estimate_means_rejects_a_stride_that_is_not_positive(stride):
+    with pytest.raises(ValueError, match="stride must be finite and positive"):
+        coeff.estimate_means(coeff.make_constant(1.0), 5.0, (0.0, 50.0),
+                             stride=stride)
+
+
 def test_noise_determinism_and_bounds():
     a = coeff.make_noise(123, t_lo=0.0, t_hi=20.0)
     b = coeff.make_noise(123, t_lo=0.0, t_hi=20.0)

@@ -279,19 +279,6 @@ def test_takeover_verify_constant_path():
         fronts.takeover_verify(traj, p, 10.0, [50.0])
     with pytest.raises(ValueError, match="positive"):
         fronts.takeover_verify(traj, p, 0.0, [50.0])
-
-
-def test_tail_uniformity_nested_probes():
-    p = coeff.make_constant(1.0)
-    g = kppsolve.make_grid(-25.0, 40.0, 0.1)
-    f = kppsolve.init("front-like", g, {"mu": 0.8})
-    traj = kppsolve.solve(f, p, 10.0,
-                          kppsolve.SolveConfig(dt=0.002, mu=0.8, margin=0.0,
-                                               store_stride=500))
-    rep = fronts.tail_uniformity(traj, [-5.0, -10.0], (5.0, 10.0))
-    assert rep.deviations[1] <= rep.deviations[0]
-    assert rep.deviations[1] < 0.05
-    with pytest.raises(ValueError, match="window"):
-        fronts.tail_uniformity(traj, [-5.0], (90.0, 95.0))
-    with pytest.raises(ValueError, match="left of the whole grid"):
-        fronts.tail_uniformity(traj, [-40.0], (5.0, 10.0))
+    # checked when the check is set up, not in finish() after the run
+    with pytest.raises(ValueError, match="at least one check time"):
+        fronts.takeover_verify(traj, p, 0.7, [])

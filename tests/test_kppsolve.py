@@ -141,6 +141,52 @@ def test_diffusion_solve_matches_dense_mirror_ghost(n, lam):
     assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
+# stacked grids as (n, dx): one large grid, grids of mixed n and dx down to
+# the 3-node minimum, and seven equal grids as a shift family marches them
+FACTOR_GRIDS = [[(5001, 0.1)],
+                [(1660, 0.137), (3, 0.5), (1661, 0.05), (4, 0.2), (97, 0.1)],
+                [(3701, 0.1)] * 7]
+
+
+@pytest.mark.parametrize("grids", FACTOR_GRIDS)
+@pytest.mark.parametrize("dt", [0.001, 0.003125, 0.005, 0.05, 0.2])
+def test_factor_is_dpttrf_bitwise(grids, dt):
+    from scipy.linalg.lapack import dpttrf
+
+    grids = [kppsolve.Grid1D(0.0, dx * (n - 1), n) for n, dx in grids]
+    diag, off = [], []
+    for g in grids:
+        lam = dt / g.dx ** 2
+        w = np.ones(g.n)
+        w[0] = w[-1] = 0.5
+        diag.append(w * (1.0 + 2.0 * lam))
+        off.append(np.append(np.full(g.n - 1, -lam), 0.0))
+    d, e = np.concatenate(diag), np.concatenate(off)[:-1]
+    ref_d, ref_e, ref_info = dpttrf(d, e)
+    assert ref_info == 0 and _kernel.factor(d, e) == 0
+    # the solver's factor is this one
+    for got, ref in zip((d, e) + kppsolve._diffusion_ldlt(grids, dt),
+                        (ref_d, ref_e) * 2):
+        assert np.array_equal(_bits(got), _bits(ref))
+
+
+@pytest.mark.parametrize("d, e, info", [
+    ([1.0, -1.0, 1.0, 1.0], [0.5, 0.5, 0.5], 2),    # an interior pivot
+    ([1.0, 0.25, 1.0], [0.5, 0.0], 2),              # made 0 by the elimination
+    ([1.0, 1.0, 0.0], [0.0, 0.0], 3),               # the last pivot only
+    ([2.0, 2.0, 2.0], [1.0, 1.0], 0),
+])
+def test_factor_reports_dpttrfs_info(d, e, info):
+    from scipy.linalg.lapack import dpttrf
+
+    d, e = np.array(d), np.array(e)
+    ref_d, ref_e, ref_info = dpttrf(d, e)
+    assert ref_info == info
+    assert _kernel.factor(d, e) == info
+    assert np.array_equal(_bits(d), _bits(ref_d))
+    assert np.array_equal(_bits(e), _bits(ref_e))
+
+
 def test_stored_frames_have_no_subnormals():
     # backward Euler spreads the step to every node at once, so the tail far
     # ahead of the front decays through the subnormal range

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kpplab import cli, coeff, equilibria, fronts, kppsolve, subsuper
+from kpplab import cli, coeff, equilibria, kppsolve, subsuper
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +71,6 @@ def test_verify_stability_decay_makes_no_frame_copy(case, traj):
     path = case[0]
     assert peak_ratio(
         traj, lambda: equilibria.verify_stability_decay(traj, path)) <= 0.1
-
-
-def test_tail_uniformity_makes_no_frame_copy(traj):
-    x_hi = traj.grid.x_hi
-    assert peak_ratio(traj, lambda: fronts.tail_uniformity(
-        traj, [0.0, x_hi], (0.0, 40.0))) <= 0.1
 
 
 # the memory-test grid and run as command configs: 801 frames of 2001 nodes
@@ -142,18 +136,3 @@ def test_stability_deviations_equal_the_abs_expression(lo, hi):
         traj, coeff.make_constant(1.0), bound=equilibria.stability_bound(lo, hi),
         slack=0.0)
     assert np.array_equal(report.deviations, np.max(np.abs(frames - 1.0), axis=1))
-
-
-@RANGES
-def test_tail_deviations_equal_the_abs_expression(lo, hi):
-    grid = kppsolve.Grid1D(-10.0, 10.0, 60)
-    times = np.linspace(0.0, 3.9, 40)
-    probes, window = [-9.9, -3.0, 0.0, 10.0], (0.5, 2.0)
-    rows = (times >= window[0] - 1e-12) & (times <= window[1] + 1e-12)
-    for seed in range(20):
-        frames = frames_in(lo, hi, seed)
-        traj = kppsolve.Trajectory(grid=grid, times=times, frames=frames)
-        expect = [np.max(np.abs(frames[rows][:, grid.x <= p] - 1.0))
-                  for p in probes]
-        assert fronts.tail_uniformity(traj, probes, window).deviations == \
-            tuple(expect)
