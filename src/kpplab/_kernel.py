@@ -5,10 +5,17 @@ one pass over the field: reaction, upwind, end-row halving, LAPACK dptts2's
 two sweeps on the diffusion factor, the subnormal flush and sup u.  It
 replaces about eight numpy passes and a dpttrs call, whose fixed costs
 made most of a step on the grids kpplab runs.  Runs share no chain of the
-sweeps, so it sweeps them in groups of up to 4 that advance together, and
-the latencies of their chains overlap.  factor (kpp_factor) is LAPACK
-dpttrf, which gives that factor, and ar1 (kpp_ar1) the AR(1) recursion of
-coeff.NoisePath as LAPACK dgttrs computes it; both work in place.
+sweeps, so it sweeps K runs in ceil(K / 4) groups whose sizes differ by at
+most 1, the runs of a group advancing together, and the latencies of their
+chains overlap.  steps (kpp_steps) is the loop of march_runs from one
+stored frame to the next: it makes each step into one of the two work
+buffers of a loop() and the last into the frame's array, and stops before
+a step where the fast reaction gate trips, so that Python reads the runs'
+own gates there.  ctypes releases the GIL for the length of a call, so
+marches on two threads overlap between their frames.  factor (kpp_factor)
+is LAPACK dpttrf, which gives that factor, and ar1 (kpp_ar1) the AR(1)
+recursion of coeff.NoisePath as LAPACK dgttrs computes it; both work in
+place.
 
 The library is compiled with `cc -O2 -fPIC -shared -ffp-contract=off`.
 -ffp-contract=off is what keeps the results bitwise those of numpy and
@@ -29,7 +36,8 @@ import zlib
 
 import numpy as np
 
-__all__ = ["FLAGS", "LIBRARY", "layout", "step", "factor", "ar1"]
+__all__ = ["FLAGS", "LIBRARY", "layout", "loop", "step", "steps", "factor",
+           "ar1"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -43,6 +51,13 @@ class _March(ctypes.Structure):
                 ("bounds", ctypes.c_void_p), ("rates", ctypes.c_void_p),
                 ("nus", ctypes.c_void_p), ("d", ctypes.c_void_p),
                 ("e", ctypes.c_void_p)]
+
+
+class _Loop(ctypes.Structure):
+    # struct kpp_loop of _step.c
+    _fields_ = [("dta_top", ctypes.c_void_p), ("limit", ctypes.c_double),
+                ("spare", ctypes.c_void_p * 2), ("u", ctypes.c_void_p),
+                ("top", ctypes.c_double)]
 
 
 def _build(target):
@@ -98,6 +113,10 @@ step = _lib.kpp_step
 step.argtypes = [ctypes.POINTER(_March), ctypes.c_ssize_t, ctypes.c_void_p,
                  ctypes.c_void_p]
 step.restype = ctypes.c_double
+steps = _lib.kpp_steps
+steps.argtypes = [ctypes.POINTER(_March), ctypes.POINTER(_Loop), ctypes.c_ssize_t,
+                  ctypes.c_ssize_t, ctypes.c_int, ctypes.c_void_p]
+steps.restype = ctypes.c_ssize_t
 _lib.kpp_factor.argtypes = [ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
 _lib.kpp_factor.restype = ctypes.c_ssize_t
 _lib.kpp_ar1.argtypes = [ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p]
@@ -157,3 +176,26 @@ def layout(bounds, rates, nus, d, e):
                    d.ctypes.data, e.ctypes.data)
     march.arrays = (bounds, rates, nus, d, e)
     return march
+
+
+def loop(dta_top, limit, u):
+    """The state that steps(layout, loop, k, k1, read, out) reads and
+    advances: the fast gate's dt sup a per step `dta_top` and its bound
+    `limit`, two new work buffers of u's size, and the field: the float64
+    array u to start from, then the address loop.u of the field the last
+    call reached (u, a work buffer or that call's out) with its largest
+    entry loop.top.  The arrays are kept with it.
+
+    steps makes steps k to k1 - 1, each but the last into the work buffer
+    that is not the field, the last into the buffer at address out.  It
+    stops before a step where dta_top[k] * max(1, 2 top - 1) <= limit fails
+    or top is NaN, except at step k when read is true, and returns that
+    step; it returns k1 when every step is made.  ctypes releases the GIL
+    for the length of the call."""
+    dta_top = np.ascontiguousarray(dta_top, dtype=float)
+    spare = np.empty((2, u.size))
+    state = _Loop(dta_top.ctypes.data, limit,
+                  (ctypes.c_void_p * 2)(*(v.ctypes.data for v in spare)),
+                  u.ctypes.data, float(u.max()))
+    state.arrays = (dta_top, spare, u)
+    return state

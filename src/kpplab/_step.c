@@ -1,5 +1,6 @@
 /* The compiled code of kpplab, loaded by kpplab._kernel: one step of
- * kpplab.kppsolve.march_runs (kpp_step), and at the end of this file the
+ * kpplab.kppsolve.march_runs (kpp_step), the loop over the steps between
+ * two stored frames (kpp_steps), and at the end of this file the
  * two recursions that set runs up, the diffusion factor (kpp_factor, as
  * LAPACK dpttrf) and the noise recursion (kpp_ar1, as the forward sweep of
  * LAPACK dgtts2), bitwise those routines under the same -ffp-contract=off
@@ -32,7 +33,17 @@
  * share no chain, so the runs are swept in groups of up to GROUP that
  * advance together: node j of every run in the group before node j + 1,
  * over the group's shortest length, then the rest of each run alone.  The
- * chains' latencies then overlap instead of adding up.
+ * chains' latencies then overlap instead of adding up.  K runs make
+ * ceil(K / GROUP) groups whose sizes differ by at most 1 (5 runs sweep as
+ * 3 + 2, not 4 + 1), since three lanes already hide about as much latency
+ * as four.
+ *
+ * kpp_steps runs kpp_step from one stored frame to the next, so Python,
+ * which holds the interpreter lock between calls, is not entered at every
+ * step: ctypes releases the lock for the length of a call, and two marches
+ * on two threads then overlap.  It stops before a step where the fast
+ * reaction gate trips and hands that step back to Python, which reads the
+ * runs' own gates there.
  */
 #include <float.h>
 #include <math.h>
@@ -49,6 +60,17 @@ struct kpp_march {
     const double *nus;         /* the runs' upwind Courant numbers, laid out
                                   as rates; NULL in the fixed frame */
     const double *d, *e;       /* kpp_factor's D (n entries) and L (n - 1) */
+};
+
+/* what kpp_steps keeps between its calls */
+struct kpp_loop {
+    const double *dta_top;     /* per step: dt times the largest sup a of
+                                  the runs over the step */
+    double limit;              /* the reaction gate's bound on
+                                  dt sup a max(1, 2 sup u - 1) */
+    double *spare[2];          /* two work buffers of the vector's length */
+    const double *u;           /* the field at the step reached */
+    double top;                /* its largest entry (NaN if it holds one) */
 };
 
 /* what one step reads and writes; out is not u */
@@ -268,12 +290,46 @@ double kpp_step(const struct kpp_march *m, ptrdiff_t k, const double *u,
                 double *out)
 {
     const struct sweep s = {u, m->d, m->e, out, m->nus != NULL};
+    /* ceil(K / GROUP) groups whose sizes differ by at most 1: the first
+       K % groups of them get one run more */
+    const ptrdiff_t groups = (m->runs + GROUP - 1) / GROUP;
+    const ptrdiff_t size = m->runs / groups, more = m->runs % groups;
     double top = -INFINITY;
 
-    for (ptrdiff_t r = 0; r < m->runs; r += GROUP)
-        top = sup(top, group(m, &s, k, r, m->runs - r < GROUP ?
-                                          (int)(m->runs - r) : GROUP));
+    for (ptrdiff_t g = 0, r = 0; g < groups; g++) {
+        const int w = (int)(g < more ? size + 1 : size);
+
+        top = sup(top, group(m, &s, k, r, w));
+        r += w;
+    }
     return top;
+}
+
+/* The steps k to k1 - 1 of a march, from the field l->u with largest entry
+   l->top: each step but the last writes into the work buffer that is not
+   l->u, the last into out.  Before each step it reads the fast gate,
+   dta_top[k] * max(1, 2 top - 1) <= limit, which bounds every run's
+   reaction gate (dta_top is inf where a run's CFL gate trips); where that
+   fails, or top is NaN, it returns k without making the step, unless k is
+   the first step and `read` is set (the runs' own gates passed there).
+   l->u and l->top are left at the field made last; returns k1 when every
+   step is made. */
+ptrdiff_t kpp_steps(const struct kpp_march *m, struct kpp_loop *l,
+                    ptrdiff_t k, ptrdiff_t k1, int read, double *out)
+{
+    for (; k < k1; k++, read = 0) {
+        const double f = 2.0 * l->top - 1.0;
+        double *next;
+
+        if (!read && !(l->dta_top[k] * (f > 1.0 ? f : 1.0) <= l->limit &&
+                       l->top == l->top))
+            return k;
+        next = k + 1 == k1 ? out : l->u == l->spare[0] ? l->spare[1]
+                                                        : l->spare[0];
+        l->top = kpp_step(m, k, l->u, next);
+        l->u = next;
+    }
+    return k;
 }
 
 /* LAPACK dpttrf: the L D L^T factor of the symmetric tridiagonal matrix

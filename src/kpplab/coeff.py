@@ -371,14 +371,30 @@ class _UniformSamples(_Signal):
         pos = np.clip((t - self._t0) / self._dt, 0.0, self.values.size - 1.0)
         k = np.minimum(pos.astype(int), self.values.size - 2)
         frac = pos - k
-        return k, frac, self.values[k] * (1.0 - frac) + self.values[k + 1] * frac
+        del pos
+        # values[k] (1 - frac) + values[k + 1] frac, with the same roundings,
+        # in place: a path build interpolates 10^5 times at once, and its
+        # temporaries set the peak memory of the commands that build one
+        vt = np.subtract(1.0, frac)
+        vt *= self.values[k]
+        right = self.values[1:][k]          # values[k + 1], without k + 1
+        right *= frac
+        vt += right
+        return k, frac, vt
 
     def _eval(self, t):
         return self._locate(t)[2]
 
     def _primitive(self, t):
+        # prefix[k] + 0.5 (values[k] + vt) (frac dt), in place as _locate
         k, frac, vt = self._locate(t)
-        return self._prefix[k] + 0.5 * (self.values[k] + vt) * (frac * self._dt)
+        frac *= self._dt
+        vt += self.values[k]
+        vt *= 0.5
+        vt *= frac
+        del frac
+        vt += self._prefix[k]
+        return vt
 
     def _extrema_on(self, a, b):
         va, vb = self._eval(a), self._eval(b)

@@ -71,7 +71,7 @@ def logistic_solution(u0, path, ts):
 def _log_weight(noise, t):
     """P(t) = t + integral of xi from 0 to t, so exp(P)' = (1 + xi) exp(P)."""
     t = np.asarray(t, dtype=float)
-    return t + noise.integral(np.zeros_like(t), t)
+    return t + noise.integral(0.0, t)
 
 
 def _weights(noise, t_min, ts):

@@ -14,6 +14,8 @@ shift set; that is a declared surrogate, not the mathematical supremum.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -286,6 +288,29 @@ def _midpoint_refine(axis):
     return out
 
 
+def _beside(first, second):
+    """(first(), second()), with first run on a new thread while this one
+    runs second, each to its end.  The error raised is the one a call of
+    first and then second would raise: first's, else second's."""
+    out = {}
+
+    def run():
+        try:
+            out["first"] = first()
+        except BaseException as exc:   # handed to the calling thread
+            out["error"] = exc
+
+    worker = threading.Thread(target=run, name="kpplab-beside")
+    worker.start()
+    try:
+        second_out = second()
+    finally:
+        worker.join()
+        if "error" in out:
+            raise out["error"] from None
+    return out["first"], second_out
+
+
 def subadditivity_check(path, times, *, dx=0.1, dt=0.005, margin=50.0,
                         check_doubling=False, n_jobs=None):
     """Defect of front-position additivity over a pair grid.
@@ -295,12 +320,17 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, margin=50.0,
     under the path shifted by t.  m_hat is the largest defect.  With
     check_doubling, the axis is refined by midpoints and the relative
     change of m_hat is reported; growth beyond 20% flags an unstable
-    estimate.  Pair times must be >= 2 so that fronts exist.  The base run
-    is marched alone; every shifted run (one per distinct time of the axis
-    and, with check_doubling, of its midpoints) is marched up front as one
-    system through kppsolve.march_runs, so an error comes from the earliest
-    step at which any shifted run fails.  n_jobs is accepted for old
-    callers and ignored.
+    estimate.  Pair times must be >= 2 so that fronts exist.  Every shifted
+    run (one per distinct time of the axis and, with check_doubling, of its
+    midpoints) is marched as one system through kppsolve.march_runs, so its
+    error comes from the earliest step at which any shifted run fails.  The
+    base run is a march of its own.  When os.sched_getaffinity allows two
+    CPUs or more, it is marched on a second thread while this one marches
+    the shifted runs; its set-up and first frame are made in this thread
+    first, so its arrays come from this thread's heap.  The thread is
+    joined before the call returns or raises, and the error raised is the
+    one the runs raise in order on one thread: the base run's, else the
+    shifted runs'.  n_jobs is accepted for old callers and ignored.
     """
     axis = [float(t) for t in times]
     if not axis:
@@ -321,16 +351,28 @@ def subadditivity_check(path, times, *, dx=0.1, dt=0.005, margin=50.0,
         field0 = kppsolve.init("heaviside", grid, {})
         return field0, FrontTracker(kppsolve.plan(field0, p, t_end, config), (0.5,))
 
-    field0, tracker = heaviside_run(path, 2.0 * axis[-1])
-    base = kppsolve.verify(kppsolve.march(field0, path, 2.0 * axis[-1], config),
-                           tracker)[0]
     shifts = sorted(set(fine))
-    paths = [path.shift(t) for t in shifts]
-    fields, trackers = zip(*(heaviside_run(p, axis[-1]) for p in paths))
-    for t, us in kppsolve.march_runs(fields, paths, axis[-1], config):
-        for tracker, u in zip(trackers, us):
-            tracker.step(t, u)
-    traces = {t: tracker.finish() for t, tracker in zip(shifts, trackers)}
+
+    def shifted():
+        paths = [path.shift(t) for t in shifts]
+        fields, trackers = zip(*(heaviside_run(p, axis[-1]) for p in paths))
+        for t, us in kppsolve.march_runs(fields, paths, axis[-1], config):
+            for tracker, u in zip(trackers, us):
+                tracker.step(t, u)
+        return {t: tracker.finish() for t, tracker in zip(shifts, trackers)}
+
+    field0, base_tracker = heaviside_run(path, 2.0 * axis[-1])
+    frames = kppsolve.march(field0, path, 2.0 * axis[-1], config)
+    # the first frame makes the march's set-up arrays in this thread
+    base_tracker.step(*next(frames))
+
+    def base_run():
+        return kppsolve.verify(frames, base_tracker)[0]
+
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        base, traces = base_run(), shifted()
+    else:
+        base, traces = _beside(base_run, shifted)
 
     def fill(t_axis, s_axis):
         v = np.empty((len(t_axis), len(s_axis)))

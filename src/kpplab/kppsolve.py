@@ -15,23 +15,23 @@ by kpp_factor in _step.c, which is LAPACK dpttrf bit for bit, and each
 step solves against the right-hand side with its end entries halved as
 well; halving is exact in binary, so this is the same linear system.
 
-Each step is one call of a C function, kpp_step in _step.c, which
-kpplab._kernel compiles on first import with `cc -O2 -fPIC -shared
--ffp-contract=off` and caches in the package's __pycache__.  In one pass
-over the field it makes the reaction, the upwind, the end-row halving, the
-forward and backward sweeps of LAPACK dptts2 (what dpttrs runs), the
-subnormal flush and sup u.  Each entry comes from the same floating-point
-operations in the same order as the numpy calls and dpttrs it replaced, so
-every result is bitwise theirs; -ffp-contract=off keeps the compiler from
-fusing a multiply and an add into one FMA, which would round once where
-they round twice.  A step takes about 37 us at n = 5001 and 7.6 us at
-n = 1001 (2-core Xeon VM); the sweeps are chains of dependent multiplies
-and subtractions, whose latency is most of that.  The runs of a march
-share no chain, so the kernel sweeps them in groups of up to 4 that
-advance node by node together, and their latencies overlap: a node-step
-of a march of 5 runs of about 1660 nodes costs about 20% less than with
-the runs swept one after another, and of 7 runs of 3701 nodes about 30%
-less.
+A step is kpp_step in _step.c, which kpplab._kernel compiles on first
+import with `cc -O2 -fPIC -shared -ffp-contract=off` and caches in the
+package's __pycache__.  In one pass over the field it makes the reaction,
+the upwind, the end-row halving, the forward and backward sweeps of LAPACK
+dptts2 (what dpttrs runs), the subnormal flush and sup u.  Each entry
+comes from the same floating-point operations in the same order as the
+numpy calls and dpttrs it replaced, so every result is bitwise theirs;
+-ffp-contract=off keeps the compiler from fusing a multiply and an add
+into one FMA, which would round once where they round twice.  The sweeps
+are chains of dependent multiplies and subtractions, whose latency is
+most of a step.  The runs of a march share no chain, so the kernel sweeps
+K runs in ceil(K / 4) groups of nearly equal size (5 runs as 3 + 2) that
+advance node by node together, and their latencies overlap.  The steps
+from one stored frame to the next are one call of kpp_steps, a loop in C:
+Python is entered once per stored frame, not once per step, and ctypes
+releases the GIL for the length of the call, so marches on two threads
+overlap.
 
 After each step, entries with |u| below the smallest normal float are set
 to 0.  The solution ahead of a front decays into subnormal numbers, which
@@ -42,8 +42,11 @@ or below -tiny are left alone so that a positivity fault still shows.
 A step-size gate keeps each step monotone: dt * sup a * max(1, 2 sup u - 1)
 <= 1/2, with sup a taken over the whole step, since paths need not be
 bounded and a spike narrower than dt must still count.  The step loop reads
-sup a for every step with one array call to path.max_on before the loop,
-and sup u each step; the gate itself is scalar arithmetic.
+sup a for every step with one array call to path.max_on before the loop.
+Before each step kpp_steps reads a fast gate with the largest dt sup a and
+sup u of all runs, which bounds every run's own gate; where it trips, it
+stops and hands the step back to march_runs, which reads each run's own
+gate there (and raises its error), then makes the step and goes on.
 
 march_runs() is the step loop: a generator that marches K runs (one field,
 path and grid each, sharing dt, t0 and t_end) as one system and yields
@@ -57,14 +60,14 @@ in.  The kernel's call and the finiteness check of a stored frame cover
 the whole vector, so the fixed cost of a step is paid once for all runs.
 Each run keeps its own reaction rate, moving-frame shift, gate and margin
 bands.  The addresses the kernel reads (the runs' bounds, rates and
-Courant numbers, the factor and two work arrays) are taken once per
-march.  A step writes into one of the work arrays, except a step whose
-frame is stored: it gets a new array, which is marked read-only, and each
-u_r is a view of it that is never written again.  The verifiers are
-checks with a step(t, u) and a finish(); verify() feeds them from march,
-so a command checks its run as it goes and never holds it, or from a
-stored Trajectory, which iterates as march does.  plan() gives a run's
-Trajectory without its frames (grid, stored times, frame shifts, run
+Courant numbers, the fast gate's dt sup a, the factor and two work arrays)
+are taken once per march.  A step writes into one of the work arrays,
+except a step whose frame is stored: it gets a new array, which is marked
+read-only, and each u_r is a view of it that is never written again.  The
+verifiers are checks with a step(t, u) and a finish(); verify() feeds them
+from march, so a command checks its run as it goes and never holds it, or
+from a stored Trajectory, which iterates as march does.  plan() gives a
+run's Trajectory without its frames (grid, stored times, frame shifts, run
 record) to set checks up before the first step, and solve() collects
 march's frames into a Trajectory.
 
@@ -84,7 +87,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._files import opened, write_table
-from ._kernel import factor, layout, step as _step
+from ._kernel import factor, layout, loop, steps as _steps
 
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",
@@ -511,29 +514,28 @@ def march_runs(init_fields, paths, t_end, config):
         vals.flags.writeable = False
         return t, tuple(vals[sl] for sl in slices)
 
-    # (array, address) of the field and of two buffers made once
-    spare = [(v, v.ctypes.data) for v in np.empty((2, bounds[-1]))]
     u = np.concatenate([np.asarray(f.values, dtype=float) for f in init_fields])
+    state = loop(dta_top, GATE_LIMIT, u)
+    # the work buffers by address, to find the field the loop stopped at
+    spare = {v.ctypes.data: v for v in state.arrays[1]}
     yield checked(u)
-    u, u_top = (u, u.ctypes.data), float(u.max())
-    for k in range(n_steps):
-        if u_top != u_top or \
-                not dta_top.item(k) * max(1.0, 2.0 * u_top - 1.0) <= GATE_LIMIT:
-            u_max = np.maximum.reduceat(u[0], bounds[:-1]).tolist()
-            for r, grid in enumerate(grids):
-                _check_step_bounds(a_max.item(r, k), t0 + k * dt, dt, u_max[r],
-                                   grid, config)
-        store = (k + 1) % stride == 0 or k + 1 == n_steps
-        # a stored frame gets a new array; other steps alternate two buffers
-        if store:
-            new = np.empty(bounds[-1])
-            out = new, new.ctypes.data
-        else:
-            out = spare[1] if u is spare[0] else spare[0]
-        u_top = _step(runs, k, u[1], out[1])
-        u = out
-        if store:
-            yield checked(u[0])
+    k = 0
+    for k1 in [*range(stride, n_steps, stride), n_steps]:
+        new = np.empty(bounds[-1])
+        read = False
+        while k < k1:
+            # the steps to the next stored frame in C, back here only at a
+            # step where the fast gate trips, to read the runs' own gates
+            k = _steps(runs, state, k, k1, read, new.ctypes.data)
+            read = k < k1
+            if read:
+                u_max = np.maximum.reduceat(spare.get(state.u, u),
+                                            bounds[:-1]).tolist()
+                for r, grid in enumerate(grids):
+                    _check_step_bounds(a_max.item(r, k), t0 + k * dt, dt,
+                                       u_max[r], grid, config)
+        u = new
+        yield checked(u)
 
 
 def verify(frames, *checks):

@@ -2,6 +2,7 @@
 
 import io
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -282,3 +283,57 @@ def test_takeover_verify_constant_path():
     # checked when the check is set up, not in finish() after the run
     with pytest.raises(ValueError, match="at least one check time"):
         fronts.takeover_verify(traj, p, 0.7, [])
+
+
+def _step_path(early, late, t_switch, t_hi=40.0):
+    """a = early before t_switch and late from it on, tabulated every 0.01."""
+    t = np.arange(0.0, t_hi + 0.005, 0.01)
+    return coeff.TabulatedPath(0.0, 0.01, np.where(t < t_switch, early, late))
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(fronts.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _margin_error(monkeypatch, path, cpus):
+    _cpus(monkeypatch, cpus)
+    before = threading.active_count()
+    with pytest.raises(kppsolve.FrontMarginError) as err:
+        fronts.subadditivity_check(path, [2.0, 3.0], dx=0.2, dt=0.01, margin=2.0)
+    assert threading.active_count() == before
+    return str(err.value)
+
+
+def test_subadditivity_on_two_cpus_is_the_one_cpu_report(monkeypatch):
+    p = coeff.make_periodic(1.0, 0.6, 7.0)
+    reports = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        before = threading.active_count()
+        reports.append(fronts.subadditivity_check(p, [2.0, 3.5, 6.0], dx=0.2,
+                                                  dt=0.01, margin=30.0,
+                                                  check_doubling=True))
+        assert threading.active_count() == before
+    one, two = reports
+    assert np.array_equal(one.violations.view(np.int64), two.violations.view(np.int64))
+    assert repr(one.m_hat) == repr(two.m_hat)
+    assert repr(one.doubling_change) == repr(two.doubling_change)
+    assert one.argmax_pair == two.argmax_pair
+
+
+def test_subadditivity_on_two_cpus_raises_the_one_cpu_error(monkeypatch):
+    # the shifted runs see a = 4 from t = 1 on and reach the right margin of
+    # a grid cut at x = 5 long before the base run, which sees a = 0.25 up
+    # to t = 3; the base run's error must still win, as it does on one CPU
+    p = _step_path(0.25, 4.0, 3.0)
+    monkeypatch.setattr(kppsolve, "suggest_domain", lambda path, t_end, margin: 5.0)
+    base_error = _margin_error(monkeypatch, p, 1)
+    for _ in range(20):
+        assert _margin_error(monkeypatch, p, 2) == base_error
+    # with room for the base run (t_end 6), the shifted runs' error is raised
+    monkeypatch.setattr(kppsolve, "suggest_domain",
+                        lambda path, t_end, margin: 60.0 if t_end > 3.0 else 5.0)
+    shifted_error = _margin_error(monkeypatch, p, 1)
+    assert shifted_error != base_error
+    for _ in range(20):
+        assert _margin_error(monkeypatch, p, 2) == shifted_error

@@ -203,7 +203,8 @@ def test_stored_frames_have_no_subnormals():
 # (x_lo, dx, n, Heaviside step x0): at dt = 0.001 the tail ahead of the
 # step on each of the first three grids passes through the subnormals at
 # every step.  Nine runs of very different lengths are swept in groups of
-# 4 (shortest 57), 4 (shortest 3) and 1; five in groups of 4 and 1.
+# 3 (shortest 190), 3 (shortest 3) and 3 (shortest 4); five in groups of 3
+# and 2 (shortest 3).
 KERNEL_GRIDS = [(-10.0, 0.5, 200, 0.0), (-8.0, 0.4, 210, -2.0),
                 (-12.0, 0.6, 190, 1.5), (-5.0, 0.3, 57, -1.0),
                 (-1.0, 1.0, 3, 0.0), (-9.0, 0.45, 120, 0.5),
@@ -705,6 +706,33 @@ def test_march_runs_raises_the_failing_runs_own_error(case):
     # the first run finishes alone
     for _ in kppsolve.march(fields[0], paths[0], t_end, config):
         pass
+
+
+def test_march_runs_hands_a_tripped_fast_gate_back_to_the_runs_gates(monkeypatch):
+    # run A: a = 2, u = 0.5; run B: a = 1, u = 1.5.  The fast gate, with the
+    # largest dt sup a and sup u of both, reads 0.4 * 2 = 0.8 > 0.5 while
+    # run B's sup u stays above 1.125; each run's own gate reads at most 0.4
+    g = kppsolve.make_grid(0.0, 5.0, 0.5)
+    fields = [kppsolve.init("constant", g, {"value": v}) for v in (0.5, 1.5)]
+    paths = [coeff.make_constant(2.0), coeff.make_constant(1.0)]
+    calls = []
+    check = kppsolve._check_step_bounds
+
+    def recorded(a_max, t, dt, u_max, grid, config):
+        calls.append(round(t, 9))
+        return check(a_max, t, dt, u_max, grid, config)
+
+    monkeypatch.setattr(kppsolve, "_check_step_bounds", recorded)
+    strided = kppsolve.SolveConfig(dt=0.2, store_stride=7, margin=0.0)
+    assert _assert_joint_equals_alone(fields, paths, 6.0, strided) == 6
+    # both runs' gates at steps 0 to 4, while run B's sup u > 1.125, inside
+    # the first stride; the runs alone never trip the fast gate
+    assert calls == [0.0, 0.0, 0.2, 0.2, 0.4, 0.4, 0.6, 0.6, 0.8, 0.8]
+    every = kppsolve.SolveConfig(dt=0.2, store_stride=1, margin=0.0)
+    frames = dict(kppsolve.march_runs(fields, paths, 6.0, every))
+    for t, us in kppsolve.march_runs(fields, paths, 6.0, strided):
+        for u, ref in zip(us, frames[t]):
+            assert np.array_equal(_bits(u), _bits(ref))
 
 
 def test_march_runs_yields_read_only_views_and_checks_its_input():

@@ -108,7 +108,7 @@ def test_certify_initial_ordering_fails_before_any_step(monkeypatch):
     def no_step(*args):
         raise AssertionError("a step was taken")
 
-    monkeypatch.setattr(kppsolve, "_step", no_step)
+    monkeypatch.setattr(kppsolve, "_steps", no_step)
     cfg = dict(GRID_CFG, **COMMANDS["certify"][1], slack=-1.0)
     with pytest.raises(subsuper.InitialOrderingError):
         cli.cmd_certify(cfg)
