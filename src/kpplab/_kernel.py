@@ -1,18 +1,20 @@
 """The compiled code of kpplab, built from _step.c on first import.
 
-step (kpp_step) makes one whole step of every run of kppsolve.march_runs in
-one pass over the field: reaction, upwind, end-row halving, LAPACK dptts2's
-two sweeps on the diffusion factor, the subnormal flush and sup u.  It
-replaces about eight numpy passes and a dpttrs call, whose fixed costs
-made most of a step on the grids kpplab runs.  Runs share no chain of the
-sweeps, so it sweeps K runs in ceil(K / 4) groups whose sizes differ by at
-most 1, the runs of a group advancing together, and the latencies of their
-chains overlap.  steps (kpp_steps) is the loop of march_runs from one
-stored frame to the next: it makes each step into one of the two work
-buffers of a loop() and the last into the frame's array, and stops before
-a step where the fast reaction gate trips, so that Python reads the runs'
-own gates there.  ctypes releases the GIL for the length of a call, so
-marches on two threads overlap between their frames.  factor (kpp_factor)
+steps (kpp_steps) is the loop of kppsolve.march_runs from one stored frame
+to the next, on the march that layout() builds.  Each step is one pass over
+the field for every run: reaction, upwind, end-row halving, LAPACK
+dptts2's two sweeps on the diffusion factor, the subnormal flush and each
+run's sup u.  It replaces about eight numpy passes and a dpttrs call,
+whose fixed costs made most of a step on the grids kpplab runs.  Runs
+share no chain of the sweeps, so K runs are swept in ceil(K / 4) groups
+whose sizes differ by at most 1, the runs of a group advancing together,
+and the latencies of their chains overlap.  Each step but the last goes
+into one of the march's two work buffers and the last into the frame's
+array.  Before each step, steps reads every run's own step gate, rounded
+as kppsolve._check_step_bounds rounds it, and it stops only before a step
+where one trips, so that Python raises that run's error.  ctypes releases
+the GIL for the length of a call, so marches on two threads overlap
+between their frames.  factor (kpp_factor)
 is LAPACK dpttrf, which gives that factor, and ar1 (kpp_ar1) the AR(1)
 recursion of coeff.NoisePath as LAPACK dgttrs computes it; both work in
 place.
@@ -36,8 +38,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["FLAGS", "LIBRARY", "layout", "loop", "step", "steps", "factor",
-           "ar1"]
+__all__ = ["FLAGS", "LIBRARY", "layout", "steps", "factor", "ar1"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
@@ -50,14 +51,10 @@ class _March(ctypes.Structure):
     _fields_ = [("runs", ctypes.c_ssize_t), ("steps", ctypes.c_ssize_t),
                 ("bounds", ctypes.c_void_p), ("rates", ctypes.c_void_p),
                 ("nus", ctypes.c_void_p), ("d", ctypes.c_void_p),
-                ("e", ctypes.c_void_p)]
-
-
-class _Loop(ctypes.Structure):
-    # struct kpp_loop of _step.c
-    _fields_ = [("dta_top", ctypes.c_void_p), ("limit", ctypes.c_double),
-                ("spare", ctypes.c_void_p * 2), ("u", ctypes.c_void_p),
-                ("top", ctypes.c_double)]
+                ("e", ctypes.c_void_p), ("dta", ctypes.c_void_p),
+                ("limit", ctypes.c_double), ("spare", ctypes.c_void_p * 2),
+                ("u", ctypes.c_void_p),
+                ("tops", ctypes.POINTER(ctypes.c_double))]
 
 
 def _build(target):
@@ -109,13 +106,9 @@ def _load():
 
 # the cached library's path (None when built for this process only)
 LIBRARY, _lib = _load()
-step = _lib.kpp_step
-step.argtypes = [ctypes.POINTER(_March), ctypes.c_ssize_t, ctypes.c_void_p,
-                 ctypes.c_void_p]
-step.restype = ctypes.c_double
 steps = _lib.kpp_steps
-steps.argtypes = [ctypes.POINTER(_March), ctypes.POINTER(_Loop), ctypes.c_ssize_t,
-                  ctypes.c_ssize_t, ctypes.c_int, ctypes.c_void_p]
+steps.argtypes = [ctypes.POINTER(_March), ctypes.c_ssize_t, ctypes.c_ssize_t,
+                  ctypes.c_void_p]
 steps.restype = ctypes.c_ssize_t
 _lib.kpp_factor.argtypes = [ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
 _lib.kpp_factor.restype = ctypes.c_ssize_t
@@ -147,13 +140,21 @@ def ar1(rho, x):
     _lib.kpp_ar1(x.size, rho, _address(x))
 
 
-def layout(bounds, rates, nus, d, e):
-    """The march that step(layout, k, u, out) reads: run offsets `bounds`
-    (K + 1 integers from 0 to d.size, each run at least 3 nodes), rates and
-    nus (K rows of n_steps floats; nus None in the fixed frame) and the
-    diffusion factor d, e that factor gives.  The arrays are kept with it.
-    step writes the field after step k of the field at address u into the
-    buffer at address out and returns its largest entry."""
+def layout(bounds, rates, nus, d, e, dta, limit, u):
+    """The march that steps(layout, k, k1, out) reads and advances: run
+    offsets `bounds` (K + 1 integers from 0 to d.size, each run at least 3
+    nodes), rates, nus and dta (K rows of n_steps floats; nus None in the
+    fixed frame), the diffusion factor d, e that factor gives, the reaction
+    gate's bound `limit`, two new work buffers, and the field: the array u
+    to start from, then the address layout.u of the field the last call
+    reached (u, a work buffer or that call's out), with each run's largest
+    entry in layout.tops[r].  The arrays are kept with it.
+
+    steps makes steps k to k1 - 1, each but the last into the work buffer
+    that is not the field, the last into the buffer at address out.  It
+    stops before the first step k where some run r has
+    dta[r, k] * max(1.0, 2.0 * tops[r] - 1.0) > limit and returns k; it
+    returns k1 when every step is made."""
     bounds = np.ascontiguousarray(bounds, dtype=np.intp)
     if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0:
         raise ValueError("the run bounds must be K + 1 offsets from 0, not %s"
@@ -161,41 +162,23 @@ def layout(bounds, rates, nus, d, e):
     if (np.diff(bounds) < 3).any():
         raise ValueError("each run needs at least 3 nodes, not %s"
                          % np.diff(bounds).tolist())
-    arrays = [np.ascontiguousarray(a, dtype=float) for a in (rates, d, e)]
+    rates, dta, d, e, u = (np.ascontiguousarray(a, dtype=float)
+                           for a in (rates, dta, d, e, u))
     if nus is not None:
         nus = np.ascontiguousarray(nus, dtype=float)
-        if nus.shape != arrays[0].shape:
-            raise ValueError("rates and nus differ in shape")
-    rates, d, e = arrays
+    if any(a.shape != rates.shape for a in (dta, nus) if a is not None):
+        raise ValueError("rates, nus and dta differ in shape")
     n = int(bounds[-1])
     if rates.ndim != 2 or rates.shape[0] != bounds.size - 1 or \
-            d.size != n or e.size != n - 1:
+            d.size != n or e.size != n - 1 or u.size != n:
         raise ValueError("the run layout does not match the factor's size")
+    spare = np.empty((2, n))
+    tops = np.maximum.reduceat(u, bounds[:-1])
     march = _March(bounds.size - 1, rates.shape[1], bounds.ctypes.data,
                    rates.ctypes.data, None if nus is None else nus.ctypes.data,
-                   d.ctypes.data, e.ctypes.data)
-    march.arrays = (bounds, rates, nus, d, e)
+                   d.ctypes.data, e.ctypes.data, dta.ctypes.data, limit,
+                   (ctypes.c_void_p * 2)(*(v.ctypes.data for v in spare)),
+                   u.ctypes.data,
+                   tops.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
+    march.arrays = (bounds, rates, nus, d, e, dta, spare, u, tops)
     return march
-
-
-def loop(dta_top, limit, u):
-    """The state that steps(layout, loop, k, k1, read, out) reads and
-    advances: the fast gate's dt sup a per step `dta_top` and its bound
-    `limit`, two new work buffers of u's size, and the field: the float64
-    array u to start from, then the address loop.u of the field the last
-    call reached (u, a work buffer or that call's out) with its largest
-    entry loop.top.  The arrays are kept with it.
-
-    steps makes steps k to k1 - 1, each but the last into the work buffer
-    that is not the field, the last into the buffer at address out.  It
-    stops before a step where dta_top[k] * max(1, 2 top - 1) <= limit fails
-    or top is NaN, except at step k when read is true, and returns that
-    step; it returns k1 when every step is made.  ctypes releases the GIL
-    for the length of the call."""
-    dta_top = np.ascontiguousarray(dta_top, dtype=float)
-    spare = np.empty((2, u.size))
-    state = _Loop(dta_top.ctypes.data, limit,
-                  (ctypes.c_void_p * 2)(*(v.ctypes.data for v in spare)),
-                  u.ctypes.data, float(u.max()))
-    state.arrays = (dta_top, spare, u)
-    return state

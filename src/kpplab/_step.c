@@ -1,6 +1,6 @@
-/* The compiled code of kpplab, loaded by kpplab._kernel: one step of
- * kpplab.kppsolve.march_runs (kpp_step), the loop over the steps between
- * two stored frames (kpp_steps), and at the end of this file the
+/* The compiled code of kpplab, loaded by kpplab._kernel: the steps of
+ * kpplab.kppsolve.march_runs between two stored frames (kpp_steps, which
+ * makes each one by kpp_step), and at the end of this file the
  * two recursions that set runs up, the diffusion factor (kpp_factor, as
  * LAPACK dpttrf) and the noise recursion (kpp_ar1, as the forward sweep of
  * LAPACK dgtts2), bitwise those routines under the same -ffp-contract=off
@@ -19,8 +19,9 @@
  *             dptts2 over each run's block (e is 0 between runs);
  *   flush     x = 0 where |x| < DBL_MIN, after the solve.
  *
- * It returns the largest entry of out, NaN when out holds a NaN (as
- * numpy's ndarray.max).  Each entry is made by the same floating-point
+ * It writes the largest entry of each run r of out into tops[r], NaN when
+ * the run holds a NaN (as numpy's maximum.reduceat; the flush leaves no
+ * -0.0 to tie with 0.0).  Each entry is made by the same floating-point
  * operations, in the same order, as numpy's elementwise calls and
  * LAPACK's dptts2 on the run alone, so the result is bitwise theirs.  That
  * holds only while the compiler fuses no multiply and add, hence
@@ -41,9 +42,10 @@
  * kpp_steps runs kpp_step from one stored frame to the next, so Python,
  * which holds the interpreter lock between calls, is not entered at every
  * step: ctypes releases the lock for the length of a call, and two marches
- * on two threads then overlap.  It stops before a step where the fast
- * reaction gate trips and hands that step back to Python, which reads the
- * runs' own gates there.
+ * on two threads then overlap.  Before each step it reads every run's own
+ * step gate, with the roundings of kpplab.kppsolve._check_step_bounds, and
+ * it stops only before a step where one of them trips: there Python reads
+ * the same gates and raises the first failing run's error.
  */
 #include <float.h>
 #include <math.h>
@@ -60,17 +62,14 @@ struct kpp_march {
     const double *nus;         /* the runs' upwind Courant numbers, laid out
                                   as rates; NULL in the fixed frame */
     const double *d, *e;       /* kpp_factor's D (n entries) and L (n - 1) */
-};
-
-/* what kpp_steps keeps between its calls */
-struct kpp_loop {
-    const double *dta_top;     /* per step: dt times the largest sup a of
-                                  the runs over the step */
+    const double *dta;         /* laid out as rates: dt sup a_r over step k,
+                                  inf where run r's CFL gate trips */
     double limit;              /* the reaction gate's bound on
                                   dt sup a max(1, 2 sup u - 1) */
     double *spare[2];          /* two work buffers of the vector's length */
     const double *u;           /* the field at the step reached */
-    double top;                /* its largest entry (NaN if it holds one) */
+    double *tops;              /* its largest entry per run (NaN if the run
+                                  holds one) */
 };
 
 /* what one step reads and writes; out is not u */
@@ -216,13 +215,12 @@ backward_together(const struct sweep *s, struct lane *g, int w, ptrdiff_t len)
     }
 }
 
-/* the step of the w <= GROUP runs from run r on; returns their sup */
-static double group(const struct kpp_march *m, const struct sweep *s,
-                    ptrdiff_t k, ptrdiff_t r, int w)
+/* the step of the w <= GROUP runs from run r on, with their sups */
+static void group(const struct kpp_march *m, const struct sweep *s,
+                  ptrdiff_t k, ptrdiff_t r, int w)
 {
     struct lane g[GROUP];
     ptrdiff_t len = m->bounds[r + 1] - m->bounds[r];
-    double top = -INFINITY;
     int l;
 
     /* forward sweep (solve L y = b), b made node by node: each run's first
@@ -281,53 +279,51 @@ static double group(const struct kpp_march *m, const struct sweep *s,
         backward_together(s, g, GROUP, len);
     }
     for (l = 0; l < w; l++)
-        top = sup(top, backward_rest(s, g[l].hi - len - 1, g[l].lo, g[l].x,
-                                     g[l].top));
-    return top;
+        m->tops[r + l] = backward_rest(s, g[l].hi - len - 1, g[l].lo, g[l].x,
+                                       g[l].top);
 }
 
-double kpp_step(const struct kpp_march *m, ptrdiff_t k, const double *u,
-                double *out)
+/* step k of the field m->u into out, each run's sup into m->tops */
+static void kpp_step(const struct kpp_march *m, ptrdiff_t k, double *out)
 {
-    const struct sweep s = {u, m->d, m->e, out, m->nus != NULL};
+    const struct sweep s = {m->u, m->d, m->e, out, m->nus != NULL};
     /* ceil(K / GROUP) groups whose sizes differ by at most 1: the first
        K % groups of them get one run more */
     const ptrdiff_t groups = (m->runs + GROUP - 1) / GROUP;
     const ptrdiff_t size = m->runs / groups, more = m->runs % groups;
-    double top = -INFINITY;
 
     for (ptrdiff_t g = 0, r = 0; g < groups; g++) {
         const int w = (int)(g < more ? size + 1 : size);
 
-        top = sup(top, group(m, &s, k, r, w));
+        group(m, &s, k, r, w);
         r += w;
     }
-    return top;
 }
 
-/* The steps k to k1 - 1 of a march, from the field l->u with largest entry
-   l->top: each step but the last writes into the work buffer that is not
-   l->u, the last into out.  Before each step it reads the fast gate,
-   dta_top[k] * max(1, 2 top - 1) <= limit, which bounds every run's
-   reaction gate (dta_top is inf where a run's CFL gate trips); where that
-   fails, or top is NaN, it returns k without making the step, unless k is
-   the first step and `read` is set (the runs' own gates passed there).
-   l->u and l->top are left at the field made last; returns k1 when every
-   step is made. */
-ptrdiff_t kpp_steps(const struct kpp_march *m, struct kpp_loop *l,
-                    ptrdiff_t k, ptrdiff_t k1, int read, double *out)
+/* The steps k to k1 - 1 of a march, from the field m->u with sups m->tops:
+   each step but the last writes into the work buffer that is not m->u, the
+   last into out.  Before each step it reads every run's reaction gate,
+   dta[r][k] * max(1, 2 tops[r] - 1) > limit, as Python rounds and compares
+   it (so a NaN passes), the runs in order; dta is inf where a run's CFL
+   gate trips.  At the first step where a gate trips it returns k without
+   making the step.  m->u and m->tops are left at the field made last;
+   returns k1 when every step is made. */
+ptrdiff_t kpp_steps(struct kpp_march *m, ptrdiff_t k, ptrdiff_t k1,
+                    double *out)
 {
-    for (; k < k1; k++, read = 0) {
-        const double f = 2.0 * l->top - 1.0;
+    for (; k < k1; k++) {
         double *next;
 
-        if (!read && !(l->dta_top[k] * (f > 1.0 ? f : 1.0) <= l->limit &&
-                       l->top == l->top))
-            return k;
-        next = k + 1 == k1 ? out : l->u == l->spare[0] ? l->spare[1]
-                                                        : l->spare[0];
-        l->top = kpp_step(m, k, l->u, next);
-        l->u = next;
+        for (ptrdiff_t r = 0; r < m->runs; r++) {
+            const double f = 2.0 * m->tops[r] - 1.0;
+
+            if (m->dta[r * m->steps + k] * (f > 1.0 ? f : 1.0) > m->limit)
+                return k;
+        }
+        next = k + 1 == k1 ? out : m->u == m->spare[0] ? m->spare[1]
+                                                        : m->spare[0];
+        kpp_step(m, k, next);
+        m->u = next;
     }
     return k;
 }

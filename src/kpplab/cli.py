@@ -126,6 +126,10 @@ def _validate_keys(cfg, command):
         if not ok:
             raise ConfigError("config key %r must be %s, got %r"
                               % (key, shape, value))
+    label = str(cfg.get("label", command))
+    if label in ("", ".", "..") or any(
+            sep and sep in label for sep in (os.sep, os.altsep)):
+        raise ConfigError("label must be a plain file name, not %r" % label)
     return cfg
 
 
@@ -174,13 +178,16 @@ def _solve_setup(cfg, command):
     dx = float(_require(cfg, "dx", command))
     grid = kppsolve.make_grid(x_lo, x_hi, dx)
     dt = float(_require(cfg, "dt", command))
+    config = kppsolve.SolveConfig(dt=dt, **_floats(cfg, margin="margin"))
     stride = cfg.get("stride_time")
-    stride = max(1, int(round(float(stride) / dt))) if stride else None
-    config = kppsolve.SolveConfig(dt=dt, store_stride=stride,
-                                  **_floats(cfg, margin="margin"))
+    if stride:
+        steps = float(stride) / dt
+        if not math.isfinite(steps):
+            raise ConfigError("stride_time / dt must be finite, not %r" % steps)
+        config.store_stride = max(1, int(round(steps)))
     t_end = float(_require(cfg, "t_end", command))
-    if t_end <= 0:
-        raise ConfigError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ConfigError("t_end must be finite and positive")
     return path, grid, config, t_end
 
 

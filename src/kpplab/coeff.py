@@ -15,13 +15,12 @@ used by the sub/supersolution machinery.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import opened, write_table
+from ._files import write_table
 from ._kernel import ar1
 
 __all__ = [
@@ -427,18 +426,6 @@ class TabulatedPath(_UniformSamples, CoefficientPath):
         d.update(self.meta)
         return d
 
-    @classmethod
-    def from_csv(cls, file):
-        with opened(file, "r") as fh:
-            rows = [ln for ln in fh if ln.strip() and not ln.startswith("#")
-                    and not ln.lower().startswith("t,")]
-        data = np.loadtxt(io.StringIO("".join(rows)), delimiter=",")
-        ts, vals = data[:, 0], data[:, 1]
-        dts = np.diff(ts)
-        if ts.size < 2 or not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-            raise ValueError("tabulated CSV must give a uniform time grid")
-        return cls(ts[0], float(dts[0]), vals)
-
 
 class NoisePath(_UniformSamples):
     """Seeded, bounded stationary noise: a squashed Ornstein-Uhlenbeck path.
@@ -542,6 +529,8 @@ class MeanEstimate:
 
 def estimate_means(path, r_min, horizon, stride=None):
     s0, s1 = float(horizon[0]), float(horizon[1])
+    if not (math.isfinite(s0) and math.isfinite(s1)):
+        raise ValueError("horizon must be finite, not [%r, %r]" % (s0, s1))
     span = s1 - s0
     if not r_min > 0:
         raise ValueError("r_min must be positive")

@@ -24,7 +24,7 @@ from .kppsolve import verify
 
 __all__ = [
     "logistic_solution", "real_noise_ode_solution", "truncation_horizon",
-    "tail_bound", "equilibrium_values", "logistic_residual",
+    "tail_bound", "equilibrium_values",
     "stability_bound", "StabilityBound", "StabilityCheck", "verify_stability_decay",
     "StabilityReport", "scheme_slack", "trajectory_slack",
     "SLACK_C1", "SLACK_C2",
@@ -46,8 +46,8 @@ def scheme_slack(dx, dt):
 def trajectory_slack(trajectory):
     """scheme_slack at the dx and dt recorded in trajectory.meta.
 
-    Raises ValueError when either is missing (a trajectory read from a KPP1
-    file carries no run record) rather than guessing a resolution.
+    Raises ValueError when either is missing (a Trajectory built without
+    a run record) rather than guessing a resolution.
     """
     missing = [k for k in ("dx", "dt") if k not in trajectory.meta]
     if missing:
@@ -162,23 +162,6 @@ def equilibrium_values(noise, ts, t_trunc):
             "the equilibrium's weights underflow on the horizon [%g, %g]: "
             "evaluate it on shorter ranges" % (t_min, t_max))
     return W / history
-
-
-def logistic_residual(ts, ys, noise):
-    """Sup residual of Y' = Y (1 + xi - Y) in panel-midpoint form, for
-    values ys of Y at the times ts.
-
-    Uses (ln Y_{k+1} - ln Y_k)/dt against 1 + xi(midpoint) - (Y_k+Y_{k+1})/2,
-    which is second-order on the sample grid and so isolates genuine model
-    error from differencing noise.
-    """
-    t = np.asarray(ts, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    dts = np.diff(t)
-    mid = 0.5 * (t[1:] + t[:-1])
-    lhs = np.diff(np.log(y)) / dts
-    rhs = 1.0 + noise(mid) - 0.5 * (y[1:] + y[:-1])
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 @dataclass

@@ -146,7 +146,8 @@ def estimate_speed(trace, burn_in=None, level=None, window=None):
     sel = (ts >= window[0] - 1e-12) & (ts <= window[1] + 1e-12)
     ts, xs = ts[sel], xs[sel]
     if ts.size < 3:
-        raise ValueError("fit window %s contains fewer than 3 samples" % (window,))
+        raise ValueError("fit window (%g, %g) contains fewer than 3 samples"
+                         % tuple(window))
     if ts[-1] - ts[0] < 10.0 - 1e-9:
         raise ValueError("fit window spans %g < 10 time units" % (ts[-1] - ts[0]))
     coef, cov = np.polyfit(ts, xs, 1, cov=True)

@@ -15,13 +15,14 @@ by kpp_factor in _step.c, which is LAPACK dpttrf bit for bit, and each
 step solves against the right-hand side with its end entries halved as
 well; halving is exact in binary, so this is the same linear system.
 
-A step is kpp_step in _step.c, which kpplab._kernel compiles on first
-import with `cc -O2 -fPIC -shared -ffp-contract=off` and caches in the
-package's __pycache__.  In one pass over the field it makes the reaction,
-the upwind, the end-row halving, the forward and backward sweeps of LAPACK
-dptts2 (what dpttrs runs), the subnormal flush and sup u.  Each entry
-comes from the same floating-point operations in the same order as the
-numpy calls and dpttrs it replaced, so every result is bitwise theirs;
+A step is one pass of kpp_steps in _step.c, which kpplab._kernel
+compiles on first import with `cc -O2 -fPIC -shared -ffp-contract=off` and
+caches in the package's __pycache__.  In one pass over the field it makes
+the reaction, the upwind, the end-row halving, the forward and backward
+sweeps of LAPACK dptts2 (what dpttrs runs), the subnormal flush and each
+run's sup u.  Each entry comes from the same floating-point operations in
+the same order as the numpy calls and dpttrs it replaced, so every result
+is bitwise theirs;
 -ffp-contract=off keeps the compiler from fusing a multiply and an add
 into one FMA, which would round once where they round twice.  The sweeps
 are chains of dependent multiplies and subtractions, whose latency is
@@ -43,10 +44,12 @@ A step-size gate keeps each step monotone: dt * sup a * max(1, 2 sup u - 1)
 <= 1/2, with sup a taken over the whole step, since paths need not be
 bounded and a spike narrower than dt must still count.  The step loop reads
 sup a for every step with one array call to path.max_on before the loop.
-Before each step kpp_steps reads a fast gate with the largest dt sup a and
-sup u of all runs, which bounds every run's own gate; where it trips, it
-stops and hands the step back to march_runs, which reads each run's own
-gate there (and raises its error), then makes the step and goes on.
+Before each step kpp_steps reads every run's own gate, from dt sup a (inf
+where the run's CFL gate trips) and the sup u the previous step left,
+rounded and compared as _check_step_bounds does, so both let a NaN pass.
+It stops only before a step where one of them trips; march_runs then reads
+the runs' gates there in order, and the first failing run raises its
+StepSizeError.
 
 march_runs() is the step loop: a generator that marches K runs (one field,
 path and grid each, sharing dt, t0 and t_end) as one system and yields
@@ -60,8 +63,8 @@ in.  The kernel's call and the finiteness check of a stored frame cover
 the whole vector, so the fixed cost of a step is paid once for all runs.
 Each run keeps its own reaction rate, moving-frame shift, gate and margin
 bands.  The addresses the kernel reads (the runs' bounds, rates and
-Courant numbers, the fast gate's dt sup a, the factor and two work arrays)
-are taken once per march.  A step writes into one of the work arrays,
+Courant numbers, their dt sup a, the factor and two work arrays) are
+taken once per march.  A step writes into one of the work arrays,
 except a step whose frame is stored: it gets a new array, which is marked
 read-only, and each u_r is a view of it that is never written again.  The
 verifiers are checks with a step(t, u) and a finish(); verify() feeds them
@@ -87,7 +90,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._files import opened, write_table
-from ._kernel import factor, layout, loop, steps as _steps
+from ._kernel import factor, layout, steps as _steps
 
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",
@@ -138,8 +141,14 @@ class Grid1D:
 
 def make_grid(x_lo, x_hi, dx):
     """Uniform grid with spacing dx (x_hi is kept, n is rounded)."""
+    x_lo, x_hi, dx = float(x_lo), float(x_hi), float(dx)
+    if not (math.isfinite(x_lo) and 0 < dx < math.inf
+            and math.isfinite((x_hi - x_lo) / dx)):
+        raise ValueError("a grid needs finite bounds, a finite positive dx and "
+                         "a finite number of cells, not [%r, %r] with dx=%r"
+                         % (x_lo, x_hi, dx))
     n = int(round((x_hi - x_lo) / dx)) + 1
-    return Grid1D(float(x_lo), float(x_lo) + (n - 1) * float(dx), n)
+    return Grid1D(x_lo, x_lo + (n - 1) * dx, n)
 
 
 @dataclass
@@ -308,10 +317,6 @@ class Trajectory:
             raise KeyError("no stored frame at t=%g (nearest %g)" % (t, self.times[k]))
         return k
 
-    def frame_at(self, t):
-        k = self.index_at(t)
-        return Field(self.grid, self.frames[k].copy(), float(self.times[k]))
-
     def to_csv(self, file):
         meta = " ".join("%s=%s" % (k, v) for k, v in sorted(self.meta.items()))
         write_table(file, ["t"] + ["%.12g" % xi for xi in self.grid.x],
@@ -339,7 +344,7 @@ class Trajectory:
 
     @staticmethod
     def from_binary(file):
-        """Read a KPP2 file, or a KPP1 file (no run record: empty meta).
+        """Read a KPP2 file.
 
         Each block is read straight into a new writeable array, so the
         frames are held once.  A file that ends early raises ValueError;
@@ -353,16 +358,14 @@ class Trajectory:
             return out
 
         with opened(file, "rb") as fh:
-            magic = fh.read(4)
-            if magic not in (b"KPP1", b"KPP2"):
-                raise ValueError("not a KPP1 or KPP2 trajectory file")
+            if fh.read(4) != b"KPP2":
+                raise ValueError("not a KPP2 trajectory file")
             n_frames, n_nodes = (int(v) for v in read(fh, "<i8", 2))
             x_lo, dx, moving, mu = read(fh, "<f8", 4)
             meta = {}
-            if magic == b"KPP2":
-                for key, value in zip(META_KEYS, read(fh, "<f8", len(META_KEYS))):
-                    if not math.isnan(value):
-                        meta[key] = int(value) if key == "stride" else float(value)
+            for key, value in zip(META_KEYS, read(fh, "<f8", len(META_KEYS))):
+                if not math.isnan(value):
+                    meta[key] = int(value) if key == "stride" else float(value)
             if fh.seekable():
                 here = fh.tell()
                 left = fh.seek(0, io.SEEK_END) - fh.seek(here)
@@ -487,20 +490,16 @@ def march_runs(init_fields, paths, t_end, config):
     for r, p in enumerate(paths):
         mids[r] = p(t0 + (np.arange(n_steps) + 0.5) * dt)
         a_max[r] = p.max_on(starts, starts + dt)
-    # dt sup a of all runs (written over starts, which is not needed again),
-    # times the factor of the largest sup u, bounds every run's reaction
-    # gate: the runs' own gates are read when it trips, and on every step
-    # where some run's CFL gate trips (set to inf there)
-    dta_top = np.max(a_max, axis=0, out=starts)
-    dta_top *= dt
+    del starts          # freed before the gate's rows take its place
+    # each run's dt sup a per step, as _check_step_bounds rounds it, for the
+    # reaction gate the kernel reads; inf where the run's CFL gate trips
+    dta = dt * a_max
     nus = None
     if config.mu is not None:
         dxs = np.array([[grid.dx] for grid in grids])
         nus = (config.mu ** 2 + mids) / config.mu * dt / dxs
-        dta_top[((config.mu ** 2 + a_max) / config.mu * dt / dxs
-                 > 1.0 + 1e-12).any(axis=0)] = np.inf
-    runs = layout(bounds, np.multiply(dt, mids, out=mids), nus,
-                  *_diffusion_ldlt(grids, dt))
+        dta[(config.mu ** 2 + a_max) / config.mu * dt / dxs
+            > 1.0 + 1e-12] = np.inf
 
     def checked(vals):
         t = next(times)
@@ -515,27 +514,22 @@ def march_runs(init_fields, paths, t_end, config):
         return t, tuple(vals[sl] for sl in slices)
 
     u = np.concatenate([np.asarray(f.values, dtype=float) for f in init_fields])
-    state = loop(dta_top, GATE_LIMIT, u)
-    # the work buffers by address, to find the field the loop stopped at
-    spare = {v.ctypes.data: v for v in state.arrays[1]}
+    runs = layout(bounds, np.multiply(dt, mids, out=mids), nus,
+                  *_diffusion_ldlt(grids, dt), dta, GATE_LIMIT, u)
     yield checked(u)
     k = 0
     for k1 in [*range(stride, n_steps, stride), n_steps]:
         new = np.empty(bounds[-1])
-        read = False
-        while k < k1:
-            # the steps to the next stored frame in C, back here only at a
-            # step where the fast gate trips, to read the runs' own gates
-            k = _steps(runs, state, k, k1, read, new.ctypes.data)
-            read = k < k1
-            if read:
-                u_max = np.maximum.reduceat(spare.get(state.u, u),
-                                            bounds[:-1]).tolist()
-                for r, grid in enumerate(grids):
-                    _check_step_bounds(a_max.item(r, k), t0 + k * dt, dt,
-                                       u_max[r], grid, config)
-        u = new
-        yield checked(u)
+        # the steps to the next stored frame in C, which stops only before
+        # a step where some run's gate trips: that run raises here
+        k = _steps(runs, k, k1, new.ctypes.data)
+        if k < k1:
+            for r, grid in enumerate(grids):
+                _check_step_bounds(a_max.item(r, k), t0 + k * dt, dt,
+                                   runs.tops[r], grid, config)
+            raise RuntimeError("the compiled gate refused the step from t=%g, "
+                               "which every run's gate passes" % (t0 + k * dt))
+        yield checked(new)
 
 
 def verify(frames, *checks):

@@ -157,6 +157,43 @@ def test_mean_rejects_a_stride_that_is_not_positive(stride, capsys):
     assert capsys.readouterr().err.startswith("error: stride must be")
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("takeover", ["dx=0"]),
+    ("takeover", ["dt=0", "stride_time=0.5"]),
+    ("takeover", ["x_hi=1e309"]),
+    ("takeover", ["x_lo=-1e309"]),
+    ("interval", ["dx=0"]),
+    ("mean", ["horizon=[0,1e309]"]),
+    ("takeover", ["t_end=1e309"]),
+    ("takeover", ["stride_time=1e309"]),
+])
+def test_degenerate_grid_step_or_horizon_is_a_usage_error(command, overrides,
+                                                          tmp_path, capsys):
+    # each used to end in a ZeroDivisionError or OverflowError traceback
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(_SHAPE_BASE[command]))
+    argv = [command, "--config", str(cfg_file)]
+    for override in overrides:
+        argv += ["--set", override]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("label", ["../../escape", "sub/run", "..", ".", ""])
+def test_label_must_be_a_plain_file_name(label, tmp_path, capsys):
+    out_dir = tmp_path / "a" / "b"
+    code = cli.main(["mean", "--set", "r_min=5", "--set", "horizon=[0,50]",
+                     "--set", "label=" + json.dumps(label),
+                     "--out-dir", str(out_dir)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: label must be a plain")
+    assert list(tmp_path.rglob("*.json")) == []
+    code = cli.main(["mean", "--set", "r_min=5", "--set", "horizon=[0,50]",
+                     "--set", "label=plain", "--out-dir", str(out_dir)])
+    assert code == cli.EXIT_OK
+    assert [p.name for p in tmp_path.rglob("*.json")] == ["plain.json"]
+
+
 def test_parse_override_forms():
     assert cli._parse_override("x=1.5") == ("x", 1.5)
     assert cli._parse_override("horizon=[0,50]") == ("horizon", [0, 50])

@@ -122,6 +122,17 @@ def test_estimate_speed_window_rules():
         fronts.estimate_speed(few)
 
 
+def test_estimate_speed_window_message_names_plain_numbers():
+    # the default window's ends are numpy floats, which %s wrote as
+    # np.float64(...) into the takeover artifact's "aborted" text
+    times = np.arange(0.0, 4.0)
+    tr = fronts.FrontTrace(times=times, levels=(0.5,), positions={0.5: times})
+    with pytest.raises(ValueError) as err:
+        fronts.estimate_speed(tr, burn_in=2.5)
+    assert str(err.value) == "fit window (2.5, 3) contains fewer than 3 samples"
+    assert "np.float64" not in str(err.value)
+
+
 def test_estimate_speed_on_real_run():
     tr = fronts.track(_heaviside_run(t_end=40.0, x_hi=150.0), levels=(0.5,))
     est = fronts.estimate_speed(tr, window=(20.0, 40.0))

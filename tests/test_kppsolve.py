@@ -115,12 +115,19 @@ def test_constants_are_scheme_fixed_points():
     assert float(np.max(np.abs(traj.frames))) == 0.0
 
 
-def _kernel_step(march, k, u):
-    """(field, sup) after step k of u, from the compiled step."""
-    u = np.ascontiguousarray(u, dtype=float)
-    out = np.empty_like(u)
-    top = _kernel.step(march, k, u.ctypes.data, out.ctypes.data)
-    return out, top
+def _kernel_march(bounds, rates, nus, d, e, u):
+    """The compiled march of the field u whose gate never trips (dt sup a
+    is 0 on every step)."""
+    return _kernel.layout(bounds, rates, nus, d, e, np.zeros_like(rates),
+                          kppsolve.GATE_LIMIT, u)
+
+
+def _kernel_step(march, k):
+    """(field, sups per run) after step k of the march's field, made by
+    kpp_steps as one call."""
+    out = np.empty(march.arrays[0][-1])
+    assert _kernel.steps(march, k, k + 1, out.ctypes.data) == k + 1
+    return out, np.array(march.tops[:march.runs])
 
 
 @pytest.mark.parametrize("n", [3, 4, 257])
@@ -135,9 +142,9 @@ def test_diffusion_solve_matches_dense_mirror_ghost(n, lam):
     b = np.random.default_rng(n).uniform(0.0, 1.0, n)
     ref = np.linalg.solve(mat, b)
     # with reaction rate 0 the step is the diffusion solve alone
-    march = _kernel.layout([0, n], np.zeros((1, 1)), None,
-                           *kppsolve._diffusion_ldlt([g], dt))
-    got, _ = _kernel_step(march, 0, b)
+    march = _kernel_march([0, n], np.zeros((1, 1)), None,
+                          *kppsolve._diffusion_ldlt([g], dt), b)
+    got, _ = _kernel_step(march, 0)
     assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
 
 
@@ -227,17 +234,19 @@ def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
     nus = None if mu is None else \
         (mu * mu + mids) / mu * dt / np.array([[g.dx] for g in grids])
     d, e = kppsolve._diffusion_ldlt(grids, dt)
-    march = _kernel.layout(bounds, dt * mids, nus, d, e)
-    got = ref = lap = np.concatenate(fields)
+    ref = lap = np.concatenate(fields)
+    march = _kernel_march(bounds, dt * mids, nus, d, e, ref)
     for k in range(n_steps):
         nu_k = None if nus is None else nus[:, k]
-        got, top = _kernel_step(march, k, got)
+        got, tops = _kernel_step(march, k)
         ref, ref_top, n_flushed = oracles.float_step(ref, bounds, dt * mids[:, k],
                                                      nu_k, d, e)
         lap, lap_top = oracles.lapack_step(lap, bounds, dt * mids[:, k], nu_k, d, e)
         assert np.array_equal(_bits(got), _bits(ref)), "step %d" % k
         assert np.array_equal(_bits(lap), _bits(ref)), "step %d" % k
-        assert _bits(top) == _bits(ref_top) == _bits(lap_top)
+        assert np.array_equal(_bits(tops),
+                              _bits(np.maximum.reduceat(ref, bounds[:-1])))
+        assert _bits(tops.max()) == _bits(ref_top) == _bits(lap_top)
         assert n_flushed > 0, "step %d" % k
 
 
@@ -246,9 +255,9 @@ def _identity_step(values):
     """The compiled step with reaction rate 0 and the factor of the identity
     on the values between two zero end entries: only the flush acts."""
     u = np.concatenate([[0.0], values, [0.0]])
-    march = _kernel.layout([0, u.size], np.zeros((1, 1)), None,
-                           np.ones(u.size), np.zeros(u.size - 1))
-    out, top = _kernel_step(march, 0, u)
+    march = _kernel_march([0, u.size], np.zeros((1, 1)), None,
+                          np.ones(u.size), np.zeros(u.size - 1), u)
+    out, (top,) = _kernel_step(march, 0)
     return out[1:-1], top
 
 
@@ -270,8 +279,9 @@ def test_kernel_sup_is_ndarray_max():
     for values in (rng.uniform(-2.0, 1.0, 50), -rng.uniform(1.0, 2.0, 7)):
         out, top = _identity_step(values)
         assert _bits(top) == _bits(np.append(out, 0.0).max())   # the two end zeros
-    march = _kernel.layout([0, 4], np.zeros((1, 1)), None, np.ones(4), np.zeros(3))
-    out, top = _kernel_step(march, 0, [-1.0, -2.0, -3.0, 4.0])
+    march = _kernel_march([0, 4], np.zeros((1, 1)), None, np.ones(4),
+                          np.zeros(3), [-1.0, -2.0, -3.0, 4.0])
+    out, (top,) = _kernel_step(march, 0)
     assert top == out[-1] == 2.0         # the last entry, halved
     # a NaN anywhere spreads through the sweeps and is the sup, as in numpy
     for at in (0, 3, 6):
@@ -280,22 +290,23 @@ def test_kernel_sup_is_ndarray_max():
         out, top = _identity_step(values)
         assert math.isnan(top) and np.isnan(out).all()
     # an overflow to -inf stays in its own run, whichever side of the other
-    # run it is on: the other run is bitwise its one-run step, and the sup is
-    # ndarray.max of the whole output
+    # run it is on: the other run is bitwise its one-run step, and each
+    # run's sup is ndarray.max of its own output
     g = kppsolve.Grid1D(0.0, 1.0, 5)
-    alone, alone_top = _kernel_step(
-        _kernel.layout([0, 5], np.full((1, 1), 0.1), None,
-                       *kppsolve._diffusion_ldlt([g], 0.01)),
-        0, np.full(5, 0.5))
-    march = _kernel.layout([0, 5, 10], np.full((2, 1), 0.1), None,
-                           *kppsolve._diffusion_ldlt([g, g], 0.01))
+    alone, (alone_top,) = _kernel_step(
+        _kernel_march([0, 5], np.full((1, 1), 0.1), None,
+                      *kppsolve._diffusion_ldlt([g], 0.01), np.full(5, 0.5)), 0)
     for fine, big in ((slice(0, 5), slice(5, 10)), (slice(5, 10), slice(0, 5))):
         u = np.full(10, 0.5)
         u[big] = 1e308
-        out, top = _kernel_step(march, 0, u)
+        march = _kernel_march([0, 5, 10], np.full((2, 1), 0.1), None,
+                              *kppsolve._diffusion_ldlt([g, g], 0.01), u)
+        out, tops = _kernel_step(march, 0)
         assert np.all(out[big] == -math.inf)
         assert np.array_equal(_bits(out[fine]), _bits(alone))
-        assert _bits(top) == _bits(out.max()) == _bits(alone_top)
+        assert _bits(tops[fine.start // 5]) == _bits(out[fine].max()) \
+            == _bits(alone_top)
+        assert tops[big.start // 5] == -math.inf
 
 
 class _NanMidpoint:
@@ -310,8 +321,9 @@ class _NanMidpoint:
 
 
 def test_nan_in_the_field_reaches_the_gate(monkeypatch):
-    # a NaN rate at step 10 makes the field NaN; every later step reads the
-    # runs' own gates with sup u NaN, until the stored frame at t = 0.2
+    # a NaN rate at step 10 makes the field NaN; every later step's gate
+    # reads sup u NaN, which passes, until the stored frame at t = 0.2 fails
+    # the finiteness check; no run's gate trips, so none is read in Python
     calls = []
     check = kppsolve._check_step_bounds
 
@@ -324,15 +336,30 @@ def test_nan_in_the_field_reaches_the_gate(monkeypatch):
     with pytest.raises(RuntimeError, match="non-finite field values at t=0.2"):
         kppsolve.solve(f, _NanMidpoint(), 1.0,
                        kppsolve.SolveConfig(dt=0.01, store_stride=20, margin=0.0))
-    assert [t for t, _ in calls] == [0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17,
-                                     0.18, 0.19]
-    assert all(math.isnan(u_max) for _, u_max in calls)
+    assert calls == []
+
+
+def test_nan_sup_a_passes_both_gates():
+    # a NaN sup a makes the gate NaN, and NaN > limit is false in C as in
+    # Python: the compiled loop makes the step rather than stop at it
+    class NanSup(_NanMidpoint):
+        def __call__(self, t):
+            return np.ones_like(t)
+
+        def max_on(self, s, t):
+            return np.where(np.abs(s - 0.1) < 1e-9, math.nan, 1.0)
+
+    f = kppsolve.init("heaviside", kppsolve.make_grid(-5.0, 5.0, 0.5), {})
+    config = kppsolve.SolveConfig(dt=0.01, store_stride=20, margin=0.0)
+    traj = kppsolve.solve(f, NanSup(), 1.0, config)
+    ref = kppsolve.solve(f, coeff.make_constant(1.0), 1.0, config)
+    assert np.array_equal(_bits(traj.frames), _bits(ref.frames))
 
 
 def test_nan_run_stays_in_its_own_run(monkeypatch):
     # a NaN run marched ahead of a normal one fails as it does alone; until
-    # then the normal run's frames are bitwise its own march, and the gates
-    # read its own finite sup u while the NaN run's reads NaN
+    # then the normal run's frames are bitwise its own march, and the NaN
+    # run's sup u trips neither run's gate
     bad = kppsolve.init("heaviside", kppsolve.make_grid(-5.0, 5.0, 0.5), {})
     good = kppsolve.init("heaviside", kppsolve.make_grid(-6.0, 9.0, 0.25), {})
     p = coeff.make_constant(1.0)
@@ -357,9 +384,7 @@ def test_nan_run_stays_in_its_own_run(monkeypatch):
     assert len(frames) == 2                 # t = 0 and 0.1
     for u, ref in zip(frames, alone):
         assert np.array_equal(_bits(u), _bits(ref))
-    assert len(calls) == 18                 # both runs' gates, t = 0.11 to 0.19
-    assert all(math.isnan(u_max) for grid, u_max in calls if grid is bad.grid)
-    assert all(0.0 < u_max <= 1.0 for grid, u_max in calls if grid is good.grid)
+    assert calls == []
 
 
 def test_kernel_source_compiles_without_warnings():
@@ -367,6 +392,33 @@ def test_kernel_source_compiles_without_warnings():
                            "-ffp-contract=off", _kernel._SOURCE],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_library_exports_one_step_entry_point():
+    for name in ("kpp_steps", "kpp_factor", "kpp_ar1"):
+        assert hasattr(_kernel._lib, name), name
+    assert not hasattr(_kernel._lib, "kpp_step")
+
+
+@pytest.mark.parametrize("a_hi, trips", [
+    (4.0 * kppsolve.GATE_LIMIT, False),
+    (np.nextafter(4.0 * kppsolve.GATE_LIMIT, math.inf), True),
+])
+def test_gate_boundary_is_the_python_gates(a_hi, trips):
+    # one step of 0.25 from u = 0.5, so max(1, 2 sup u - 1) = 1: the second
+    # run's gate reads 0.25 * a_hi, exactly GATE_LIMIT or the float above it
+    g = kppsolve.make_grid(0.0, 5.0, 0.5)
+    fields = [kppsolve.init("constant", g, {"value": 0.5})] * 2
+    paths = [coeff.make_constant(1.0), coeff.make_constant(a_hi)]
+    config = kppsolve.SolveConfig(dt=0.25, margin=0.0)
+    joint = kppsolve.march_runs(fields, paths, 0.25, config)
+    if not trips:
+        assert [t for t, _ in joint] == [0.0, 0.25]
+        return
+    kind, message = _error_of(kppsolve.march(fields[1], paths[1], 0.25, config))
+    assert kind is kppsolve.StepSizeError
+    assert message.startswith("reaction step too large at t=0:")
+    assert _error_of(joint) == (kind, message)
 
 
 @pytest.mark.parametrize("bounds, n, match", [
@@ -380,8 +432,8 @@ def test_kernel_source_compiles_without_warnings():
 def test_layout_rejects_bounds_that_overrun_the_vector(bounds, n, match):
     runs = max(np.size(bounds) - 1, 1)
     with pytest.raises(ValueError, match=match):
-        _kernel.layout(bounds, np.zeros((runs, 1)), None, np.ones(n),
-                       np.zeros(n - 1))
+        _kernel_march(bounds, np.zeros((runs, 1)), None, np.ones(n),
+                      np.zeros(n - 1), np.zeros(n))
 
 
 def test_step_size_gates():
@@ -457,10 +509,9 @@ def test_store_stride_and_frame_lookup():
     traj = kppsolve.solve(f, p, 1.0,
                           kppsolve.SolveConfig(dt=0.01, store_stride=25, margin=0.0))
     assert np.allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
-    fr = traj.frame_at(0.5)
-    assert fr.t == 0.5
+    assert traj.times[traj.index_at(0.5)] == 0.5
     with pytest.raises(KeyError):
-        traj.frame_at(0.3)
+        traj.index_at(0.3)
 
 
 @pytest.mark.parametrize("stride", [2.5, -3, 0])
@@ -537,16 +588,14 @@ def test_trajectory_binary_roundtrip_in_memory(tmp_path):
         kppsolve.Trajectory.from_binary(io.BytesIO(bad))
 
 
-def test_trajectory_binary_reads_kpp1_without_run_record():
+def test_trajectory_binary_rejects_kpp1():
+    # the layout before KPP2, without the run record, is no longer read
     traj = _moving_trajectory()
-    kpp1 = (b"KPP1" + np.asarray([traj.times.size, traj.grid.n], "<i8").tobytes()
-            + np.asarray([traj.grid.x_lo, traj.grid.dx, 1.0, 0.8], "<f8").tobytes()
-            + b"".join(np.asarray(a, "<f8").tobytes()
-                       for a in (traj.times, traj.frame_shift, traj.frames)))
-    back = kppsolve.Trajectory.from_binary(io.BytesIO(kpp1))
-    assert back.meta == {}
-    back.meta = traj.meta
-    _assert_same_trajectory(back, traj)
+    buf = io.BytesIO()
+    traj.to_binary(buf)
+    kpp1 = b"KPP1" + buf.getvalue()[4:]
+    with pytest.raises(ValueError, match="^not a KPP2 trajectory file$"):
+        kppsolve.Trajectory.from_binary(io.BytesIO(kpp1))
 
 
 def test_solve_config_rejects_nonpositive_mu():
@@ -708,10 +757,21 @@ def test_march_runs_raises_the_failing_runs_own_error(case):
         pass
 
 
-def test_march_runs_hands_a_tripped_fast_gate_back_to_the_runs_gates(monkeypatch):
-    # run A: a = 2, u = 0.5; run B: a = 1, u = 1.5.  The fast gate, with the
-    # largest dt sup a and sup u of both, reads 0.4 * 2 = 0.8 > 0.5 while
-    # run B's sup u stays above 1.125; each run's own gate reads at most 0.4
+def test_a_step_the_kernel_refuses_never_passes_silently(monkeypatch):
+    # should the Python gates ever pass a step the compiled gate refused,
+    # the march stops there instead of yielding an unmade frame
+    monkeypatch.setattr(kppsolve, "_check_step_bounds", lambda *args: None)
+    g = kppsolve.make_grid(0.0, 5.0, 0.5)
+    f = kppsolve.init("constant", g, {"value": 2.0})
+    with pytest.raises(RuntimeError, match="refused the step from t=0,"):
+        kppsolve.solve(f, coeff.make_constant(2.0), 0.2,
+                       kppsolve.SolveConfig(dt=0.2))
+
+
+def test_march_runs_gates_each_run_on_its_own_sups(monkeypatch):
+    # run A: a = 2, u = 0.5; run B: a = 1, u = 1.5.  A gate with the largest
+    # dt sup a and sup u of both would read 0.4 * 2 = 0.8 > 0.5 while run
+    # B's sup u stays above 1.125; each run's own gate reads at most 0.4
     g = kppsolve.make_grid(0.0, 5.0, 0.5)
     fields = [kppsolve.init("constant", g, {"value": v}) for v in (0.5, 1.5)]
     paths = [coeff.make_constant(2.0), coeff.make_constant(1.0)]
@@ -725,9 +785,8 @@ def test_march_runs_hands_a_tripped_fast_gate_back_to_the_runs_gates(monkeypatch
     monkeypatch.setattr(kppsolve, "_check_step_bounds", recorded)
     strided = kppsolve.SolveConfig(dt=0.2, store_stride=7, margin=0.0)
     assert _assert_joint_equals_alone(fields, paths, 6.0, strided) == 6
-    # both runs' gates at steps 0 to 4, while run B's sup u > 1.125, inside
-    # the first stride; the runs alone never trip the fast gate
-    assert calls == [0.0, 0.0, 0.2, 0.2, 0.4, 0.4, 0.6, 0.6, 0.8, 0.8]
+    # no run's own gate trips, so none is read in Python
+    assert calls == []
     every = kppsolve.SolveConfig(dt=0.2, store_stride=1, margin=0.0)
     frames = dict(kppsolve.march_runs(fields, paths, 6.0, every))
     for t, us in kppsolve.march_runs(fields, paths, 6.0, strided):
