@@ -148,7 +148,8 @@ def layout(bounds, rates, nus, d, e, dta, limit, u):
     gate's bound `limit`, two new work buffers, and the field: the array u
     to start from, then the address layout.u of the field the last call
     reached (u, a work buffer or that call's out), with each run's largest
-    entry in layout.tops[r].  The arrays are kept with it.
+    entry in layout.tops[r].  The arrays are kept with it; the out of the
+    last call is not, so the caller keeps it while it steps on.
 
     steps makes steps k to k1 - 1, each but the last into the work buffer
     that is not the field, the last into the buffer at address out.  It

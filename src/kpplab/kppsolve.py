@@ -48,8 +48,9 @@ Before each step kpp_steps reads every run's own gate, from dt sup a (inf
 where the run's CFL gate trips) and the sup u the previous step left,
 rounded and compared as _check_step_bounds does, so both let a NaN pass.
 It stops only before a step where one of them trips; march_runs then reads
-the runs' gates there in order, and the first failing run raises its
-StepSizeError.
+the runs' gates there in order, each with its sup a read from its path
+again (the array call keeps only dt sup a), and the first failing run
+raises its StepSizeError.
 
 march_runs() is the step loop: a generator that marches K runs (one field,
 path and grid each, sharing dt, t0 and t_end) as one system and yields
@@ -66,7 +67,8 @@ bands.  The addresses the kernel reads (the runs' bounds, rates and
 Courant numbers, their dt sup a, the factor and two work arrays) are
 taken once per march.  A step writes into one of the work arrays,
 except a step whose frame is stored: it gets a new array, which is marked
-read-only, and each u_r is a view of it that is never written again.  The
+read-only, and each u_r is a view of it that is never written again; the
+march steps on from that array, so it keeps its own reference to it.  The
 verifiers are checks with a step(t, u) and a finish(); verify() feeds them
 from march, so a command checks its run as it goes and never holds it, or
 from a stored Trajectory, which iterates as march does.  plan() gives a
@@ -490,16 +492,18 @@ def march_runs(init_fields, paths, t_end, config):
     for r, p in enumerate(paths):
         mids[r] = p(t0 + (np.arange(n_steps) + 0.5) * dt)
         a_max[r] = p.max_on(starts, starts + dt)
-    del starts          # freed before the gate's rows take its place
-    # each run's dt sup a per step, as _check_step_bounds rounds it, for the
-    # reaction gate the kernel reads; inf where the run's CFL gate trips
-    dta = dt * a_max
+    del starts
     nus = None
     if config.mu is not None:
         dxs = np.array([[grid.dx] for grid in grids])
         nus = (config.mu ** 2 + mids) / config.mu * dt / dxs
-        dta[(config.mu ** 2 + a_max) / config.mu * dt / dxs
-            > 1.0 + 1e-12] = np.inf
+        cfl = (config.mu ** 2 + a_max) / config.mu * dt / dxs > 1.0 + 1e-12
+    # each run's dt sup a per step, as _check_step_bounds rounds it, for the
+    # reaction gate the kernel reads, written over sup a (a refused step
+    # reads its sup a from the path again); inf where the run's CFL gate trips
+    dta = np.multiply(dt, a_max, out=a_max)
+    if config.mu is not None:
+        dta[cfl] = np.inf
 
     def checked(vals):
         t = next(times)
@@ -524,12 +528,15 @@ def march_runs(init_fields, paths, t_end, config):
         # a step where some run's gate trips: that run raises here
         k = _steps(runs, k, k1, new.ctypes.data)
         if k < k1:
+            t = t0 + k * dt
             for r, grid in enumerate(grids):
-                _check_step_bounds(a_max.item(r, k), t0 + k * dt, dt,
+                _check_step_bounds(paths[r].max_on(t, t + dt), t, dt,
                                    runs.tops[r], grid, config)
             raise RuntimeError("the compiled gate refused the step from t=%g, "
-                               "which every run's gate passes" % (t0 + k * dt))
-        yield checked(new)
+                               "which every run's gate passes" % t)
+        # runs.u points into this frame, which the consumer may drop
+        u = new
+        yield checked(u)
 
 
 def verify(frames, *checks):

@@ -794,6 +794,31 @@ def test_march_runs_gates_each_run_on_its_own_sups(monkeypatch):
             assert np.array_equal(_bits(u), _bits(ref))
 
 
+def test_march_runs_frames_survive_a_consumer_that_drops_them():
+    # the march steps on from the last frame it yielded, so that frame must
+    # outlive the consumer's references to it; 2 x 1001 nodes keep the
+    # buffers out of numpy's small-block cache
+    p = coeff.make_periodic(1.0, 0.5, 3.0)
+    g = kppsolve.make_grid(-10.0, 40.0, 0.05)
+    fields = [kppsolve.init("heaviside", g, {}),
+              kppsolve.init("front-like", g, {"mu": 0.7})]
+    paths = [p, p.shift(1.1)]
+    config = kppsolve.SolveConfig(dt=0.005, store_stride=20, margin=0.0)
+    alone = [[u for _, u in kppsolve.march(f, q, 1.0, config)]
+             for f, q in zip(fields, paths)]
+    frames = kppsolve.march_runs(fields, paths, 1.0, config)
+    for j in range(len(alone[0])):
+        if j % 3:
+            next(frames)
+            continue
+        _, us = next(frames)
+        for u, ref in zip(us, alone):
+            assert np.array_equal(_bits(u), _bits(ref[j]))
+        del us
+    with pytest.raises(StopIteration):
+        next(frames)
+
+
 def test_march_runs_yields_read_only_views_and_checks_its_input():
     p = coeff.make_constant(1.0)
     g = kppsolve.make_grid(-5.0, 5.0, 0.5)
