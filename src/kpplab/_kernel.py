@@ -2,28 +2,31 @@
 
 steps (kpp_steps) is the loop of kppsolve.march_runs from one stored frame
 to the next, on the march that layout() builds.  Each step is one pass over
-the field for every run: reaction, upwind, end-row halving, LAPACK
-dptts2's two sweeps on the diffusion factor, the subnormal flush and each
-run's sup u.  It replaces about eight numpy passes and a dpttrs call,
-whose fixed costs made most of a step on the grids kpplab runs.  Runs
-share no chain of the sweeps, so K runs are swept in ceil(K / 4) groups
-whose sizes differ by at most 1, the runs of a group advancing together,
-and the latencies of their chains overlap.  Each step but the last goes
-into one of the march's two work buffers and the last into the frame's
-array.  Before each step, steps reads every run's own step gate, rounded
-as kppsolve._check_step_bounds rounds it, and it stops only before a step
+the field for every run: reaction, upwind, end-row halving, the two sweeps
+of the twisted solve with the diffusion factor, the subnormal flush and
+each run's sup u.  It replaces about eight numpy passes and a dpttrs call,
+whose fixed costs made most of a step on the grids kpplab runs.  The
+twisted solve eliminates each run from both ends toward its middle row,
+so a run is two independent chains of half its length; runs share no
+chain, so K runs are swept in ceil(K / 2) groups whose sizes differ by at
+most 1, the chains of a group advancing together, and the latencies of
+the chains overlap.  Each step but the last goes into one of the march's
+two work buffers and the last into the frame's array.  Before each step,
+steps reads every run's own step gate, rounded as
+kppsolve._check_step_bounds rounds it, and it stops only before a step
 where one trips, so that Python raises that run's error.  ctypes releases
 the GIL for the length of a call, so marches on two threads overlap
-between their frames.  factor (kpp_factor)
-is LAPACK dpttrf, which gives that factor, and ar1 (kpp_ar1) the AR(1)
-recursion of coeff.NoisePath as LAPACK dgttrs computes it; both work in
-place.
+between their frames.  factor (kpp_factor) gives the twisted factor, each
+of whose halves is LAPACK dpttrf on its block of rows, and ar1 (kpp_ar1)
+the AR(1) recursion of coeff.NoisePath as LAPACK dgttrs computes it; both
+work in place.
 
 The library is compiled with `cc -O2 -fPIC -shared -ffp-contract=off`.
--ffp-contract=off is what keeps the results bitwise those of numpy and
-LAPACK: without it the compiler may fuse a multiply and an add into one
-FMA, which rounds once instead of twice.  No flag that changes rounding
-(-march=native, -ffast-math) may be added.  The library is cached in the
+-ffp-contract=off is what keeps the results bitwise those of numpy, of
+LAPACK and of the twisted step written out in Python floats: without it
+the compiler may fuse a multiply and an add into one FMA, which rounds
+once instead of twice.  No flag that changes rounding (-march=native,
+-ffast-math) may be added.  The library is cached in the
 package's __pycache__ directory under a name keyed by a CRC of the flags
 and the source, written to a temporary file and renamed into place, so
 concurrent first imports do not clash; the cache is written whatever
@@ -110,7 +113,8 @@ steps = _lib.kpp_steps
 steps.argtypes = [ctypes.POINTER(_March), ctypes.c_ssize_t, ctypes.c_ssize_t,
                   ctypes.c_void_p]
 steps.restype = ctypes.c_ssize_t
-_lib.kpp_factor.argtypes = [ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p]
+_lib.kpp_factor.argtypes = [ctypes.c_ssize_t, ctypes.c_void_p,
+                            ctypes.c_void_p, ctypes.c_void_p]
 _lib.kpp_factor.restype = ctypes.c_ssize_t
 _lib.kpp_ar1.argtypes = [ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p]
 _lib.kpp_ar1.restype = None
@@ -124,14 +128,32 @@ def _address(a):
     return a.ctypes.data
 
 
-def factor(d, e):
-    """LAPACK dpttrf: the L D L^T factor of the symmetric tridiagonal matrix
-    with diagonal d and off-diagonal e, written over them.  Returns
-    dpttrf's info: 0, or i + 1 where d[i] is the first non-positive pivot
-    (d.size when only the last one is)."""
+def _bounds(bounds, n):
+    """The run offsets as an intp array: K + 1 of them from 0, each run at
+    least 3 nodes, the last n; ValueError otherwise."""
+    bounds = np.ascontiguousarray(bounds, dtype=np.intp)
+    if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0:
+        raise ValueError("the run bounds must be K + 1 offsets from 0, not %s"
+                         % bounds.tolist())
+    if (np.diff(bounds) < 3).any():
+        raise ValueError("each run needs at least 3 nodes, not %s"
+                         % np.diff(bounds).tolist())
+    if bounds[-1] != n:
+        raise ValueError("the run layout does not match the factor's size")
+    return bounds
+
+
+def factor(bounds, d, e):
+    """The twisted factor N D N^T of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, each run [bounds[r], bounds[r + 1]) on
+    its own, written over them (kpp_factor in _step.c; e between two runs
+    is left as it is).  Returns dpttrf's info: 0, or i + 1 where d[i] is
+    the first non-positive pivot."""
+    bounds = _bounds(bounds, d.size)
     if e.size != d.size - 1:
         raise ValueError("e needs %d entries, not %d" % (d.size - 1, e.size))
-    return _lib.kpp_factor(d.size, _address(d), _address(e))
+    return _lib.kpp_factor(bounds.size - 1, bounds.ctypes.data, _address(d),
+                           _address(e))
 
 
 def ar1(rho, x):
@@ -156,13 +178,7 @@ def layout(bounds, rates, nus, d, e, dta, limit, u):
     stops before the first step k where some run r has
     dta[r, k] * max(1.0, 2.0 * tops[r] - 1.0) > limit and returns k; it
     returns k1 when every step is made."""
-    bounds = np.ascontiguousarray(bounds, dtype=np.intp)
-    if bounds.ndim != 1 or bounds.size < 2 or bounds[0] != 0:
-        raise ValueError("the run bounds must be K + 1 offsets from 0, not %s"
-                         % bounds.tolist())
-    if (np.diff(bounds) < 3).any():
-        raise ValueError("each run needs at least 3 nodes, not %s"
-                         % np.diff(bounds).tolist())
+    bounds = _bounds(bounds, np.size(d))
     rates, dta, d, e, u = (np.ascontiguousarray(a, dtype=float)
                            for a in (rates, dta, d, e, u))
     if nus is not None:

@@ -1,43 +1,53 @@
 /* The compiled code of kpplab, loaded by kpplab._kernel: the steps of
  * kpplab.kppsolve.march_runs between two stored frames (kpp_steps, which
  * makes each one by kpp_step), and at the end of this file the
- * two recursions that set runs up, the diffusion factor (kpp_factor, as
- * LAPACK dpttrf) and the noise recursion (kpp_ar1, as the forward sweep of
- * LAPACK dgtts2), bitwise those routines under the same -ffp-contract=off
- * as the step.
+ * two recursions that set runs up, the twisted diffusion factor
+ * (kpp_factor) and the noise recursion (kpp_ar1, as the forward sweep of
+ * LAPACK dgtts2, bitwise that routine under the same -ffp-contract=off as
+ * the step).
  *
  * The K runs' fields lie end to end in one vector; run r holds the entries
- * [bounds[r], bounds[r + 1]), at least 3 of them.  kpp_step reads the
- * field u at step k and writes the next one into out (a different buffer):
+ * [lo, hi) = [bounds[r], bounds[r + 1]), at least 3 of them, and its twist
+ * row is m = lo + (hi - lo - 1) / 2, which depends on its length alone.
+ * kpp_step reads the field u at step k and writes the next one into out (a
+ * different buffer):
  *
  *   reaction  v = u + (rate u)(1 - u), rate = dt a_r at the step's midpoint;
  *   upwind    v[i] + nu (v[i + 1] - v[i]) on every node but a run's last
  *             (moving frame only: nus is NULL in the fixed frame);
  *   halving   of each run's first and last entry;
- *   solve     L D L^T x = b with the factor (d, e) of the stacked diffusion
- *             matrix that kpp_factor gives, by the two sweeps of LAPACK
- *             dptts2 over each run's block (e is 0 between runs);
+ *   solve     N D N^T x = b with the twisted factor (d, e) of the run's
+ *             diffusion matrix that kpp_factor gives: the forward sweep
+ *             eliminates rows lo to m - 1 top-down and rows hi - 1 to
+ *             m + 1 bottom-up, row m takes both (top first), and the
+ *             backward sweep runs outward from x[m] = y[m] / d[m];
  *   flush     x = 0 where |x| < DBL_MIN, after the solve.
  *
  * It writes the largest entry of each run r of out into tops[r], NaN when
  * the run holds a NaN (as numpy's maximum.reduceat; the flush leaves no
  * -0.0 to tie with 0.0).  Each entry is made by the same floating-point
- * operations, in the same order, as numpy's elementwise calls and
- * LAPACK's dptts2 on the run alone, so the result is bitwise theirs.  That
- * holds only while the compiler fuses no multiply and add, hence
- * -ffp-contract=off.  On a finite field it is also dptts2 on the whole
- * vector, whose zero coupling between runs (b - prev * 0) changes at most
- * the sign of a zero, which the flush erases; a NaN or an overflow stays
- * in its own run here, where the coupling would carry it on as NaN.
+ * operations, in the same order, as the twisted step in Python floats
+ * (float_step in tests/oracles.py) on the run alone, so the result is
+ * bitwise that step's.  That holds only while the compiler fuses no
+ * multiply and add, hence -ffp-contract=off.  The reaction, upwind and
+ * halving are bitwise numpy's elementwise calls.  The solve is not in
+ * LAPACK dptts2's one-chain order: on the same field, a step differs from
+ * the dpttrf/dpttrs step by at most one unit in the last place of the
+ * step's largest entry (measured on Heaviside fronts of 3 to 5001 nodes),
+ * and the 20000 steps of a take-over run on 5001 nodes by at most 1.0e-15.
+ * Both eliminations have only positive pivots and nonpositive
+ * off-diagonal multipliers, so the step stays exactly monotone in floating
+ * point.  Runs share no entry of the factor, so a NaN or an overflow stays
+ * in its own run.
  *
- * Each sweep is a chain of dependent multiplies and subtractions, and runs
- * share no chain, so the runs are swept in groups of up to GROUP that
- * advance together: node j of every run in the group before node j + 1,
- * over the group's shortest length, then the rest of each run alone.  The
+ * Each half of a sweep is a chain of dependent multiplies and
+ * subtractions, so each run is swept as two chains, up from lo and down
+ * from hi - 1, of about half its length, and the runs of a march share no
+ * chain.  The runs are swept in groups of up to GROUP whose chains advance
+ * together: node j of every chain in the group before node j + 1, over the
+ * group's shortest top half, then the rest of each chain alone.  The
  * chains' latencies then overlap instead of adding up.  K runs make
- * ceil(K / GROUP) groups whose sizes differ by at most 1 (5 runs sweep as
- * 3 + 2, not 4 + 1), since three lanes already hide about as much latency
- * as four.
+ * ceil(K / GROUP) groups whose sizes differ by at most 1.
  *
  * kpp_steps runs kpp_step from one stored frame to the next, so Python,
  * which holds the interpreter lock between calls, is not entered at every
@@ -50,9 +60,11 @@
 #include <float.h>
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 
-#define GROUP 4                /* runs swept together (the unroll pragmas
-                                  below name it as 4: they take no macro) */
+#define GROUP 2                /* runs swept together, two chains each (the
+                                  unroll pragmas below name it as 2: they
+                                  take no macro) */
 
 struct kpp_march {
     ptrdiff_t runs;            /* K */
@@ -61,7 +73,7 @@ struct kpp_march {
     const double *rates;       /* rates[r * steps + k]: dt a_r(t_k + dt / 2) */
     const double *nus;         /* the runs' upwind Courant numbers, laid out
                                   as rates; NULL in the fixed frame */
-    const double *d, *e;       /* kpp_factor's D (n entries) and L (n - 1) */
+    const double *d, *e;       /* kpp_factor's D (n entries) and N (n - 1) */
     const double *dta;         /* laid out as rates: dt sup a_r over step k,
                                   inf where run r's CFL gate trips */
     double limit;              /* the reaction gate's bound on
@@ -79,6 +91,11 @@ struct sweep {
     int moving;                /* the march is in the moving frame */
 };
 
+static ptrdiff_t twist(ptrdiff_t lo, ptrdiff_t hi)
+{
+    return lo + (hi - lo - 1) / 2;
+}
+
 static double react(double u, double rate)
 {
     return u + (rate * u) * (1.0 - u);
@@ -95,123 +112,157 @@ static double flush(double x)
     return fabs(x) < DBL_MIN ? 0.0 : x;
 }
 
+/* the larger of top and y without a branch (maxsd on x86-64), which the
+   rounding noise of a field at 1 would mispredict; a NaN y is passed
+   over, and run_top finds it */
 static double sup(double top, double y)
 {
-    return y > top || y != y ? y : top;
+    return y > top ? y : top;
 }
 
-/* forward sweep at node i, neither first nor last of its run: *v is the
+/* the forward sweep of the up chain at node i, lo < i < m: *v is the
    reacted u[i] and becomes the reacted u[i + 1]; out[i] gets y[i] / d[i],
-   the first operation of dptts2's backward sweep; returns y[i] */
-static inline double forward(const struct sweep *s, ptrdiff_t i, double rate,
-                             double nu, double *v, double prev)
+   the first operation of the backward sweep; returns y[i] */
+static inline double up(const struct sweep *s, ptrdiff_t i, double rate,
+                        double nu, double *v, double y)
 {
     const double w = react(s->u[i + 1], rate);
     double b = upwind(s, *v, w, nu);
 
     *v = w;
-    b = b - prev * s->e[i - 1];
+    b = b - y * s->e[i - 1];
     s->out[i] = b / s->d[i];
     return b;
 }
 
-/* backward sweep at node i on the unflushed x[i + 1], then the flush;
-   returns x[i] and raises *top to the flushed entry */
-static inline double backward(const struct sweep *s, ptrdiff_t i, double x,
-                              double *top)
+/* the forward sweep of the down chain at node i, m < i < hi - 1: *w is the
+   reacted u[i + 1] and becomes the reacted u[i]; as up otherwise */
+static inline double down(const struct sweep *s, ptrdiff_t i, double rate,
+                          double nu, double *w, double y)
 {
-    x = s->out[i] - x * s->e[i];
+    const double v = react(s->u[i], rate);
+    double b = upwind(s, v, *w, nu);
+
+    *w = v;
+    b = b - y * s->e[i];
+    s->out[i] = b / s->d[i];
+    return b;
+}
+
+/* the backward sweep at node i on the unflushed x of its neighbour toward
+   the twist row, whose multiplier is ei, then the flush; returns x[i] and
+   raises *top to the flushed entry */
+static inline double backward(const struct sweep *s, ptrdiff_t i, double x,
+                              double ei, double *top)
+{
+    x = s->out[i] - x * ei;
     s->out[i] = flush(x);
     *top = sup(*top, s->out[i]);
     return x;
 }
 
-/* the forward sweep of one run from its node i on, its last node hi - 1
-   (zero-gradient inflow) halved */
-static void forward_rest(const struct sweep *s, ptrdiff_t i, ptrdiff_t hi,
-                         double rate, double nu, double v, double prev)
-{
-    double b;
-
-    for (; i < hi - 1; i++)
-        prev = forward(s, i, rate, nu, &v, prev);
-    b = v * 0.5;
-    b = b - prev * s->e[i - 1];
-    s->out[i] = b / s->d[i];
-}
-
-/* the backward sweep of one run from its node i down to lo, on the
-   unflushed x[i + 1]; returns the sup of top and the flushed entries */
-static double backward_rest(const struct sweep *s, ptrdiff_t i, ptrdiff_t lo,
-                            double x, double top)
-{
-    for (; i >= lo; i--)
-        x = backward(s, i, x, &top);
-    return top;
-}
-
-/* one run of a group: its entries [lo, hi), its reaction rate and Courant
-   number, and the state of its sweeps */
-struct lane {
-    ptrdiff_t lo, hi;
-    double rate, nu, v, prev, x, top;
+/* one chain of a run's sweeps: v is the reacted u the forward sweep
+   carries to the next node (that node's own, going up; its right
+   neighbour's, going down), y the last y, x the last unflushed x and top
+   the sup of the chain's flushed entries */
+struct chain {
+    double v, y, x, top;
 };
 
-/* the forward sweep of the w runs of g together over their nodes 1 to
-   len - 2.  w is a constant 1 to GROUP where this is inlined and the lane
-   loops are unrolled, so that the lanes' state, copied into locals,
-   stays in registers. */
-static inline __attribute__((always_inline)) void
-forward_together(const struct sweep *s, struct lane *g, int w, ptrdiff_t len)
+/* one run of a group: its entries [lo, hi), its twist row m, its reaction
+   rate and Courant number, and its two chains */
+struct run {
+    ptrdiff_t lo, m, hi;
+    double rate, nu;
+    struct chain up, down;
+};
+
+/* the sup of a run's entries of out from its chains' tops, or the NaN
+   the run holds.  A NaN in the forward sweep reaches y[m], and with x[m]
+   both chains; one made in the backward sweep is carried by every later x
+   of its chain (NaN * e is NaN, whatever e); the flush keeps it.  So the
+   run holds a NaN exactly when the end node of one of its chains does. */
+static double run_top(const struct sweep *s, const struct run *a)
 {
-    double v[GROUP], prev[GROUP], rate[GROUP], nu[GROUP];
-    ptrdiff_t j, lo[GROUP];
+    const double first = s->out[a->lo], last = s->out[a->hi - 1];
+
+    if (first != first)
+        return first;
+    if (last != last)
+        return last;
+    return sup(a->up.top, a->down.top);
+}
+
+/* the forward sweep of the w runs of g together, the up chains over nodes
+   lo + 1 to lo + len - 1 and the down chains over hi - 2 down to hi - len.
+   w is a constant 1 to GROUP where this is inlined and the run loops are
+   unrolled, so that the chains' state, copied into locals, stays in
+   registers. */
+static inline __attribute__((always_inline)) void
+forward_together(const struct sweep *s, struct run *g, int w, ptrdiff_t len)
+{
+    double vu[GROUP], yu[GROUP], vd[GROUP], yd[GROUP], rate[GROUP], nu[GROUP];
+    ptrdiff_t j, lo[GROUP], hi[GROUP];
     int l;
 
-#pragma GCC unroll 4
+#pragma GCC unroll 2
     for (l = 0; l < w; l++) {
-        v[l] = g[l].v;
-        prev[l] = g[l].prev;
+        vu[l] = g[l].up.v;
+        yu[l] = g[l].up.y;
+        vd[l] = g[l].down.v;
+        yd[l] = g[l].down.y;
         rate[l] = g[l].rate;
         nu[l] = g[l].nu;
         lo[l] = g[l].lo;
+        hi[l] = g[l].hi;
     }
-    for (j = 1; j < len - 1; j++) {
-#pragma GCC unroll 4
-        for (l = 0; l < w; l++)
-            prev[l] = forward(s, lo[l] + j, rate[l], nu[l], &v[l], prev[l]);
+    for (j = 1; j < len; j++) {
+#pragma GCC unroll 2
+        for (l = 0; l < w; l++) {
+            yu[l] = up(s, lo[l] + j, rate[l], nu[l], &vu[l], yu[l]);
+            yd[l] = down(s, hi[l] - 1 - j, rate[l], nu[l], &vd[l], yd[l]);
+        }
     }
-#pragma GCC unroll 4
+#pragma GCC unroll 2
     for (l = 0; l < w; l++) {
-        g[l].v = v[l];
-        g[l].prev = prev[l];
+        g[l].up.v = vu[l];
+        g[l].up.y = yu[l];
+        g[l].down.v = vd[l];
+        g[l].down.y = yd[l];
     }
 }
 
-/* the backward sweep of the w runs of g together over their nodes hi - 2
-   down to hi - len, as forward_together */
+/* the backward sweep of the w runs of g together, outward from each twist
+   row m over nodes m - 1 down to m - len and m + 1 up to m + len, as
+   forward_together */
 static inline __attribute__((always_inline)) void
-backward_together(const struct sweep *s, struct lane *g, int w, ptrdiff_t len)
+backward_together(const struct sweep *s, struct run *g, int w, ptrdiff_t len)
 {
-    double x[GROUP], top[GROUP];
-    ptrdiff_t j, hi[GROUP];
+    double xu[GROUP], tu[GROUP], xd[GROUP], td[GROUP];
+    ptrdiff_t j, m[GROUP];
     int l;
 
-#pragma GCC unroll 4
+#pragma GCC unroll 2
     for (l = 0; l < w; l++) {
-        x[l] = g[l].x;
-        top[l] = g[l].top;
-        hi[l] = g[l].hi;
+        xu[l] = g[l].up.x;
+        tu[l] = g[l].up.top;
+        xd[l] = g[l].down.x;
+        td[l] = g[l].down.top;
+        m[l] = g[l].m;
     }
-    for (j = 2; j <= len; j++) {
-#pragma GCC unroll 4
-        for (l = 0; l < w; l++)
-            x[l] = backward(s, hi[l] - j, x[l], &top[l]);
+    for (j = 1; j <= len; j++) {
+#pragma GCC unroll 2
+        for (l = 0; l < w; l++) {
+            xu[l] = backward(s, m[l] - j, xu[l], s->e[m[l] - j], &tu[l]);
+            xd[l] = backward(s, m[l] + j, xd[l], s->e[m[l] + j - 1], &td[l]);
+        }
     }
-#pragma GCC unroll 4
+#pragma GCC unroll 2
     for (l = 0; l < w; l++) {
-        g[l].x = x[l];
-        g[l].top = top[l];
+        g[l].up.x = xu[l];
+        g[l].up.top = tu[l];
+        g[l].down.x = xd[l];
+        g[l].down.top = td[l];
     }
 }
 
@@ -219,68 +270,76 @@ backward_together(const struct sweep *s, struct lane *g, int w, ptrdiff_t len)
 static void group(const struct kpp_march *m, const struct sweep *s,
                   ptrdiff_t k, ptrdiff_t r, int w)
 {
-    struct lane g[GROUP];
-    ptrdiff_t len = m->bounds[r + 1] - m->bounds[r];
+    struct run g[GROUP];
+    ptrdiff_t i, len = PTRDIFF_MAX;
     int l;
 
-    /* forward sweep (solve L y = b), b made node by node: each run's first
-       node, halved; the interior the runs have in common together; each
-       run's rest alone */
+    /* forward sweep (solve N y = b), b made node by node: each run's end
+       nodes, halved, start its chains; the nodes all the group's chains
+       have go together; the rest of each chain alone; then the twist row,
+       which reads the reacted u[m] and u[m + 1] the chains carry */
     for (l = 0; l < w; l++) {
-        struct lane *a = &g[l];
+        struct run *a = &g[l];
         double v0, b;
 
         a->lo = m->bounds[r + l];
         a->hi = m->bounds[r + l + 1];
-        if (a->hi - a->lo < len)
-            len = a->hi - a->lo;
+        a->m = twist(a->lo, a->hi);
+        if (a->m - a->lo < len)
+            len = a->m - a->lo;
         a->rate = m->rates[(r + l) * m->steps + k];
         a->nu = s->moving ? m->nus[(r + l) * m->steps + k] : 0.0;
         v0 = react(s->u[a->lo], a->rate);
-        a->v = react(s->u[a->lo + 1], a->rate);
-        b = upwind(s, v0, a->v, a->nu) * 0.5;
-        a->prev = b;
+        a->up.v = react(s->u[a->lo + 1], a->rate);
+        b = upwind(s, v0, a->up.v, a->nu) * 0.5;
+        a->up.y = b;
         s->out[a->lo] = b / s->d[a->lo];
+        a->down.v = react(s->u[a->hi - 1], a->rate);
+        b = a->down.v * 0.5;
+        a->down.y = b;
+        s->out[a->hi - 1] = b / s->d[a->hi - 1];
     }
     switch (w) {
     case 1:
         forward_together(s, g, 1, len);
         break;
-    case 2:
-        forward_together(s, g, 2, len);
-        break;
-    case 3:
-        forward_together(s, g, 3, len);
-        break;
     default:
         forward_together(s, g, GROUP, len);
     }
-    for (l = 0; l < w; l++)
-        forward_rest(s, g[l].lo + len - 1, g[l].hi, g[l].rate, g[l].nu,
-                     g[l].v, g[l].prev);
-
-    /* backward sweep (solve D L^T x = y) from each run's last node, as the
-       forward sweep */
     for (l = 0; l < w; l++) {
-        g[l].x = s->out[g[l].hi - 1];
-        s->out[g[l].hi - 1] = g[l].top = flush(g[l].x);
+        struct run *a = &g[l];
+        double b;
+
+        for (i = a->lo + len; i < a->m; i++)
+            a->up.y = up(s, i, a->rate, a->nu, &a->up.v, a->up.y);
+        for (i = a->hi - 1 - len; i > a->m; i--)
+            a->down.y = down(s, i, a->rate, a->nu, &a->down.v, a->down.y);
+        b = upwind(s, a->up.v, a->down.v, a->nu);
+        b = b - a->up.y * s->e[a->m - 1];
+        b = b - a->down.y * s->e[a->m];
+        a->up.x = a->down.x = b / s->d[a->m];
+        s->out[a->m] = a->up.top = a->down.top = flush(a->up.x);
     }
+
+    /* backward sweep (solve D N^T x = y) outward from each twist row, the
+       chains together as in the forward sweep, then the rest of each
+       chain alone */
     switch (w) {
     case 1:
         backward_together(s, g, 1, len);
         break;
-    case 2:
-        backward_together(s, g, 2, len);
-        break;
-    case 3:
-        backward_together(s, g, 3, len);
-        break;
     default:
         backward_together(s, g, GROUP, len);
     }
-    for (l = 0; l < w; l++)
-        m->tops[r + l] = backward_rest(s, g[l].hi - len - 1, g[l].lo, g[l].x,
-                                       g[l].top);
+    for (l = 0; l < w; l++) {
+        struct run *a = &g[l];
+
+        for (i = a->m - len - 1; i >= a->lo; i--)
+            a->up.x = backward(s, i, a->up.x, s->e[i], &a->up.top);
+        for (i = a->m + len + 1; i < a->hi; i++)
+            a->down.x = backward(s, i, a->down.x, s->e[i - 1], &a->down.top);
+        m->tops[r + l] = run_top(s, a);
+    }
 }
 
 /* step k of the field m->u into out, each run's sup into m->tops */
@@ -328,23 +387,44 @@ ptrdiff_t kpp_steps(struct kpp_march *m, ptrdiff_t k, ptrdiff_t k1,
     return k;
 }
 
-/* LAPACK dpttrf: the L D L^T factor of the symmetric tridiagonal matrix
-   with diagonal d (n entries) and off-diagonal e (n - 1), written over
-   them, by netlib's operations in netlib's order.  Returns LAPACK's info:
-   0, or i + 1 where d[i] is the first non-positive pivot (n when only the
-   last one is). */
-ptrdiff_t kpp_factor(ptrdiff_t n, double *d, double *e)
+/* The twisted factor N D N^T of the symmetric tridiagonal matrix with
+   diagonal d (n = bounds[runs] entries) and off-diagonal e (n - 1), each
+   run's block [lo, hi) on its own, written over them; e[hi - 1] between
+   two runs is neither read nor written.  With m the run's twist row, rows
+   lo to m are LAPACK dpttrf's factor of the block [lo, m] (netlib's
+   operations in netlib's order): e[i] for lo <= i < m is the multiplier of
+   row i.  Rows hi - 1 down to m are dpttrf's factor of the block [m, hi)
+   flipped: e[i] for m <= i < hi - 1 is the multiplier of row i + 1.  The
+   twist pivot d[m] takes both eliminations, the top one first.  Returns
+   dpttrf's info: 0, or i + 1 where d[i] is the first non-positive pivot,
+   the runs in order and in each the top rows, the bottom rows and then
+   the twist row. */
+ptrdiff_t kpp_factor(ptrdiff_t runs, const ptrdiff_t *bounds, double *d,
+                     double *e)
 {
-    for (ptrdiff_t i = 0; i < n - 1; i++) {
+    for (ptrdiff_t r = 0; r < runs; r++) {
+        const ptrdiff_t lo = bounds[r], hi = bounds[r + 1], m = twist(lo, hi);
+        ptrdiff_t i;
         double ei;
 
-        if (d[i] <= 0.0)
-            return i + 1;
-        ei = e[i];
-        e[i] = ei / d[i];
-        d[i + 1] = d[i + 1] - e[i] * ei;
+        for (i = lo; i < m; i++) {
+            if (d[i] <= 0.0)
+                return i + 1;
+            ei = e[i];
+            e[i] = ei / d[i];
+            d[i + 1] = d[i + 1] - e[i] * ei;
+        }
+        for (i = hi - 1; i > m; i--) {
+            if (d[i] <= 0.0)
+                return i + 1;
+            ei = e[i - 1];
+            e[i - 1] = ei / d[i];
+            d[i - 1] = d[i - 1] - e[i - 1] * ei;
+        }
+        if (d[m] <= 0.0)
+            return m + 1;
     }
-    return n > 0 && d[n - 1] <= 0.0 ? n : 0;
+    return 0;
 }
 
 /* the AR(1) recursion x[i] = rho x[i - 1] + x[i] over x's n entries, in

@@ -179,9 +179,11 @@ def _solve_setup(cfg, command):
     grid = kppsolve.make_grid(x_lo, x_hi, dx)
     dt = float(_require(cfg, "dt", command))
     config = kppsolve.SolveConfig(dt=dt, **_floats(cfg, margin="margin"))
-    stride = cfg.get("stride_time")
-    if stride:
-        steps = float(stride) / dt
+    if "stride_time" in cfg:
+        stride = float(cfg["stride_time"])
+        if not stride > 0:
+            raise ConfigError("stride_time must be positive, not %r" % stride)
+        steps = stride / dt
         if not math.isfinite(steps):
             raise ConfigError("stride_time / dt must be finite, not %r" % steps)
         config.store_stride = max(1, int(round(steps)))

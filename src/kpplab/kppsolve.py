@@ -10,29 +10,38 @@ purpose.
 
 The diffusion matrix I - dt L with mirror-ghost (zero-flux) ends is not
 symmetric, but halving its first and last rows makes it a symmetric
-positive definite M-matrix.  It is factored once per solve as L D L^T,
-by kpp_factor in _step.c, which is LAPACK dpttrf bit for bit, and each
-step solves against the right-hand side with its end entries halved as
-well; halving is exact in binary, so this is the same linear system.
+positive definite M-matrix.  It is factored once per solve, each run on
+its own, as a twisted factorization N D N^T by kpp_factor in _step.c:
+rows above the run's middle (twist) row m = (n - 1) // 2 are eliminated
+top-down, rows below it bottom-up, and row m takes both eliminations, the
+top one first.  Each half is LAPACK dpttrf bit for bit on its block of
+rows (the bottom one flipped).  Each step solves against the right-hand
+side with its end entries halved as well; halving is exact in binary, so
+this is the same linear system.
 
 A step is one pass of kpp_steps in _step.c, which kpplab._kernel
 compiles on first import with `cc -O2 -fPIC -shared -ffp-contract=off` and
 caches in the package's __pycache__.  In one pass over the field it makes
-the reaction, the upwind, the end-row halving, the forward and backward
-sweeps of LAPACK dptts2 (what dpttrs runs), the subnormal flush and each
-run's sup u.  Each entry comes from the same floating-point operations in
-the same order as the numpy calls and dpttrs it replaced, so every result
-is bitwise theirs;
+the reaction, the upwind, the end-row halving, the two sweeps of the
+twisted solve (toward each run's twist row, then outward from it), the
+subnormal flush and each run's sup u.  Each entry comes from the same
+floating-point operations in the same order as the twisted step written
+out in Python floats, so every result is bitwise that step's;
 -ffp-contract=off keeps the compiler from fusing a multiply and an add
-into one FMA, which would round once where they round twice.  The sweeps
-are chains of dependent multiplies and subtractions, whose latency is
-most of a step.  The runs of a march share no chain, so the kernel sweeps
-K runs in ceil(K / 4) groups of nearly equal size (5 runs as 3 + 2) that
-advance node by node together, and their latencies overlap.  The steps
-from one stored frame to the next are one call of kpp_steps, a loop in C:
-Python is entered once per stored frame, not once per step, and ctypes
-releases the GIL for the length of the call, so marches on two threads
-overlap.
+into one FMA, which would round once where they round twice.  On the
+same field a step differs from LAPACK's one-chain dpttrs solve, which the
+kernel used before, by at most one unit in the last place of the step's
+largest entry.  Every multiplier of both eliminations is nonpositive and
+every pivot positive, so the step is exactly monotone in floating point.
+The sweeps are chains of dependent multiplies and subtractions, whose
+latency is most of a step: the twisted solve makes each run two chains of
+half its length.  The runs of a march share no chain, so the kernel
+sweeps K runs in ceil(K / 2) groups of nearly equal size (5 runs as
+2 + 2 + 1) whose chains advance node by node together, and their
+latencies overlap.  The steps from one stored frame to the next are one
+call of kpp_steps, a loop in C: Python is entered once per stored frame,
+not once per step, and ctypes releases the GIL for the length of the
+call, so marches on two threads overlap.
 
 After each step, entries with |u| below the smallest normal float are set
 to 0.  The solution ahead of a front decays into subnormal numbers, which
@@ -58,7 +67,8 @@ path and grid each, sharing dt, t0 and t_end) as one system and yields
 fields lie end to end in one vector, and the K diffusion matrices form one
 tridiagonal matrix whose off-diagonal entry is 0 between runs, factored
 once.  The kernel sweeps each run's block from its own first and last
-node, so runs share no chain: each run is bitwise the run marched alone,
+node toward its own twist row, which depends on the run's length alone,
+so runs share no chain: each run is bitwise the run marched alone,
 whatever its grid, and a NaN or an overflow stays in the run it arose
 in.  The kernel's call and the finiteness check of a stored frame cover
 the whole vector, so the fixed cost of a step is paid once for all runs.
@@ -109,6 +119,8 @@ META_KEYS = ("dt", "dx", "stride", "margin", "t0", "t_end")
 TINY = np.finfo(float).tiny
 # a step is monotone while dt * sup a * max(1, 2 sup u - 1) stays at or below this
 GATE_LIMIT = 0.5 + 1e-12
+# make_grid refuses more nodes than this: 800 MB per field
+MAX_NODES = 10 ** 8
 
 
 class StepSizeError(ValueError):
@@ -142,7 +154,8 @@ class Grid1D:
 
 
 def make_grid(x_lo, x_hi, dx):
-    """Uniform grid with spacing dx (x_hi is kept, n is rounded)."""
+    """Uniform grid with spacing dx (x_hi is kept, n is rounded); ValueError
+    above MAX_NODES nodes."""
     x_lo, x_hi, dx = float(x_lo), float(x_hi), float(dx)
     if not (math.isfinite(x_lo) and 0 < dx < math.inf
             and math.isfinite((x_hi - x_lo) / dx)):
@@ -150,6 +163,9 @@ def make_grid(x_lo, x_hi, dx):
                          "a finite number of cells, not [%r, %r] with dx=%r"
                          % (x_lo, x_hi, dx))
     n = int(round((x_hi - x_lo) / dx)) + 1
+    if n > MAX_NODES:
+        raise ValueError("a grid of %d nodes is more than MAX_NODES = %d"
+                         % (n, MAX_NODES))
     return Grid1D(x_lo, x_lo + (n - 1) * dx, n)
 
 
@@ -246,7 +262,7 @@ def frame_position(path, mu, t, t0=0.0):
 
 
 def _diffusion_ldlt(grids, dt):
-    """L D L^T factor (d, e) of backward Euler with I - dt * Laplacian
+    """Twisted factor (d, e) of backward Euler with I - dt * Laplacian
     (zero-flux) on each grid, the grids' systems stacked as one
     block-diagonal system.
 
@@ -255,7 +271,8 @@ def _diffusion_ldlt(grids, dt):
     The end rows carry -2 lam off the diagonal; halving them (w = 1/2 there,
     1 elsewhere) gives the symmetric positive definite tridiagonal
     diag(w (1 + 2 lam)) with -lam off the diagonal, factored here in the
-    compiled code of kpplab._kernel, bitwise as LAPACK dpttrf would.  The
+    compiled code of kpplab._kernel, each grid's block on its own: each
+    half of a block is bitwise LAPACK dpttrf on its rows.  The
     off-diagonal entry between one grid's last node and the next grid's
     first is 0.  The step (kpplab._kernel) halves the right-hand side's end
     entries and solves with the factor.
@@ -268,9 +285,10 @@ def _diffusion_ldlt(grids, dt):
         diag.append(d)
         off += [-lam] * (grid.n - 1) + [0.0]
     d, e = np.concatenate(diag), np.array(off[:-1])
-    info = factor(d, e)
+    info = factor(np.cumsum([0] + [grid.n for grid in grids]), d, e)
     if info != 0:
-        raise RuntimeError("dpttrf failed (info=%d) for dt=%g" % (info, dt))
+        raise RuntimeError("the diffusion factor failed (info=%d) for dt=%g"
+                           % (info, dt))
     return d, e
 
 

@@ -28,6 +28,11 @@ from ._files import write_table
 from .equilibria import trajectory_slack
 from .kppsolve import frame_position, verify
 
+# a violation at or below this is rounding, and where it is the worst
+# OrderingCheck reports no time or place for it: the argmax of rounding
+# noise moves under a change of 1e-16 in the field
+ROUNDING = 1e-12
+
 __all__ = [
     "WaveParams", "BoundCurve", "CertifyReport", "InitialOrderingError",
     "choose_delta", "lower_threshold", "default_amplitude",
@@ -222,9 +227,10 @@ class CertifyReport:
     passed: bool
     relation: str
     max_violation: float
-    worst_time: float
+    worst_time: float          # NaN when max_violation <= ROUNDING
     slack: float
-    rows: list                 # (t, violation, x at violation)
+    rows: list                 # (t, violation, x at violation, NaN when
+                               # the violation is <= ROUNDING)
 
     def to_csv(self, file):
         write_table(file, ("t", "max_violation", "location"), self.rows, None)
@@ -240,7 +246,8 @@ class OrderingCheck:
     scheme's error model at the dx and dt recorded in the run's meta;
     ValueError when they are missing).  The comparison is restricted to the
     bound's validity region when it has one, or to the interval returned by
-    region(t).  A violation already present at the first frame raises
+    region(t).  The time and place of a violation are NaN where it is at or
+    below ROUNDING.  A violation already present at the first frame raises
     InitialOrderingError since comparison arguments only propagate an
     ordering that holds initially; fed by march, that is before any step.
     """
@@ -268,7 +275,8 @@ class OrderingCheck:
         diff = (u - b) if self.relation == "above" else (b - u)
         j = int(np.argmax(np.where(mask, diff, -math.inf)))
         viol = float(diff[j])
-        self.rows.append((float(t), viol, float(x[j])))
+        self.rows.append((float(t), viol,
+                          float(x[j]) if viol > ROUNDING else math.nan))
         if viol > self.worst:
             self.worst, self.worst_t = viol, float(t)
         if len(self.rows) == 1 and viol > self.slack:
@@ -278,9 +286,10 @@ class OrderingCheck:
                 (self.relation, viol))
 
     def finish(self):
+        worst_t = self.worst_t if self.worst > ROUNDING else math.nan
         return CertifyReport(passed=bool(self.worst <= self.slack),
                              relation=self.relation, max_violation=self.worst,
-                             worst_time=self.worst_t, slack=float(self.slack),
+                             worst_time=worst_t, slack=float(self.slack),
                              rows=self.rows)
 
 

@@ -4,8 +4,8 @@ Nothing here may call into the package's own quadrature, ODE, or
 front-finding code paths beyond plain path evaluation a(t): quadrature is
 re-done with dense trapezoids on fresh sample grids, ODE references come
 from scipy's adaptive integrator, the front scan is a literal right-to-left
-loop, and the solver's step is redone with numpy and LAPACK's dpttrs and
-again with Python floats.
+loop, and the solver's step is redone with numpy and LAPACK's dpttrs and,
+with the twisted solve the solver makes, in Python floats.
 """
 
 import math
@@ -110,14 +110,15 @@ def brute_front(x, u, level):
 
 # -- one step of the solver: the runs' fields lie end to end in u, run r in
 # u[bounds[r]:bounds[r + 1]], with reaction rates[r] = dt a_r and upwind
-# Courant numbers nus[r] (None in the fixed frame); (d, e) is the L D L^T
-# factor of the stacked diffusion matrix with halved end rows, as LAPACK
-# dpttrf gives it
+# Courant numbers nus[r] (None in the fixed frame); (d, e) is the factor of
+# the stacked diffusion matrix with halved end rows: LAPACK dpttrf's for
+# lapack_step, the twisted one of kppsolve._diffusion_ldlt for float_step
 
 
 def lapack_step(u, bounds, rates, nus, d, e):
-    """The step as numpy and LAPACK calls (the solver's step before it was
-    compiled): returns the new field and its max."""
+    """The step as numpy and LAPACK calls, with dpttrs's one-chain solve
+    (the solver's step before it was compiled): returns the new field and
+    its max."""
     out = np.repeat(rates, np.diff(bounds)) * u
     out = u + out * (1.0 - u)
     if nus is not None:
@@ -132,25 +133,40 @@ def lapack_step(u, bounds, rates, nus, d, e):
     return x, x.max()
 
 
+def twist(lo, hi):
+    """The twist row of the run [lo, hi)."""
+    return lo + (hi - lo - 1) // 2
+
+
 def float_step(u, bounds, rates, nus, d, e):
-    """The step in Python floats, one operation at a time, with LAPACK
-    dptts2's two sweeps written out: returns the new field, its max and the
-    number of nonzero entries the flush set to 0."""
-    b = []
+    """The step in Python floats, one operation at a time, with the twisted
+    solve written out: in each run [lo, hi) with twist row m, y is
+    eliminated top-down over rows lo to m - 1 and bottom-up over rows
+    hi - 1 to m + 1, row m takes both (top first), and x runs outward from
+    x[m] = y[m] / d[m].  Returns the new field, its max and the number of
+    nonzero entries the flush set to 0."""
+    x = []
     for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rate = float(rates[r])
-        v = [x + (rate * x) * (1.0 - x) for x in u[lo:hi].tolist()]
+        y = [w + (rate * w) * (1.0 - w) for w in u[lo:hi].tolist()]
         if nus is not None:
             nu = float(nus[r])
-            v = [a + nu * (c - a) for a, c in zip(v, v[1:])] + v[-1:]
-        v[0] *= 0.5
-        v[-1] *= 0.5
-        b += v
-    d, e = d.tolist(), e.tolist()
-    for i in range(1, len(b)):
-        b[i] = b[i] - b[i - 1] * e[i - 1]
-    b[-1] = b[-1] / d[-1]
-    for i in range(len(b) - 2, -1, -1):
-        b[i] = b[i] / d[i] - b[i + 1] * e[i]
-    out = np.array([0.0 if abs(x) < TINY else x for x in b])
-    return out, out.max(), sum(1 for x in b if 0.0 < abs(x) < TINY)
+            y = [a + nu * (c - a) for a, c in zip(y, y[1:])] + y[-1:]
+        y[0] *= 0.5
+        y[-1] *= 0.5
+        dr, er = d[lo:hi].tolist(), e[lo:hi - 1].tolist()
+        n, m = hi - lo, twist(0, hi - lo)
+        for i in range(1, m):
+            y[i] = y[i] - y[i - 1] * er[i - 1]
+        for i in range(n - 2, m, -1):
+            y[i] = y[i] - y[i + 1] * er[i]
+        y[m] = (y[m] - y[m - 1] * er[m - 1]) - y[m + 1] * er[m]
+        xr = [0.0] * n
+        xr[m] = y[m] / dr[m]
+        for i in range(m - 1, -1, -1):
+            xr[i] = y[i] / dr[i] - xr[i + 1] * er[i]
+        for i in range(m + 1, n):
+            xr[i] = y[i] / dr[i] - xr[i - 1] * er[i - 1]
+        x += xr
+    out = np.array([0.0 if abs(w) < TINY else w for w in x])
+    return out, out.max(), sum(1 for w in x if 0.0 < abs(w) < TINY)

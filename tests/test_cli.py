@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import kpplab
@@ -166,10 +167,14 @@ def test_mean_rejects_a_stride_that_is_not_positive(stride, capsys):
     ("mean", ["horizon=[0,1e309]"]),
     ("takeover", ["t_end=1e309"]),
     ("takeover", ["stride_time=1e309"]),
+    ("takeover", ["stride_time=-5"]),
+    ("takeover", ["stride_time=0"]),
+    ("takeover", ["x_lo=0", "x_hi=1e17", "dx=0.5"]),
 ])
 def test_degenerate_grid_step_or_horizon_is_a_usage_error(command, overrides,
                                                           tmp_path, capsys):
-    # each used to end in a ZeroDivisionError or OverflowError traceback
+    # each used to end in a ZeroDivisionError, OverflowError or MemoryError
+    # traceback, or (a stride_time of -5) to store every step
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(_SHAPE_BASE[command]))
     argv = [command, "--config", str(cfg_file)]
@@ -335,6 +340,34 @@ def test_cmd_certify_passes_with_scheme_slack(tmp_path):
 def test_cmd_certify_zero_slack_is_violated():
     code, artifact = cli.cmd_certify(_certify_cfg(slack=0.0))
     assert code == cli.EXIT_VIOLATED
+
+
+def test_certify_artifact_does_not_follow_rounding_noise(tmp_path, monkeypatch):
+    # both orderings' worst excess here is rounding, below 1e-12, and its
+    # time and place are the argmax of noise: the artifact reports them as
+    # null and nan, and a change of 1e-16 in the field keeps its bytes
+    from kpplab import kppsolve
+
+    march, changed = kppsolve.march, []
+
+    def perturbed(*args):
+        for t, u in march(*args):
+            v = u + 1e-16 * np.abs(u) if t > 0 else u
+            changed.append(np.count_nonzero(v != u))
+            yield t, v
+
+    cli.cmd_certify(_certify_cfg(out_dir=str(tmp_path / "a"), label="ct"))
+    monkeypatch.setattr(kppsolve, "march", perturbed)
+    cli.cmd_certify(_certify_cfg(out_dir=str(tmp_path / "b"), label="ct"))
+    assert sum(changed) > 0
+    got = (tmp_path / "b" / "ct.json").read_bytes()
+    assert got == (tmp_path / "a" / "ct.json").read_bytes()
+    results = json.loads(got)["results"]
+    for side in ("above", "below"):
+        assert results[side]["max_violation"] <= 1e-12
+        assert results[side]["worst_time"] is None
+        rows = (tmp_path / "b" / ("ct_%s.csv" % side)).read_text().split()[1:]
+        assert rows and all(row.endswith(",nan") for row in rows)
 
 
 def test_null_keys_take_library_defaults():

@@ -155,12 +155,9 @@ FACTOR_GRIDS = [[(5001, 0.1)],
                 [(3701, 0.1)] * 7]
 
 
-@pytest.mark.parametrize("grids", FACTOR_GRIDS)
-@pytest.mark.parametrize("dt", [0.001, 0.003125, 0.005, 0.05, 0.2])
-def test_factor_is_dpttrf_bitwise(grids, dt):
-    from scipy.linalg.lapack import dpttrf
-
-    grids = [kppsolve.Grid1D(0.0, dx * (n - 1), n) for n, dx in grids]
+def _diffusion_matrix(grids, dt):
+    """The diagonal and off-diagonal of the stacked diffusion matrix with
+    halved end rows, unfactored, 0 between grids."""
     diag, off = [], []
     for g in grids:
         lam = dt / g.dx ** 2
@@ -168,12 +165,39 @@ def test_factor_is_dpttrf_bitwise(grids, dt):
         w[0] = w[-1] = 0.5
         diag.append(w * (1.0 + 2.0 * lam))
         off.append(np.append(np.full(g.n - 1, -lam), 0.0))
-    d, e = np.concatenate(diag), np.concatenate(off)[:-1]
-    ref_d, ref_e, ref_info = dpttrf(d, e)
-    assert ref_info == 0 and _kernel.factor(d, e) == 0
+    return np.concatenate(diag), np.concatenate(off)[:-1]
+
+
+@pytest.mark.parametrize("grids", FACTOR_GRIDS)
+@pytest.mark.parametrize("dt", [0.001, 0.003125, 0.005, 0.05, 0.2])
+def test_factor_is_dpttrf_bitwise(grids, dt):
+    # each run's twisted factor is LAPACK dpttrf on the block of rows lo to
+    # its twist row m, and on the block of rows m to hi - 1 flipped; the
+    # twist pivot takes the top elimination, then the bottom one
+    from scipy.linalg.lapack import dpttrf
+
+    grids = [kppsolve.Grid1D(0.0, dx * (n - 1), n) for n, dx in grids]
+    a, b = _diffusion_matrix(grids, dt)
+    bounds = np.append(0, np.cumsum([g.n for g in grids]))
+    d, e = a.copy(), b.copy()
+    assert _kernel.factor(bounds, d, e) == 0
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        m = oracles.twist(lo, hi)
+        top_d, top_e, info = dpttrf(a[lo:m + 1], b[lo:m])
+        assert info == 0
+        assert np.array_equal(_bits(d[lo:m]), _bits(top_d[:-1]))
+        assert np.array_equal(_bits(e[lo:m]), _bits(top_e))
+        bottom_d, bottom_e, info = dpttrf(a[m:hi][::-1], b[m:hi - 1][::-1])
+        assert info == 0
+        assert np.array_equal(_bits(d[m + 1:hi]), _bits(bottom_d[-2::-1]))
+        assert np.array_equal(_bits(e[m:hi - 1]), _bits(bottom_e[::-1]))
+        pivot = float(a[m]) - float(e[m - 1]) * float(b[m - 1])
+        assert pivot == top_d[-1]
+        assert _bits(d[m]) == _bits(pivot - float(e[m]) * float(b[m]))
+    # the zero coupling between runs is left alone
+    assert np.all(_bits(e[bounds[1:-1] - 1]) == 0)
     # the solver's factor is this one
-    for got, ref in zip((d, e) + kppsolve._diffusion_ldlt(grids, dt),
-                        (ref_d, ref_e) * 2):
+    for got, ref in zip(kppsolve._diffusion_ldlt(grids, dt), (d, e)):
         assert np.array_equal(_bits(got), _bits(ref))
 
 
@@ -187,11 +211,8 @@ def test_factor_reports_dpttrfs_info(d, e, info):
     from scipy.linalg.lapack import dpttrf
 
     d, e = np.array(d), np.array(e)
-    ref_d, ref_e, ref_info = dpttrf(d, e)
-    assert ref_info == info
-    assert _kernel.factor(d, e) == info
-    assert np.array_equal(_bits(d), _bits(ref_d))
-    assert np.array_equal(_bits(e), _bits(ref_e))
+    assert dpttrf(d, e)[2] == info
+    assert _kernel.factor([0, d.size], d, e) == info
 
 
 def test_stored_frames_have_no_subnormals():
@@ -219,9 +240,17 @@ KERNEL_GRIDS = [(-10.0, 0.5, 200, 0.0), (-8.0, 0.4, 210, -2.0),
                 (-2.0, 0.7, 4, 0.0)]
 
 
+# one step of the twisted solve differs from the dpttrf/dpttrs step on the
+# same field by at most this many units in the last place of the step's
+# largest entry (1 measured on these runs and on the take-over grid)
+LAPACK_ULPS = 2
+
+
 @pytest.mark.parametrize("runs", [1, 3, 5, 9])
 @pytest.mark.parametrize("mu", [None, 0.8])
 def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
+    from scipy.linalg.lapack import dpttrf
+
     dt, n_steps = 0.001, 200
     grids, fields = [], []
     for x_lo, dx, n, x0 in KERNEL_GRIDS[:runs]:
@@ -234,21 +263,51 @@ def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
     nus = None if mu is None else \
         (mu * mu + mids) / mu * dt / np.array([[g.dx] for g in grids])
     d, e = kppsolve._diffusion_ldlt(grids, dt)
-    ref = lap = np.concatenate(fields)
+    lapack_d, lapack_e, _ = dpttrf(*_diffusion_matrix(grids, dt))
+    ref = np.concatenate(fields)
     march = _kernel_march(bounds, dt * mids, nus, d, e, ref)
     for k in range(n_steps):
         nu_k = None if nus is None else nus[:, k]
         got, tops = _kernel_step(march, k)
+        lap, _ = oracles.lapack_step(ref, bounds, dt * mids[:, k], nu_k,
+                                     lapack_d, lapack_e)
         ref, ref_top, n_flushed = oracles.float_step(ref, bounds, dt * mids[:, k],
                                                      nu_k, d, e)
-        lap, lap_top = oracles.lapack_step(lap, bounds, dt * mids[:, k], nu_k, d, e)
         assert np.array_equal(_bits(got), _bits(ref)), "step %d" % k
-        assert np.array_equal(_bits(lap), _bits(ref)), "step %d" % k
+        assert np.abs(lap - ref).max() <= \
+            LAPACK_ULPS * np.spacing(np.abs(ref).max()), "step %d" % k
         assert np.array_equal(_bits(tops),
                               _bits(np.maximum.reduceat(ref, bounds[:-1])))
-        assert _bits(tops.max()) == _bits(ref_top) == _bits(lap_top)
+        assert _bits(tops.max()) == _bits(ref_top)
         assert n_flushed > 0, "step %d" % k
 
+
+@pytest.mark.parametrize("ns", [(3,), (4,), (100,), (101,), (3, 4),
+                                (100, 101), (3, 4, 5, 100, 101)])
+@pytest.mark.parametrize("lam", [0.05, 0.5, 40.0])
+def test_step_is_exactly_monotone(ns, lam):
+    # with reaction rate 0 the step is halving, the twisted solve and the
+    # flush; every multiplier -e of both eliminations and every pivot is
+    # positive and rounding is monotone, so u <= v gives step(u) <= step(v)
+    # entrywise with no tolerance, subnormal tails and twist rows next to
+    # an end (n = 3 and 4) included
+    rng = np.random.default_rng(len(ns) * 1000 + sum(ns) + int(lam * 100))
+    grids = [kppsolve.Grid1D(0.0, n - 1.0, n) for n in ns]
+    bounds = np.append(0, np.cumsum(ns))
+    factor = kppsolve._diffusion_ldlt(grids, lam)
+    rates = np.zeros((len(ns), 1))
+    size = int(bounds[-1])
+    for _ in range(60):
+        u = rng.uniform(0.0, 1.0, size) ** rng.uniform(1.0, 40.0)
+        tail = rng.uniform(0.0, 1.0, size) < 0.4
+        u[tail] = rng.choice([0.0, 5e-324, 1e-310, 1e-300, 2.3e-308], tail.sum())
+        step = rng.choice([0.0, 5e-324, np.spacing(1.0), 1e-3], size)
+        v = np.where(rng.uniform(0.0, 1.0, size) < 0.5, u, np.nextafter(u + step, 2.0))
+        assert np.all(u <= v)
+        out_u, _ = _kernel_step(_kernel_march(bounds, rates, None, *factor, u), 0)
+        out_v, _ = _kernel_step(_kernel_march(bounds, rates, None, *factor, v), 0)
+        assert np.all(out_u <= out_v)
+        assert np.all(out_u >= 0.0)
 
 
 def _identity_step(values):
@@ -387,11 +446,14 @@ def test_nan_run_stays_in_its_own_run(monkeypatch):
     assert calls == []
 
 
-def test_kernel_source_compiles_without_warnings():
-    done = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                           "-ffp-contract=off", _kernel._SOURCE],
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # built as the package builds it, where -O2 lets the compiler see a
+    # chain's state used before it is set
+    done = subprocess.run(["cc", *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
+                           "-o", str(tmp_path / "step.so"), _kernel._SOURCE],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    assert (tmp_path / "step.so").exists()
 
 
 def test_library_exports_one_step_entry_point():

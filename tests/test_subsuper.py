@@ -196,6 +196,33 @@ def test_certify_ordering_basics():
     assert len(lines) == 3
 
 
+def test_certify_ordering_reports_no_place_for_rounding():
+    # an excess of one ulp of 0.5 moves from x = 2, t = 1 to x = 0, t = 0
+    # under a change of 1.1e-16 in the field; its size is reported, its
+    # time and place are not
+    flat = subsuper.BoundCurve(kind="super", fn=lambda t, x: np.full_like(x, 0.5))
+    ulp = np.spacing(0.5)
+    first, later = np.full(5, 0.5), np.full(5, 0.5)
+    later[2] += ulp
+    moved = later.copy()
+    moved[[0, 2]] = 0.5 + ulp, 0.5
+    reports, tables = [], []
+    for frames in ([first, later], [moved, first]):
+        rep = subsuper.certify_ordering(_toy_traj(frames), flat, "above")
+        buf = io.StringIO()
+        rep.to_csv(buf)
+        reports.append((rep.max_violation, rep.worst_time, rep.rows))
+        tables.append(buf.getvalue())
+    assert reports[0][0] == reports[1][0] == ulp
+    assert math.isnan(reports[0][1]) and math.isnan(reports[1][1])
+    assert tables[0].split()[1:] == ["0,0,nan", "1,1.11022302463e-16,nan"]
+    assert tables[1].split()[1:] == ["0,1.11022302463e-16,nan", "1,0,nan"]
+    # a violation above the rounding level keeps its time and place
+    rep = subsuper.certify_ordering(_toy_traj([first, later + 1e-9]), flat,
+                                    "above")
+    assert rep.worst_time == 1.0 and rep.rows[1][2] == 2.0
+
+
 def test_certify_ordering_initial_breach_is_an_error():
     traj = _toy_traj([np.full(5, 0.95), np.full(5, 0.4)])
     flat = subsuper.BoundCurve(kind="super", fn=lambda t, x: np.full_like(x, 0.9))
