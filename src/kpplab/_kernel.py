@@ -17,16 +17,21 @@ kppsolve._check_step_bounds rounds it, and it stops only before a step
 where one trips, so that Python raises that run's error.  ctypes releases
 the GIL for the length of a call, so marches on two threads overlap
 between their frames.  factor (kpp_factor) gives the twisted factor, each
-of whose halves is LAPACK dpttrf on its block of rows, and ar1 (kpp_ar1)
-the AR(1) recursion of coeff.NoisePath as LAPACK dgttrs computes it; both
-work in place.
+of whose halves is LAPACK dpttrf on its block of rows, and its pivots'
+reciprocals rounded toward zero, by which the sweeps multiply where
+dpttrs divides; ar1 (kpp_ar1) gives the AR(1) recursion of
+coeff.NoisePath as LAPACK dgttrs computes it; both work in place.
 
-The library is compiled with `cc -O2 -fPIC -shared -ffp-contract=off`.
--ffp-contract=off is what keeps the results bitwise those of numpy, of
-LAPACK and of the twisted step written out in Python floats: without it
-the compiler may fuse a multiply and an add into one FMA, which rounds
-once instead of twice.  No flag that changes rounding (-march=native,
--ffast-math) may be added.  The library is cached in the
+The library is compiled with `cc -O2 -fPIC -shared -ffp-contract=off`
+and linked to libm.  Each multiply-subtract of the sweeps is an fma in the
+source, which rounds once.  -ffp-contract=off keeps the compiler from
+fusing any other multiply and add, which is what keeps the rest bitwise
+numpy's and LAPACK's, and the whole step bitwise the twisted step written
+out in Python floats.  No flag that changes rounding (-march=native,
+-ffast-math) may be added.  On x86 the function holding the sweeps is
+built twice, with FMA instructions and with libm's fma for CPUs without
+them, and the loader picks one; both round each fma once, so a step's
+bits do not depend on the CPU.  The library is cached in the
 package's __pycache__ directory under a name keyed by a CRC of the flags
 and the source, written to a temporary file and renamed into place, so
 concurrent first imports do not clash; the cache is written whatever
@@ -53,7 +58,7 @@ class _March(ctypes.Structure):
     # struct kpp_march of _step.c
     _fields_ = [("runs", ctypes.c_ssize_t), ("steps", ctypes.c_ssize_t),
                 ("bounds", ctypes.c_void_p), ("rates", ctypes.c_void_p),
-                ("nus", ctypes.c_void_p), ("d", ctypes.c_void_p),
+                ("nus", ctypes.c_void_p), ("r", ctypes.c_void_p),
                 ("e", ctypes.c_void_p), ("dta", ctypes.c_void_p),
                 ("limit", ctypes.c_double), ("spare", ctypes.c_void_p * 2),
                 ("u", ctypes.c_void_p),
@@ -68,7 +73,8 @@ def _build(target):
 
     fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(target))
     os.close(fd)
-    cmd = ["cc", *FLAGS, "-o", tmp, _SOURCE]
+    # libm after the source: the sweeps' default clone calls its fma
+    cmd = ["cc", *FLAGS, "-o", tmp, _SOURCE, "-lm"]
     try:
         try:
             done = subprocess.run(cmd, capture_output=True, text=True)
@@ -114,7 +120,7 @@ steps.argtypes = [ctypes.POINTER(_March), ctypes.c_ssize_t, ctypes.c_ssize_t,
                   ctypes.c_void_p]
 steps.restype = ctypes.c_ssize_t
 _lib.kpp_factor.argtypes = [ctypes.c_ssize_t, ctypes.c_void_p,
-                            ctypes.c_void_p, ctypes.c_void_p]
+                            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
 _lib.kpp_factor.restype = ctypes.c_ssize_t
 _lib.kpp_ar1.argtypes = [ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p]
 _lib.kpp_ar1.restype = None
@@ -143,17 +149,20 @@ def _bounds(bounds, n):
     return bounds
 
 
-def factor(bounds, d, e):
+def factor(bounds, d, e, r):
     """The twisted factor N D N^T of the symmetric tridiagonal matrix with
-    diagonal d and off-diagonal e, each run [bounds[r], bounds[r + 1]) on
-    its own, written over them (kpp_factor in _step.c; e between two runs
-    is left as it is).  Returns dpttrf's info: 0, or i + 1 where d[i] is
-    the first non-positive pivot."""
+    diagonal d and off-diagonal e, each run [bounds[k], bounds[k + 1]) on
+    its own, written over them, and 1 / D rounded toward zero into r, which
+    the step multiplies by (kpp_factor in _step.c; e between two runs is
+    left as it is).  r may be d itself, which then ends up holding the
+    reciprocals.  Returns dpttrf's info: 0, or i + 1 where d[i] is the
+    first non-positive pivot; r is then unfinished."""
     bounds = _bounds(bounds, d.size)
-    if e.size != d.size - 1:
-        raise ValueError("e needs %d entries, not %d" % (d.size - 1, e.size))
+    if e.size != d.size - 1 or r.size != d.size:
+        raise ValueError("e and r need %d and %d entries, not %d and %d"
+                         % (d.size - 1, d.size, e.size, r.size))
     return _lib.kpp_factor(bounds.size - 1, bounds.ctypes.data, _address(d),
-                           _address(e))
+                           _address(e), _address(r))
 
 
 def ar1(rho, x):
@@ -162,11 +171,11 @@ def ar1(rho, x):
     _lib.kpp_ar1(x.size, rho, _address(x))
 
 
-def layout(bounds, rates, nus, d, e, dta, limit, u):
+def layout(bounds, rates, nus, r, e, dta, limit, u):
     """The march that steps(layout, k, k1, out) reads and advances: run
     offsets `bounds` (K + 1 integers from 0 to d.size, each run at least 3
     nodes), rates, nus and dta (K rows of n_steps floats; nus None in the
-    fixed frame), the diffusion factor d, e that factor gives, the reaction
+    fixed frame), the diffusion factor r, e that factor gives, the reaction
     gate's bound `limit`, two new work buffers, and the field: the array u
     to start from, then the address layout.u of the field the last call
     reached (u, a work buffer or that call's out), with each run's largest
@@ -178,24 +187,24 @@ def layout(bounds, rates, nus, d, e, dta, limit, u):
     stops before the first step k where some run r has
     dta[r, k] * max(1.0, 2.0 * tops[r] - 1.0) > limit and returns k; it
     returns k1 when every step is made."""
-    bounds = _bounds(bounds, np.size(d))
-    rates, dta, d, e, u = (np.ascontiguousarray(a, dtype=float)
-                           for a in (rates, dta, d, e, u))
+    bounds = _bounds(bounds, np.size(r))
+    rates, dta, r, e, u = (np.ascontiguousarray(a, dtype=float)
+                           for a in (rates, dta, r, e, u))
     if nus is not None:
         nus = np.ascontiguousarray(nus, dtype=float)
     if any(a.shape != rates.shape for a in (dta, nus) if a is not None):
         raise ValueError("rates, nus and dta differ in shape")
     n = int(bounds[-1])
     if rates.ndim != 2 or rates.shape[0] != bounds.size - 1 or \
-            d.size != n or e.size != n - 1 or u.size != n:
+            r.size != n or e.size != n - 1 or u.size != n:
         raise ValueError("the run layout does not match the factor's size")
     spare = np.empty((2, n))
     tops = np.maximum.reduceat(u, bounds[:-1])
     march = _March(bounds.size - 1, rates.shape[1], bounds.ctypes.data,
                    rates.ctypes.data, None if nus is None else nus.ctypes.data,
-                   d.ctypes.data, e.ctypes.data, dta.ctypes.data, limit,
+                   r.ctypes.data, e.ctypes.data, dta.ctypes.data, limit,
                    (ctypes.c_void_p * 2)(*(v.ctypes.data for v in spare)),
                    u.ctypes.data,
                    tops.ctypes.data_as(ctypes.POINTER(ctypes.c_double)))
-    march.arrays = (bounds, rates, nus, d, e, dta, spare, u, tops)
+    march.arrays = (bounds, rates, nus, r, e, dta, spare, u, tops)
     return march

@@ -16,11 +16,13 @@
  *   upwind    v[i] + nu (v[i + 1] - v[i]) on every node but a run's last
  *             (moving frame only: nus is NULL in the fixed frame);
  *   halving   of each run's first and last entry;
- *   solve     N D N^T x = b with the twisted factor (d, e) of the run's
- *             diffusion matrix that kpp_factor gives: the forward sweep
- *             eliminates rows lo to m - 1 top-down and rows hi - 1 to
- *             m + 1 bottom-up, row m takes both (top first), and the
- *             backward sweep runs outward from x[m] = y[m] / d[m];
+ *   solve     N D N^T x = b with the twisted factor of the run's
+ *             diffusion matrix that kpp_factor gives, its multipliers e
+ *             and its pivots as reciprocals r = 1 / d rounded toward zero:
+ *             the forward sweep eliminates rows lo to m - 1 top-down and
+ *             rows hi - 1 to m + 1 bottom-up, row m takes both (top
+ *             first), and the backward sweep runs outward from
+ *             x[m] = y[m] r[m];
  *   flush     x = 0 where |x| < DBL_MIN, after the solve.
  *
  * It writes the largest entry of each run r of out into tops[r], NaN when
@@ -28,26 +30,32 @@
  * -0.0 to tie with 0.0).  Each entry is made by the same floating-point
  * operations, in the same order, as the twisted step in Python floats
  * (float_step in tests/oracles.py) on the run alone, so the result is
- * bitwise that step's.  That holds only while the compiler fuses no
- * multiply and add, hence -ffp-contract=off.  The reaction, upwind and
- * halving are bitwise numpy's elementwise calls.  The solve is not in
- * LAPACK dptts2's one-chain order: on the same field, a step differs from
- * the dpttrf/dpttrs step by at most one unit in the last place of the
- * step's largest entry (measured on Heaviside fronts of 3 to 5001 nodes),
- * and the 20000 steps of a take-over run on 5001 nodes by at most 1.0e-15.
- * Both eliminations have only positive pivots and nonpositive
- * off-diagonal multipliers, so the step stays exactly monotone in floating
- * point.  Runs share no entry of the factor, so a NaN or an overflow stays
- * in its own run.
+ * bitwise that step's.  Each multiply-subtract of the sweeps is one
+ * explicit fma, which rounds once; every other multiply and add rounds on
+ * its own, which holds only while the compiler fuses none of them, hence
+ * -ffp-contract=off.  The reaction, upwind and halving are bitwise numpy's
+ * elementwise calls.  The solve is not LAPACK dptts2's: on the same field,
+ * a step differs from the dpttrf/dpttrs step by at most two units in the
+ * last place of the step's largest entry on Heaviside fronts of 3 to 260
+ * nodes, and by at most five on 5001 nodes.  The reciprocals round toward
+ * zero, so y r is never larger in magnitude than y / d: no step lifts a
+ * field above 1.  The price is a bias toward 0: a plateau at 1 settles
+ * 1.7e-15 below it, and the 20000 steps of a take-over run on 5001 nodes
+ * end up to 4.9e-13 below the one-chain march (with nearest reciprocals
+ * 5.7e-14 from it, and 4.4e-16 above 1).  Both eliminations have only
+ * positive pivots and reciprocals and nonpositive off-diagonal
+ * multipliers, and fma and every product round a monotone exact value, so
+ * the step stays exactly monotone in floating point.  Runs share no entry
+ * of the factor, so a NaN or an overflow stays in its own run.
  *
- * Each half of a sweep is a chain of dependent multiplies and
- * subtractions, so each run is swept as two chains, up from lo and down
- * from hi - 1, of about half its length, and the runs of a march share no
- * chain.  The runs are swept in groups of up to GROUP whose chains advance
- * together: node j of every chain in the group before node j + 1, over the
- * group's shortest top half, then the rest of each chain alone.  The
- * chains' latencies then overlap instead of adding up.  K runs make
- * ceil(K / GROUP) groups whose sizes differ by at most 1.
+ * Each half of a sweep is a chain of dependent fmas, so each run is swept
+ * as two chains, up from lo and down from hi - 1, of about half its
+ * length, and the runs of a march share no chain.  The runs are swept in
+ * groups of up to GROUP whose chains advance together: node j of every
+ * chain in the group before node j + 1, over the group's shortest top
+ * half, then the rest of each chain alone.  The chains' latencies then
+ * overlap instead of adding up.  K runs make ceil(K / GROUP) groups whose
+ * sizes differ by at most 1.
  *
  * kpp_steps runs kpp_step from one stored frame to the next, so Python,
  * which holds the interpreter lock between calls, is not entered at every
@@ -73,7 +81,8 @@ struct kpp_march {
     const double *rates;       /* rates[r * steps + k]: dt a_r(t_k + dt / 2) */
     const double *nus;         /* the runs' upwind Courant numbers, laid out
                                   as rates; NULL in the fixed frame */
-    const double *d, *e;       /* kpp_factor's D (n entries) and N (n - 1) */
+    const double *r, *e;       /* kpp_factor's 1 / D rounded toward zero (n
+                                  entries) and N (n - 1) */
     const double *dta;         /* laid out as rates: dt sup a_r over step k,
                                   inf where run r's CFL gate trips */
     double limit;              /* the reaction gate's bound on
@@ -86,7 +95,7 @@ struct kpp_march {
 
 /* what one step reads and writes; out is not u */
 struct sweep {
-    const double *u, *d, *e;
+    const double *u, *r, *e;
     double *out;
     int moving;                /* the march is in the moving frame */
 };
@@ -121,7 +130,7 @@ static double sup(double top, double y)
 }
 
 /* the forward sweep of the up chain at node i, lo < i < m: *v is the
-   reacted u[i] and becomes the reacted u[i + 1]; out[i] gets y[i] / d[i],
+   reacted u[i] and becomes the reacted u[i + 1]; out[i] gets y[i] r[i],
    the first operation of the backward sweep; returns y[i] */
 static inline double up(const struct sweep *s, ptrdiff_t i, double rate,
                         double nu, double *v, double y)
@@ -130,8 +139,8 @@ static inline double up(const struct sweep *s, ptrdiff_t i, double rate,
     double b = upwind(s, *v, w, nu);
 
     *v = w;
-    b = b - y * s->e[i - 1];
-    s->out[i] = b / s->d[i];
+    b = fma(-y, s->e[i - 1], b);
+    s->out[i] = b * s->r[i];
     return b;
 }
 
@@ -144,8 +153,8 @@ static inline double down(const struct sweep *s, ptrdiff_t i, double rate,
     double b = upwind(s, v, *w, nu);
 
     *w = v;
-    b = b - y * s->e[i];
-    s->out[i] = b / s->d[i];
+    b = fma(-y, s->e[i], b);
+    s->out[i] = b * s->r[i];
     return b;
 }
 
@@ -155,7 +164,7 @@ static inline double down(const struct sweep *s, ptrdiff_t i, double rate,
 static inline double backward(const struct sweep *s, ptrdiff_t i, double x,
                               double ei, double *top)
 {
-    x = s->out[i] - x * ei;
+    x = fma(-x, ei, s->out[i]);
     s->out[i] = flush(x);
     *top = sup(*top, s->out[i]);
     return x;
@@ -266,9 +275,21 @@ backward_together(const struct sweep *s, struct run *g, int w, ptrdiff_t len)
     }
 }
 
+/* The sweeps below round each multiply-subtract once, in an explicit fma.
+   On x86 the function that holds them is built twice: with the FMA
+   instructions, and for CPUs without them, where fma is libm's, correctly
+   rounded too; the loader picks one, and both give the same bits.  aarch64
+   has FMA in its base instruction set. */
+#if defined(__x86_64__) || defined(__i386__)
+#define FMA_CLONES __attribute__((target_clones("fma", "default")))
+#else
+#define FMA_CLONES
+#endif
+
 /* the step of the w <= GROUP runs from run r on, with their sups */
-static void group(const struct kpp_march *m, const struct sweep *s,
-                  ptrdiff_t k, ptrdiff_t r, int w)
+static FMA_CLONES void group(const struct kpp_march *m,
+                             const struct sweep *s, ptrdiff_t k, ptrdiff_t r,
+                             int w)
 {
     struct run g[GROUP];
     ptrdiff_t i, len = PTRDIFF_MAX;
@@ -293,11 +314,11 @@ static void group(const struct kpp_march *m, const struct sweep *s,
         a->up.v = react(s->u[a->lo + 1], a->rate);
         b = upwind(s, v0, a->up.v, a->nu) * 0.5;
         a->up.y = b;
-        s->out[a->lo] = b / s->d[a->lo];
+        s->out[a->lo] = b * s->r[a->lo];
         a->down.v = react(s->u[a->hi - 1], a->rate);
         b = a->down.v * 0.5;
         a->down.y = b;
-        s->out[a->hi - 1] = b / s->d[a->hi - 1];
+        s->out[a->hi - 1] = b * s->r[a->hi - 1];
     }
     switch (w) {
     case 1:
@@ -315,9 +336,9 @@ static void group(const struct kpp_march *m, const struct sweep *s,
         for (i = a->hi - 1 - len; i > a->m; i--)
             a->down.y = down(s, i, a->rate, a->nu, &a->down.v, a->down.y);
         b = upwind(s, a->up.v, a->down.v, a->nu);
-        b = b - a->up.y * s->e[a->m - 1];
-        b = b - a->down.y * s->e[a->m];
-        a->up.x = a->down.x = b / s->d[a->m];
+        b = fma(-a->up.y, s->e[a->m - 1], b);
+        b = fma(-a->down.y, s->e[a->m], b);
+        a->up.x = a->down.x = b * s->r[a->m];
         s->out[a->m] = a->up.top = a->down.top = flush(a->up.x);
     }
 
@@ -345,7 +366,7 @@ static void group(const struct kpp_march *m, const struct sweep *s,
 /* step k of the field m->u into out, each run's sup into m->tops */
 static void kpp_step(const struct kpp_march *m, ptrdiff_t k, double *out)
 {
-    const struct sweep s = {m->u, m->d, m->e, out, m->nus != NULL};
+    const struct sweep s = {m->u, m->r, m->e, out, m->nus != NULL};
     /* ceil(K / GROUP) groups whose sizes differ by at most 1: the first
        K % groups of them get one run more */
     const ptrdiff_t groups = (m->runs + GROUP - 1) / GROUP;
@@ -387,23 +408,36 @@ ptrdiff_t kpp_steps(struct kpp_march *m, ptrdiff_t k, ptrdiff_t k1,
     return k;
 }
 
+/* 1 / d rounded toward zero, for d > 0: the nearest reciprocal, or the
+   float below it where that lies above 1 / d (r d - 1 > 0, which one fma
+   gives exactly) */
+static double reciprocal(double d)
+{
+    const double r = 1.0 / d;
+
+    return fma(r, d, -1.0) > 0.0 ? nextafter(r, 0.0) : r;
+}
+
 /* The twisted factor N D N^T of the symmetric tridiagonal matrix with
    diagonal d (n = bounds[runs] entries) and off-diagonal e (n - 1), each
-   run's block [lo, hi) on its own, written over them; e[hi - 1] between
-   two runs is neither read nor written.  With m the run's twist row, rows
-   lo to m are LAPACK dpttrf's factor of the block [lo, m] (netlib's
-   operations in netlib's order): e[i] for lo <= i < m is the multiplier of
-   row i.  Rows hi - 1 down to m are dpttrf's factor of the block [m, hi)
-   flipped: e[i] for m <= i < hi - 1 is the multiplier of row i + 1.  The
-   twist pivot d[m] takes both eliminations, the top one first.  Returns
+   run's block [lo, hi) on its own, written over them, and r[i] = 1 / d[i]
+   rounded toward zero, which the step multiplies by in place of dividing
+   by d[i]; e[hi - 1] between two runs is neither read nor written.  With
+   m the run's twist row, rows lo to m are LAPACK dpttrf's factor of the
+   block [lo, m] (netlib's operations in netlib's order): e[i] for
+   lo <= i < m is the multiplier of row i.  Rows hi - 1 down to m are
+   dpttrf's factor of the block [m, hi) flipped: e[i] for m <= i < hi - 1
+   is the multiplier of row i + 1.  The twist pivot d[m] takes both
+   eliminations, the top one first.  Returns
    dpttrf's info: 0, or i + 1 where d[i] is the first non-positive pivot,
    the runs in order and in each the top rows, the bottom rows and then
-   the twist row. */
+   the twist row; r is left unfinished where info is not 0.  r may be d:
+   each run's reciprocals are written once its factor is done. */
 ptrdiff_t kpp_factor(ptrdiff_t runs, const ptrdiff_t *bounds, double *d,
-                     double *e)
+                     double *e, double *r)
 {
-    for (ptrdiff_t r = 0; r < runs; r++) {
-        const ptrdiff_t lo = bounds[r], hi = bounds[r + 1], m = twist(lo, hi);
+    for (ptrdiff_t k = 0; k < runs; k++) {
+        const ptrdiff_t lo = bounds[k], hi = bounds[k + 1], m = twist(lo, hi);
         ptrdiff_t i;
         double ei;
 
@@ -423,6 +457,8 @@ ptrdiff_t kpp_factor(ptrdiff_t runs, const ptrdiff_t *bounds, double *d,
         }
         if (d[m] <= 0.0)
             return m + 1;
+        for (i = lo; i < hi; i++)
+            r[i] = reciprocal(d[i]);
     }
     return 0;
 }

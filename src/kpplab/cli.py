@@ -275,7 +275,8 @@ def cmd_takeover(cfg):
     level = float(cfg.get("level", 0.5))
     checks = [fronts.FrontTracker(run, (level, 0.25) if level == 0.5 else (level,))]
     if "h" in cfg:
-        t_checks = cfg.get("t_checks") or [float(run.times[-1])]
+        t_checks = cfg["t_checks"] if "t_checks" in cfg \
+            else [float(run.times[-1])]
         checks.append(fronts.TakeoverCheck(
             run, path, float(cfg["h"]), [float(t) for t in t_checks],
             **_floats(cfg, r_min="r_min", outer_tol="outer_tol",

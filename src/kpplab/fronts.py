@@ -197,9 +197,17 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
     shifts; vanish needs it below eps_vanish beyond the ray.  Strict
     inequalities: a tie is neither, which can only widen [c_lo, c_hi].
     c_lo is the largest spread speed, c_hi the smallest vanish speed.
+    thresholds is (eps_spread, eps_vanish), finite with
+    0 < eps_vanish < eps_spread (ValueError otherwise): swapped, a vanish
+    level above the spread level would let one final frame judge a speed
+    both ways.
     u0_class is an initial-data kind or a dict {"kind": ..., <init params>}.
     """
-    eps_spread, eps_vanish = thresholds
+    eps_spread, eps_vanish = (float(v) for v in thresholds)
+    if not 0.0 < eps_vanish < eps_spread < math.inf:
+        raise ValueError("thresholds must be (eps_spread, eps_vanish) with "
+                         "0 < eps_vanish < eps_spread, both finite, not "
+                         "(%r, %r)" % (eps_spread, eps_vanish))
     c_grid = sorted(float(c) for c in c_grid)
     shifts = sorted(float(s) for s in shift_set)
     if not c_grid or not shifts:
@@ -264,7 +272,7 @@ def probe_speed_interval(path, u0_class, c_grid, shift_set, t_probe,
     return SpeedInterval(c_lo=c_lo, c_hi=c_hi, c_grid=tuple(c_grid),
                          shifts=tuple(shifts), per_c=per_c, decisions=decisions,
                          monotone=monotone, t_probe=float(t_probe),
-                         thresholds=(float(eps_spread), float(eps_vanish)),
+                         thresholds=(eps_spread, eps_vanish),
                          u0_class=kind_name)
 
 

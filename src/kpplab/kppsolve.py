@@ -15,33 +15,39 @@ its own, as a twisted factorization N D N^T by kpp_factor in _step.c:
 rows above the run's middle (twist) row m = (n - 1) // 2 are eliminated
 top-down, rows below it bottom-up, and row m takes both eliminations, the
 top one first.  Each half is LAPACK dpttrf bit for bit on its block of
-rows (the bottom one flipped).  Each step solves against the right-hand
-side with its end entries halved as well; halving is exact in binary, so
-this is the same linear system.
+rows (the bottom one flipped).  The march keeps the pivots as their
+reciprocals rounded toward zero, and multiplies by them where dpttrs
+divides.  Each step solves against the right-hand side with its end
+entries halved as well; halving is exact in binary, so this is the same
+linear system.
 
-A step is one pass of kpp_steps in _step.c, which kpplab._kernel
-compiles on first import with `cc -O2 -fPIC -shared -ffp-contract=off` and
-caches in the package's __pycache__.  In one pass over the field it makes
-the reaction, the upwind, the end-row halving, the two sweeps of the
-twisted solve (toward each run's twist row, then outward from it), the
-subnormal flush and each run's sup u.  Each entry comes from the same
-floating-point operations in the same order as the twisted step written
-out in Python floats, so every result is bitwise that step's;
--ffp-contract=off keeps the compiler from fusing a multiply and an add
-into one FMA, which would round once where they round twice.  On the
-same field a step differs from LAPACK's one-chain dpttrs solve, which the
-kernel used before, by at most one unit in the last place of the step's
-largest entry.  Every multiplier of both eliminations is nonpositive and
-every pivot positive, so the step is exactly monotone in floating point.
-The sweeps are chains of dependent multiplies and subtractions, whose
-latency is most of a step: the twisted solve makes each run two chains of
-half its length.  The runs of a march share no chain, so the kernel
-sweeps K runs in ceil(K / 2) groups of nearly equal size (5 runs as
-2 + 2 + 1) whose chains advance node by node together, and their
-latencies overlap.  The steps from one stored frame to the next are one
-call of kpp_steps, a loop in C: Python is entered once per stored frame,
-not once per step, and ctypes releases the GIL for the length of the
-call, so marches on two threads overlap.
+A step is one pass of kpp_steps in _step.c, which kpplab._kernel compiles
+on first import with `cc -O2 -fPIC -shared -ffp-contract=off` and caches
+in the package's __pycache__.  In one pass over the field it makes the
+reaction, the upwind, the end-row halving, the two sweeps of the twisted
+solve (toward each run's twist row, then outward from it), the subnormal
+flush and each run's sup u.  Each entry comes from the same floating-point
+operations in the same order as the twisted step written out in Python
+floats, so every result is bitwise that step's.  Each multiply-subtract of
+the sweeps is one fma, which rounds once, on every CPU; -ffp-contract=off
+keeps the compiler from fusing any other multiply and add.  On the same
+field a step differs from LAPACK's one-chain dpttrs solve by at most two
+units in the last place of the step's largest entry on the test grids, and
+five on the 5001-node take-over grid.  Since the reciprocals round toward
+zero, no step makes a field higher than dividing would, so a field at most
+1 stays at most 1.  The price is a bias toward 0: after the 20000 steps of
+a take-over run, its plateau sits 1.7e-15 below 1 and its front up to
+4.9e-13 below the one-chain march's.  Every multiplier of both
+eliminations is nonpositive and every pivot and reciprocal positive, so
+the step is exactly monotone in floating point.  The sweeps are chains of
+dependent fmas, whose latency is most of a step: the twisted solve makes
+each run two chains of half its length.  The runs of a march share no
+chain, so the kernel sweeps K runs in ceil(K / 2) groups of nearly equal
+size (5 runs as 2 + 2 + 1) whose chains advance node by node together, and
+their latencies overlap.  The steps from one stored frame to the next are
+one call of kpp_steps, a loop in C: Python is entered once per stored
+frame, not once per step, and ctypes releases the GIL for the length of
+the call, so marches on two threads overlap.
 
 After each step, entries with |u| below the smallest normal float are set
 to 0.  The solution ahead of a front decays into subnormal numbers, which
@@ -262,7 +268,7 @@ def frame_position(path, mu, t, t0=0.0):
 
 
 def _diffusion_ldlt(grids, dt):
-    """Twisted factor (d, e) of backward Euler with I - dt * Laplacian
+    """Twisted factor of backward Euler with I - dt * Laplacian
     (zero-flux) on each grid, the grids' systems stacked as one
     block-diagonal system.
 
@@ -274,8 +280,10 @@ def _diffusion_ldlt(grids, dt):
     compiled code of kpplab._kernel, each grid's block on its own: each
     half of a block is bitwise LAPACK dpttrf on its rows.  The
     off-diagonal entry between one grid's last node and the next grid's
-    first is 0.  The step (kpplab._kernel) halves the right-hand side's end
-    entries and solves with the factor.
+    first is 0.  Returns (r, e): the pivots d as r = 1 / d rounded toward
+    zero, which the step (kpplab._kernel) multiplies by, and the
+    multipliers.  The step halves the right-hand side's end entries and
+    solves with the factor.
     """
     diag, off = [], []
     for grid in grids:
@@ -285,7 +293,8 @@ def _diffusion_ldlt(grids, dt):
         diag.append(d)
         off += [-lam] * (grid.n - 1) + [0.0]
     d, e = np.concatenate(diag), np.array(off[:-1])
-    info = factor(np.cumsum([0] + [grid.n for grid in grids]), d, e)
+    # the reciprocals go over the pivots, which the step does not read
+    info = factor(np.cumsum([0] + [grid.n for grid in grids]), d, e, d)
     if info != 0:
         raise RuntimeError("the diffusion factor failed (info=%d) for dt=%g"
                            % (info, dt))

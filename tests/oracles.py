@@ -9,6 +9,7 @@ with the twisted solve the solver makes, in Python floats.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -108,11 +109,48 @@ def brute_front(x, u, level):
     return None
 
 
+_SPLIT = 2.0 ** 27 + 1.0
+
+
+def _split(a):
+    """a as hi + lo, each of at most 26 significant bits (Veltkamp)."""
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def fma(a, b, c):
+    """a * b + c rounded once to the nearest float (math.fma of Python
+    3.13).  Where no step can overflow or underflow, a * b is exactly
+    p + err (Dekker's product), and math.fsum rounds p + err + c once;
+    elsewhere the sum is made exactly in Fractions and rounded by float()."""
+    p = a * b
+    if 2.0 ** -900 < abs(p) < 2.0 ** 900 and abs(a) < 2.0 ** 900 and \
+            abs(b) < 2.0 ** 900:
+        (ah, al), (bh, bl) = _split(a), _split(b)
+        err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+        return math.fsum((p, err, c))
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return p + c
+    if not math.isfinite(c):
+        return c
+    if a == 0.0 or b == 0.0:
+        return p + c            # the exact product is p, a signed 0
+    if c == 0.0:
+        return p                # a * b, not 0, rounded once
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 # -- one step of the solver: the runs' fields lie end to end in u, run r in
 # u[bounds[r]:bounds[r + 1]], with reaction rates[r] = dt a_r and upwind
-# Courant numbers nus[r] (None in the fixed frame); (d, e) is the factor of
-# the stacked diffusion matrix with halved end rows: LAPACK dpttrf's for
-# lapack_step, the twisted one of kppsolve._diffusion_ldlt for float_step
+# Courant numbers nus[r] (None in the fixed frame).  lapack_step takes
+# LAPACK dpttrf's factor (d, e) of the stacked diffusion matrix with halved
+# end rows; float_step the twisted one of kppsolve._diffusion_ldlt as the
+# solver keeps it, (r, e) with r = 1 / d rounded toward zero
 
 
 def lapack_step(u, bounds, rates, nus, d, e):
@@ -138,35 +176,36 @@ def twist(lo, hi):
     return lo + (hi - lo - 1) // 2
 
 
-def float_step(u, bounds, rates, nus, d, e):
+def float_step(u, bounds, rates, nus, r, e):
     """The step in Python floats, one operation at a time, with the twisted
     solve written out: in each run [lo, hi) with twist row m, y is
     eliminated top-down over rows lo to m - 1 and bottom-up over rows
     hi - 1 to m + 1, row m takes both (top first), and x runs outward from
-    x[m] = y[m] / d[m].  Returns the new field, its max and the number of
-    nonzero entries the flush set to 0."""
+    x[m] = y[m] r[m].  Each multiply-subtract of the solve is one fma, and
+    each division by a pivot d a multiplication by r.  Returns the new
+    field, its max and the number of nonzero entries the flush set to 0."""
     x = []
-    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        rate = float(rates[r])
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rate = float(rates[k])
         y = [w + (rate * w) * (1.0 - w) for w in u[lo:hi].tolist()]
         if nus is not None:
-            nu = float(nus[r])
+            nu = float(nus[k])
             y = [a + nu * (c - a) for a, c in zip(y, y[1:])] + y[-1:]
         y[0] *= 0.5
         y[-1] *= 0.5
-        dr, er = d[lo:hi].tolist(), e[lo:hi - 1].tolist()
+        rr, er = r[lo:hi].tolist(), e[lo:hi - 1].tolist()
         n, m = hi - lo, twist(0, hi - lo)
         for i in range(1, m):
-            y[i] = y[i] - y[i - 1] * er[i - 1]
+            y[i] = fma(-y[i - 1], er[i - 1], y[i])
         for i in range(n - 2, m, -1):
-            y[i] = y[i] - y[i + 1] * er[i]
-        y[m] = (y[m] - y[m - 1] * er[m - 1]) - y[m + 1] * er[m]
+            y[i] = fma(-y[i + 1], er[i], y[i])
+        y[m] = fma(-y[m + 1], er[m], fma(-y[m - 1], er[m - 1], y[m]))
         xr = [0.0] * n
-        xr[m] = y[m] / dr[m]
+        xr[m] = y[m] * rr[m]
         for i in range(m - 1, -1, -1):
-            xr[i] = y[i] / dr[i] - xr[i + 1] * er[i]
+            xr[i] = fma(-xr[i + 1], er[i], y[i] * rr[i])
         for i in range(m + 1, n):
-            xr[i] = y[i] / dr[i] - xr[i - 1] * er[i - 1]
+            xr[i] = fma(-xr[i - 1], er[i - 1], y[i] * rr[i])
         x += xr
     out = np.array([0.0 if abs(w) < TINY else w for w in x])
     return out, out.max(), sum(1 for w in x if 0.0 < abs(w) < TINY)

@@ -265,6 +265,35 @@ def test_cmd_interval_exit_codes():
     assert code2 == cli.EXIT_INCONCLUSIVE
 
 
+_INTERVAL_ARGV = ["interval", "--set", "dx=0.2", "--set", "dt=0.01",
+                  "--set", "c_grid=[1.5,2.5]", "--set", "shift_set=[0]",
+                  "--set", "t_probe=10"]
+
+
+def test_cmd_interval_default_thresholds_are_inconclusive_at_t_probe_10():
+    assert cli.main(_INTERVAL_ARGV) == cli.EXIT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("thresholds", ["[0.05,0.9]", "[0.5,0.5]", "[0.9,0]",
+                                        "[1e309,0.05]", "[0.9,NaN]"])
+def test_cmd_interval_thresholds_out_of_order_are_a_usage_error(thresholds,
+                                                                capsys):
+    # swapped, the thresholds used to call 1.5 a spread speed and exit 0
+    # where the default ones exit 3
+    assert cli.main(_INTERVAL_ARGV + ["--set", "thresholds=" + thresholds]) \
+        == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: thresholds must be")
+
+
+def test_cmd_takeover_empty_t_checks_is_a_usage_error(tmp_path, capsys):
+    # an empty list used to become one check at t_end
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(_SHAPE_BASE["takeover"]))
+    assert cli.main(["takeover", "--config", str(cfg_file), "--set", "h=0.7",
+                     "--set", "t_checks=[]"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: need at least one check time\n"
+
+
 def test_cmd_interval_passes_u0_value():
     # constant data 0.3 under a = 1 follows the logistic curve, reaching
     # 0.3 / (0.7 e^-1 + 0.3) ~ 0.538 at t = 1: neither spread nor vanish

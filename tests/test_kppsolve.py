@@ -1,8 +1,11 @@
 """Solver mechanics: grids, initial data, stepping, storage, and errors."""
 
+import ctypes
 import io
 import math
+import platform
 import subprocess
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -179,8 +182,8 @@ def test_factor_is_dpttrf_bitwise(grids, dt):
     grids = [kppsolve.Grid1D(0.0, dx * (n - 1), n) for n, dx in grids]
     a, b = _diffusion_matrix(grids, dt)
     bounds = np.append(0, np.cumsum([g.n for g in grids]))
-    d, e = a.copy(), b.copy()
-    assert _kernel.factor(bounds, d, e) == 0
+    d, e, r = a.copy(), b.copy(), np.empty_like(a)
+    assert _kernel.factor(bounds, d, e, r) == 0
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         m = oracles.twist(lo, hi)
         top_d, top_e, info = dpttrf(a[lo:m + 1], b[lo:m])
@@ -196,9 +199,26 @@ def test_factor_is_dpttrf_bitwise(grids, dt):
         assert _bits(d[m]) == _bits(pivot - float(e[m]) * float(b[m]))
     # the zero coupling between runs is left alone
     assert np.all(_bits(e[bounds[1:-1] - 1]) == 0)
-    # the solver's factor is this one
-    for got, ref in zip(kppsolve._diffusion_ldlt(grids, dt), (d, e)):
+    # the solver's factor is this one, with its pivots as reciprocals
+    for got, ref in zip(kppsolve._diffusion_ldlt(grids, dt), (r, e)):
         assert np.array_equal(_bits(got), _bits(ref))
+
+
+@pytest.mark.parametrize("grids", FACTOR_GRIDS)
+@pytest.mark.parametrize("dt", [0.001, 0.003125, 0.005, 0.05, 0.2])
+def test_reciprocal_pivots_round_toward_zero(grids, dt):
+    # r is 1 / d rounded toward zero: r <= 1 / d < the next float up,
+    # exactly, so y r never exceeds y / d in magnitude and no step makes a
+    # field higher than dividing would
+    grids = [kppsolve.Grid1D(0.0, dx * (n - 1), n) for n, dx in grids]
+    d, e = _diffusion_matrix(grids, dt)
+    r = np.empty_like(d)
+    bounds = np.append(0, np.cumsum([g.n for g in grids]))
+    assert _kernel.factor(bounds, d, e, r) == 0
+    assert np.all(r > 0.0)
+    for dk, rk in set(zip(d.tolist(), r.tolist())):
+        assert Fraction(rk) * Fraction(dk) <= 1 < \
+            Fraction(math.nextafter(rk, math.inf)) * Fraction(dk), (dk, rk)
 
 
 @pytest.mark.parametrize("d, e, info", [
@@ -212,7 +232,7 @@ def test_factor_reports_dpttrfs_info(d, e, info):
 
     d, e = np.array(d), np.array(e)
     assert dpttrf(d, e)[2] == info
-    assert _kernel.factor([0, d.size], d, e) == info
+    assert _kernel.factor([0, d.size], d, e, np.empty_like(d)) == info
 
 
 def test_stored_frames_have_no_subnormals():
@@ -262,17 +282,17 @@ def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
                      for r in range(runs)])
     nus = None if mu is None else \
         (mu * mu + mids) / mu * dt / np.array([[g.dx] for g in grids])
-    d, e = kppsolve._diffusion_ldlt(grids, dt)
+    r, e = kppsolve._diffusion_ldlt(grids, dt)
     lapack_d, lapack_e, _ = dpttrf(*_diffusion_matrix(grids, dt))
     ref = np.concatenate(fields)
-    march = _kernel_march(bounds, dt * mids, nus, d, e, ref)
+    march = _kernel_march(bounds, dt * mids, nus, r, e, ref)
     for k in range(n_steps):
         nu_k = None if nus is None else nus[:, k]
         got, tops = _kernel_step(march, k)
         lap, _ = oracles.lapack_step(ref, bounds, dt * mids[:, k], nu_k,
                                      lapack_d, lapack_e)
         ref, ref_top, n_flushed = oracles.float_step(ref, bounds, dt * mids[:, k],
-                                                     nu_k, d, e)
+                                                     nu_k, r, e)
         assert np.array_equal(_bits(got), _bits(ref)), "step %d" % k
         assert np.abs(lap - ref).max() <= \
             LAPACK_ULPS * np.spacing(np.abs(ref).max()), "step %d" % k
@@ -280,6 +300,75 @@ def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
                               _bits(np.maximum.reduceat(ref, bounds[:-1])))
         assert _bits(tops.max()) == _bits(ref_top)
         assert n_flushed > 0, "step %d" % k
+
+
+def test_oracle_fma_rounds_once():
+    # (1 + 2^-30)(1 - 2^-30) - 1 is -2^-60; rounding the product first
+    # gives 1 - 1 = 0
+    x, y = 1.0 + 2.0 ** -30, 1.0 - 2.0 ** -30
+    assert x * y - 1.0 == 0.0
+    assert oracles.fma(x, y, -1.0) == -2.0 ** -60
+    # the exact sum rounded once, on both of the oracle's routes: products
+    # far from 1 in size, subnormal ones, and sums that cancel
+    rng = np.random.default_rng(19)
+    for _ in range(3000):
+        scale = np.exp2(rng.integers([-600, -600, -1074], [500, 500, 1000]))
+        a, b, c = (float(v) for v in rng.uniform(-1.0, 1.0, 3) * scale)
+        if rng.uniform() < 0.3:
+            c = -a * b
+        exact = float(Fraction(a) * Fraction(b) + Fraction(c))
+        assert _bits(oracles.fma(a, b, c)) == _bits(exact), (a, b, c)
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64", "i686"),
+                    reason="the sweeps are built twice on x86 only")
+def test_step_bits_do_not_depend_on_the_fma_clone(tmp_path):
+    # the library built with the sweeps' default clone alone, which calls
+    # libm's fma, makes the same steps bitwise as the package's library,
+    # which runs the FMA clone wherever the CPU has FMA
+    with open(_kernel._SOURCE) as fh:
+        source = fh.read()
+    clones = '__attribute__((target_clones("fma", "default")))'
+    assert source.count(clones) == 1
+    (tmp_path / "step.c").write_text(source.replace(clones, ""))
+    done = subprocess.run(["cc", *_kernel.FLAGS, "-o",
+                           str(tmp_path / "step.so"), str(tmp_path / "step.c"),
+                           "-lm"],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    plain = ctypes.CDLL(str(tmp_path / "step.so"))
+    plain.kpp_steps.argtypes = _kernel.steps.argtypes
+    plain.kpp_steps.restype = _kernel.steps.restype
+    dt, n_steps = 0.001, 100
+    grids, fields = [], []
+    for x_lo, dx, n, x0 in KERNEL_GRIDS[:3]:
+        grids.append(kppsolve.Grid1D(x_lo, x_lo + dx * (n - 1), n))
+        fields.append(kppsolve.init("heaviside", grids[-1], {"x0": x0}).values)
+    bounds = np.append(0, np.cumsum([g.n for g in grids]))
+    rates = np.full((3, n_steps), 2.0 * dt)
+    for nus in (None, np.full((3, n_steps), 0.3)):
+        outs = []
+        for steps in (_kernel.steps, plain.kpp_steps):
+            march = _kernel_march(bounds, rates, nus,
+                                  *kppsolve._diffusion_ldlt(grids, dt),
+                                  np.concatenate(fields))
+            out = np.empty(bounds[-1])
+            assert steps(march, 0, n_steps, out.ctypes.data) == n_steps
+            outs.append(out)
+        assert np.array_equal(_bits(outs[0]), _bits(outs[1]))
+
+
+def test_take_over_run_never_rises_above_1():
+    # the take-over grid from a Heaviside start under a = 1, every step to
+    # t = 30: a step multiplies by 1 / d rounded toward zero, never by more
+    # than 1 / d, so no step lifts the field above 1 (with the nearest
+    # reciprocals it reached 1 + 4.4e-16)
+    f = kppsolve.init("heaviside", kppsolve.make_grid(-100.0, 400.0, 0.1), {})
+    config = kppsolve.SolveConfig(dt=0.005, store_stride=1)
+    tops = [u.max() for _, u in kppsolve.march(f, coeff.ConstantPath(1.0),
+                                               30.0, config)]
+    assert len(tops) == 6001
+    assert max(tops) <= 1.0
 
 
 @pytest.mark.parametrize("ns", [(3,), (4,), (100,), (101,), (3, 4),
@@ -450,7 +539,8 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     # built as the package builds it, where -O2 lets the compiler see a
     # chain's state used before it is set
     done = subprocess.run(["cc", *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror",
-                           "-o", str(tmp_path / "step.so"), _kernel._SOURCE],
+                           "-o", str(tmp_path / "step.so"), _kernel._SOURCE,
+                           "-lm"],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "step.so").exists()
