@@ -11,9 +11,17 @@ parameters satisfy the admissibility inequalities enforced by WaveParams.
 The capped variant freezes phi at its interior maximum, giving a bounded
 nonnegative initial datum that still sits below the solution.
 
+Each bound is split into a time-dependent part, written once as a function
+of an array of times (the frame position C(t), A(t), the amplitude
+d e^{(r-1)A(t)}, the edge rho(t) and the capped peak), and a profile in x
+that reads one time's entries.  A bound evaluated at one time goes through
+the same code with a one-element array of times.
+
 OrderingCheck checks either bound frame by frame, with an explicit
 discretization slack, during a run (fed by kppsolve.march) or against a
-stored trajectory (certify_ordering).
+stored trajectory (certify_ordering).  It evaluates the time-dependent part
+over all the run's times once, when it is set up, and compares each frame
+only on its comparison region, a slice of the sorted grid.
 """
 
 from __future__ import annotations
@@ -138,24 +146,64 @@ def make_wave_params(path, mu, mu_tilde, span, delta=None, d=None, r_min=1.0):
 
 @dataclass
 class BoundCurve:
-    """A time-dependent comparison profile evaluated in absolute x."""
+    """A time-dependent comparison profile evaluated in absolute x.
+
+    at(times) evaluates the bound's time-dependent part over an array of
+    times: a dict of float64 arrays, one entry per time, where "edge", when
+    present, is the left end of the region x >= edge on which the bound is
+    valid.  profile(x, row) is the bound at the nodes x from one time's
+    entries of those arrays.  A bound given by the callables fn(t, x) and
+    rho(t) alone gets the per-time form {"t": times} (and "edge" from rho)
+    and the profile fn(t, x).  The lower solution's curve also carries
+    rho(t), its edge at one time.
+    """
 
     kind: str
-    fn: object                 # callable(t, x-array) -> array
+    fn: object = None          # callable(t, x-array) -> array
     rho: object = None         # callable(t) -> float left edge of validity
     params: object = None
+    at: object = None          # callable(times) -> dict of float64 arrays
+    profile: object = None     # callable(x-array, row) -> array
+
+    def __post_init__(self):
+        if self.at is None:
+            fn, rho = self.fn, self.rho
+
+            def at(times):
+                cols = {"t": times}
+                if rho is not None:
+                    cols["edge"] = np.array([rho(t) for t in times.tolist()],
+                                            dtype=float)
+                return cols
+
+            self.at = at
+            self.profile = lambda x, row: fn(float(row["t"]), x)
+
+    def row(self, t):
+        """The time-dependent part at the one time t."""
+        return {k: v[0] for k, v in self.at(np.array([float(t)])).items()}
 
     def __call__(self, t, x):
-        return self.fn(float(t), np.asarray(x, dtype=float))
+        return self.profile(np.asarray(x, dtype=float), self.row(t))
+
+
+def _per_time(f, values):
+    """f of each entry of values as a float64 array: the amplitudes keep
+    math.exp's bits."""
+    return np.array([f(v) for v in values.tolist()], dtype=float)
 
 
 def supersolution(path, mu):
     """min(1, e^{-mu (x - C(t))}) with the frame started at t = 0: valid
     above any solution starting below it."""
-    def fn(t, x):
-        c = float(frame_position(path, mu, t))
-        return np.minimum(1.0, np.exp(-mu * (x - c)))
-    return BoundCurve(kind="super", fn=fn, params={"mu": mu, "t0": 0.0})
+    def at(times):
+        return {"c": frame_position(path, mu, times)}
+
+    def profile(x, row):
+        return np.minimum(1.0, np.exp(-mu * (x - row["c"])))
+
+    return BoundCurve(kind="super", params={"mu": mu, "t0": 0.0}, at=at,
+                      profile=profile)
 
 
 def lower_solution(path, params):
@@ -164,20 +212,20 @@ def lower_solution(path, params):
     mu, mu_tilde, d = params.mu, params.mu_tilde, params.d
     r = params.r
 
-    def A(t):
-        return -float(params.B.B(t))
+    def at(times):
+        c = frame_position(path, mu, times)
+        a = -params.B.B(times)
+        return {"c": c, "a": a,
+                "amp": _per_time(lambda v: d * math.exp((r - 1.0) * v), a),
+                "edge": c + math.log(d) / (mu_tilde - mu) + a / mu}
 
-    def fn(t, x):
-        c = float(frame_position(path, mu, t))
-        xi = x - c
-        return np.exp(-mu * xi) - d * math.exp((r - 1.0) * A(t)) \
-            * np.exp(-mu_tilde * xi)
+    def profile(x, row):
+        xi = x - row["c"]
+        return np.exp(-mu * xi) - row["amp"] * np.exp(-mu_tilde * xi)
 
-    def rho(t):
-        c = float(frame_position(path, mu, t))
-        return c + math.log(d) / (mu_tilde - mu) + A(t) / mu
-
-    return BoundCurve(kind="lower", fn=fn, rho=rho, params=params)
+    curve = BoundCurve(kind="lower", params=params, at=at, profile=profile)
+    curve.rho = lambda t: float(curve.row(t)["edge"])
+    return curve
 
 
 def capped_lower(path, params, t0_shift=0.0):
@@ -203,21 +251,26 @@ def capped_lower(path, params, t0_shift=0.0):
     r = params.r
     base = lower_solution(path, params)
 
-    def peak_xi(t):
-        a = -float(params.B.B(t))
-        return (math.log(d) + math.log(r)) / (mu_tilde - mu) + a / mu
+    def at(times):
+        cols = base.at(times)
+        del cols["edge"]           # the capped profile is valid everywhere
+        xs = (math.log(d) + math.log(r)) / (mu_tilde - mu) + cols["a"] / mu
+        cols["peak_xi"] = xs
+        cols["peak"] = _per_time(
+            lambda v: math.exp(-mu * v) * (1.0 - mu / mu_tilde), xs)
+        return cols
 
-    def fn(t, x):
-        c = float(frame_position(path, mu, t))
-        xs = peak_xi(t)
-        peak = math.exp(-mu * xs) * (1.0 - mu / mu_tilde)
-        vals = base.fn(t, x)
-        return np.where(x - c <= xs, peak, vals)
+    def profile(x, row):
+        return np.where(x - row["c"] <= row["peak_xi"], row["peak"],
+                        base.profile(x, row))
+
+    curve = BoundCurve(kind="capped-lower", params=params, at=at,
+                       profile=profile)
 
     def peak_position(t):
-        return float(frame_position(path, mu, t)) + peak_xi(t)
+        row = curve.row(t)
+        return float(row["c"] + row["peak_xi"])
 
-    curve = BoundCurve(kind="capped-lower", fn=fn, params=params)
     curve.peak_position = peak_position
     return curve
 
@@ -245,48 +298,68 @@ class OrderingCheck:
     bound <= u, both up to a discretization slack (defaulting to the
     scheme's error model at the dx and dt recorded in the run's meta;
     ValueError when they are missing).  The comparison is restricted to the
-    bound's validity region when it has one, or to the interval returned by
-    region(t).  The time and place of a violation are NaN where it is at or
-    below ROUNDING.  A violation already present at the first frame raises
-    InitialOrderingError since comparison arguments only propagate an
-    ordering that holds initially; fed by march, that is before any step.
+    bound's validity region x >= edge when it has one, or to the interval
+    lo <= x <= hi returned by region(t).
+
+    The bound's time-dependent part (bound.at) and the region are evaluated
+    once, over all the run's times, when the check is set up; each frame
+    then reads its row and compares the bound with u only on its region,
+    the slice [j0, j1) of the sorted grid.  The time and place of a
+    violation are NaN where it is at or below ROUNDING; a NaN violation (a
+    NaN in the frame or the bound) fails the report, with the first such
+    frame as its worst time.  A violation already present at the first
+    frame raises InitialOrderingError since comparison arguments only
+    propagate an ordering that holds initially; fed by march, that is
+    before any step.
     """
 
     def __init__(self, run, bound, relation, region=None, slack=None):
         if relation not in ("above", "below"):
             raise ValueError("relation must be 'above' or 'below'")
-        self.bound, self.relation, self.region = bound, relation, region
+        self.profile, self.relation = bound.profile, relation
         self.slack = trajectory_slack(run) if slack is None else slack
-        self.x = run.grid.x
+        self.x = x = run.grid.x
+        self.times = times = np.asarray(run.times, dtype=float)
+        self.cols = bound.at(times)
+        if region is not None:
+            lo, hi = np.array([region(t) for t in times.tolist()],
+                              dtype=float).reshape(-1, 2).T
+        else:
+            lo = self.cols.get("edge", np.full(times.shape, -math.inf))
+            hi = np.full(times.shape, math.inf)
+        self.j0 = np.searchsorted(x, lo, side="left")
+        # x <= NaN holds at no node
+        self.j1 = np.searchsorted(x, np.where(np.isnan(hi), -math.inf, hi),
+                                  side="right")
         self.rows = []
         self.worst, self.worst_t = -math.inf, math.nan
 
     def step(self, t, u):
-        x, bound = self.x, self.bound
-        b = bound(t, x)
-        mask = np.ones(x.size, dtype=bool)
-        if self.region is not None:
-            lo, hi = self.region(float(t))
-            mask &= (x >= lo) & (x <= hi)
-        elif bound.rho is not None:
-            mask &= x >= bound.rho(float(t))
-        if not mask.any():
+        k = len(self.rows)
+        if t != self.times[k]:
+            raise ValueError("frame at t=%g where the run stores t=%g"
+                             % (t, self.times[k]))
+        j0, j1 = int(self.j0[k]), int(self.j1[k])
+        if j0 >= j1:
             raise ValueError("empty comparison region at t=%g" % t)
-        diff = (u - b) if self.relation == "above" else (b - u)
-        j = int(np.argmax(np.where(mask, diff, -math.inf)))
+        x = self.x[j0:j1]
+        b = self.profile(x, {c: v[k] for c, v in self.cols.items()})
+        diff = (u[j0:j1] - b) if self.relation == "above" else (b - u[j0:j1])
+        j = int(np.argmax(diff))
         viol = float(diff[j])
         self.rows.append((float(t), viol,
-                          float(x[j]) if viol > ROUNDING else math.nan))
-        if viol > self.worst:
+                          math.nan if viol <= ROUNDING else float(x[j])))
+        # a NaN violation stays the worst once seen
+        if viol > self.worst or (math.isnan(viol) and not math.isnan(self.worst)):
             self.worst, self.worst_t = viol, float(t)
-        if len(self.rows) == 1 and viol > self.slack:
+        if k == 0 and not viol <= self.slack:
             raise InitialOrderingError(
                 "ordering '%s' violated by %g at the initial frame; "
                 "the initial data does not sit on the claimed side" %
                 (self.relation, viol))
 
     def finish(self):
-        worst_t = self.worst_t if self.worst > ROUNDING else math.nan
+        worst_t = math.nan if self.worst <= ROUNDING else self.worst_t
         return CertifyReport(passed=bool(self.worst <= self.slack),
                              relation=self.relation, max_violation=self.worst,
                              worst_time=worst_t, slack=float(self.slack),

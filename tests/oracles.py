@@ -4,8 +4,10 @@ Nothing here may call into the package's own quadrature, ODE, or
 front-finding code paths beyond plain path evaluation a(t): quadrature is
 re-done with dense trapezoids on fresh sample grids, ODE references come
 from scipy's adaptive integrator, the front scan is a literal right-to-left
-loop, and the solver's step is redone with numpy and LAPACK's dpttrs and,
-with the twisted solve the solver makes, in Python floats.
+loop, the solver's step is redone with numpy and LAPACK's dpttrs and,
+with the twisted solve the solver makes, in Python floats, and the ordering
+check is redone with the bound evaluated on the whole grid at each frame's
+time and its comparison region as a boolean mask.
 """
 
 import math
@@ -14,6 +16,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dpttrs
+
+from kpplab.subsuper import ROUNDING, CertifyReport, InitialOrderingError
 
 TINY = np.finfo(float).tiny
 
@@ -209,3 +213,36 @@ def float_step(u, bounds, rates, nus, r, e):
         x += xr
     out = np.array([0.0 if abs(w) < TINY else w for w in x])
     return out, out.max(), sum(1 for w in x if 0.0 < abs(w) < TINY)
+
+
+def ordering_report(frames, x, bound, relation, region=None, slack=0.0):
+    """subsuper.OrderingCheck's report on frames, one frame at a time: the
+    bound at each frame's t on the whole grid x by bound(t, x), compared on
+    the mask region(t)[0] <= x <= region(t)[1], or x >= bound.rho(t).  The
+    worst violation is the first NaN one if any, else the first largest."""
+    rows = []
+    for t, u in frames:
+        b = bound(t, x)
+        mask = np.ones(x.size, dtype=bool)
+        if region is not None:
+            lo, hi = region(float(t))
+            mask &= (x >= lo) & (x <= hi)
+        elif bound.rho is not None:
+            mask &= x >= bound.rho(float(t))
+        if not mask.any():
+            raise ValueError("empty comparison region at t=%g" % t)
+        diff = (u - b) if relation == "above" else (b - u)
+        j = int(np.argmax(np.where(mask, diff, -math.inf)))
+        viol = float(diff[j])
+        rows.append((float(t), viol,
+                     math.nan if viol <= ROUNDING else float(x[j])))
+        if len(rows) == 1 and not viol <= slack:
+            raise InitialOrderingError("initial frame violated by %g" % viol)
+    viols = [v for _, v, _ in rows]
+    nans = [k for k, v in enumerate(viols) if math.isnan(v)]
+    k = nans[0] if nans else viols.index(max(viols))
+    worst = viols[k]
+    return CertifyReport(passed=bool(worst <= slack), relation=relation,
+                         max_violation=worst,
+                         worst_time=math.nan if worst <= ROUNDING else rows[k][0],
+                         slack=float(slack), rows=rows)

@@ -262,8 +262,11 @@ KERNEL_GRIDS = [(-10.0, 0.5, 200, 0.0), (-8.0, 0.4, 210, -2.0),
 
 # one step of the twisted solve differs from the dpttrf/dpttrs step on the
 # same field by at most this many units in the last place of the step's
-# largest entry (1 measured on these runs and on the take-over grid)
+# largest entry (2 measured on these runs, of at most 260 nodes)
 LAPACK_ULPS = 2
+# the same distance on the 5001-node take-over grid (at most 5 measured
+# over the take-over run's 20000 steps, and 4 or 5 at nearly all of them)
+TAKEOVER_LAPACK_ULPS = 5
 
 
 @pytest.mark.parametrize("runs", [1, 3, 5, 9])
@@ -300,6 +303,37 @@ def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
                               _bits(np.maximum.reduceat(ref, bounds[:-1])))
         assert _bits(tops.max()) == _bits(ref_top)
         assert n_flushed > 0, "step %d" % k
+
+
+def test_kernel_step_near_the_lapack_step_on_the_take_over_grid():
+    # the criterion-01 run (Heaviside, a = 1, dx 0.1, dt 0.005) marched by
+    # the kernel into its front phase; at a few of its frames one kernel
+    # step is compared with the dpttrf/dpttrs step of the same field
+    from scipy.linalg.lapack import dpttrf
+
+    g, dt = kppsolve.make_grid(-100.0, 400.0, 0.1), 0.005
+    bounds = np.array([0, g.n])
+    r, e = kppsolve._diffusion_ldlt([g], dt)
+    lapack_d, lapack_e, _ = dpttrf(*_diffusion_matrix([g], dt))
+    frames = kppsolve.march(kppsolve.init("heaviside", g, {}),
+                            coeff.make_constant(1.0), 27.0,
+                            kppsolve.SolveConfig(dt=dt, margin=0.0,
+                                                 store_stride=200))
+    checked = 0
+    for t, u in frames:
+        if t not in (20.0, 23.0, 27.0):
+            continue
+        u = np.array(u)
+        got, _ = _kernel_step(_kernel_march(bounds, np.full((1, 1), dt), None,
+                                            r, e, u), 0)
+        lap, _ = oracles.lapack_step(u, bounds, np.array([dt]), None,
+                                     lapack_d, lapack_e)
+        # the level 1/2 has moved from x = 0 by about 2 t
+        assert 30.0 < g.x[np.argmax(got < 0.5)] < 55.0, "t=%g" % t
+        assert np.abs(lap - got).max() <= \
+            TAKEOVER_LAPACK_ULPS * np.spacing(np.abs(got).max()), "t=%g" % t
+        checked += 1
+    assert checked == 3
 
 
 def test_oracle_fma_rounds_once():

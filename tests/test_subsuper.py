@@ -6,7 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from kpplab import coeff, kppsolve, subsuper
+from kpplab import cli, coeff, kppsolve, subsuper
+from kpplab.equilibria import trajectory_slack
+
+import oracles
+from test_stream import same
 
 
 def _flat_B(gamma=0.8, delta=0.84, span=(0.0, 40.0)):
@@ -277,3 +281,169 @@ def test_certify_ordering_needs_recorded_resolution():
     with pytest.raises(ValueError, match="dx and dt"):
         subsuper.certify_ordering(traj, flat, "above")
     assert subsuper.certify_ordering(traj, flat, "above", slack=0.0).passed
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _premise_cases():
+    """(a maker of fresh paths, t_lo, t_hi) for each path kind, shifted and
+    not, [t_lo, t_hi] inside the path's range."""
+    tab = 1.5 + np.sin(np.arange(41))
+    noise = coeff.make_noise(3, t_lo=-60.0, t_hi=15.0, dt=0.01)
+    eq = coeff.equilibrium_path(noise, 0.0, 10.0)
+    cases = [("constant", lambda: coeff.make_constant(1.3), 0.0, 40.0),
+             ("periodic", lambda: coeff.make_periodic(1.0, 0.4, 5.0), 0.0, 40.0),
+             ("two-level", coeff.make_two_level, 0.0, 40.0),
+             ("tabulated", lambda: coeff.TabulatedPath(-1.0, 0.25, tab), -1.0, 9.0),
+             ("noise-equilibrium", lambda: eq, 0.0, 10.0)]
+    out = []
+    for name, make, lo, hi in cases:
+        out.append(pytest.param(make, lo, hi, id=name))
+        out.append(pytest.param(lambda make=make: make().shift(0.7), lo - 0.7,
+                                hi - 0.7, id=name + "-shifted"))
+    return out
+
+
+@pytest.mark.parametrize("make, t_lo, t_hi", _premise_cases())
+def test_per_time_parts_match_scalar_calls(make, t_lo, t_hi):
+    # OrderingCheck evaluates frame_position and the block primitive B once
+    # over all the run's times; a bound at one time evaluates them at that
+    # time alone.  Both give the same bits entry by entry.
+    dt, stride = 0.005, 10
+    times = t_lo + np.arange(0, int((t_hi - t_lo) / dt), stride) * dt
+    rng = np.random.default_rng(5)
+    B = coeff.build_B(make(), gamma=0.1, delta=0.5, span=(t_lo, t_hi))
+    times = np.concatenate([times, B.breakpoints()[:-1],
+                            rng.uniform(t_lo, t_hi, 100)])
+    path = make()
+    # a second fresh path for the scalar calls, so a two-level table grown
+    # one call at a time is compared with one grown in a single call
+    ref, ref_B = make(), coeff.build_B(make(), gamma=0.1, delta=0.5,
+                                       span=(t_lo, t_hi))
+    assert ref_B.T == B.T and np.array_equal(_bits(ref_B.eps), _bits(B.eps))
+    ts = times.tolist()
+    for s, t in ((np.full_like(times, t_lo), times), (times[:-1], times[1:])):
+        want = [float(ref.integral(a, b)) for a, b in zip(s.tolist(), t.tolist())]
+        assert np.array_equal(_bits(path.integral(s, t)), _bits(want))
+    for mu, t0 in ((0.6, 0.0), (0.8, 0.0), (0.8, t_lo)):
+        want = [float(kppsolve.frame_position(ref, mu, t, t0)) for t in ts]
+        assert np.array_equal(
+            _bits(kppsolve.frame_position(path, mu, times, t0)), _bits(want))
+    want = [float(ref_B.B(t)) for t in ts]
+    assert np.array_equal(_bits(B.B(times)), _bits(want))
+
+
+def _periodic_run():
+    p = coeff.make_periodic(1.0, 0.3, 2 * math.pi)
+    params = subsuper.make_wave_params(p, 0.6, 0.75, span=(0.0, 12.0))
+    g = kppsolve.make_grid(-30.0, 60.0, 0.1)
+    sup = subsuper.supersolution(p, 0.6)
+    f0 = kppsolve.init("custom-samples", g, {"values": sup(0.0, g.x)})
+    traj = kppsolve.solve(f0, p, 12.0, kppsolve.SolveConfig(
+        dt=0.005, margin=0.0, store_stride=20))
+    return p, params, traj
+
+
+def test_ordering_check_is_the_whole_grid_check_on_a_periodic_run():
+    p, params, traj = _periodic_run()
+    assert params.B.B_norm > 0.01           # A(t) and the amplitude move
+    bounds = [(subsuper.supersolution(p, 0.6), "above"),
+              (subsuper.lower_solution(p, params), "below"),
+              (subsuper.capped_lower(p, params), "below"),
+              (subsuper.capped_lower(p, params, t0_shift=3.0), "below")]
+    slack = trajectory_slack(traj)
+    for bound, relation in bounds:
+        rep = subsuper.certify_ordering(traj, bound, relation)
+        assert rep.passed
+        assert same(rep, oracles.ordering_report(traj, traj.grid.x, bound,
+                                                 relation, slack=slack))
+
+
+def _breach_traj(n_frames=2):
+    # u = 0.4 except 0.95 at x = 2, on the nodes 0, 1, ..., 4
+    vals = np.full(5, 0.4)
+    vals[2] = 0.95
+    return _toy_traj([vals] * n_frames, times=np.arange(n_frames, dtype=float))
+
+
+@pytest.mark.parametrize("rho, region", [
+    (2.0, None),                        # rho on the breaching node
+    (math.nextafter(2.0, 3.0), None),   # just right of it
+    (-7.0, None), (4.0, None),          # left of the grid, the last node
+    (None, (-5.0, 2.0)),                # partly off the grid, hi on a node
+    (None, (math.nextafter(2.0, 3.0), 9.0)),
+    (None, (2.0, 2.0)),                 # a single node
+    (2.0, (3.0, 4.0)),                  # region overrides rho
+])
+def test_ordering_check_slices_as_the_whole_grid_mask(rho, region):
+    traj = _breach_traj()
+    flat = subsuper.BoundCurve(
+        kind="super", fn=lambda t, x: np.full_like(x, 0.9),
+        rho=None if rho is None else (lambda t: rho))
+    reg = None if region is None else (lambda t: region)
+    got = subsuper.certify_ordering(traj, flat, "above", reg, slack=0.5)
+    want = oracles.ordering_report(traj, traj.grid.x, flat, "above", reg,
+                                   slack=0.5)
+    assert same(got, want)
+
+
+@pytest.mark.parametrize("rho, region", [
+    (math.nan, None), (4.5, None),
+    (None, (10.0, 20.0)), (None, (-20.0, -10.0)), (None, (3.0, 2.0)),
+    (None, (0.0, math.nan)), (None, (math.nan, 4.0)),
+])
+def test_ordering_check_empty_region_raises(rho, region):
+    traj = _breach_traj()
+    flat = subsuper.BoundCurve(
+        kind="super", fn=lambda t, x: np.full_like(x, 0.9),
+        rho=None if rho is None else (lambda t: rho))
+    reg = None if region is None else (lambda t: region)
+    with pytest.raises(ValueError, match="empty comparison region"):
+        subsuper.certify_ordering(traj, flat, "above", reg, slack=0.5)
+    with pytest.raises(ValueError, match="empty comparison region"):
+        oracles.ordering_report(traj, traj.grid.x, flat, "above", reg,
+                                slack=0.5)
+
+
+@pytest.mark.parametrize("relation, level", [("above", 0.5), ("below", 0.95)])
+@pytest.mark.parametrize("later_breach", [False, True])
+def test_nan_in_a_stored_frame_fails_the_report(relation, level, later_breach):
+    g = kppsolve.make_grid(0.0, 10.0, 1.0)
+    frames = np.full((3, g.n), level)
+    frames[1, 4] = math.nan
+    if later_breach:
+        frames[2, 7] = 0.9 + 0.05 if relation == "above" else 0.9 - 0.05
+    traj = kppsolve.Trajectory(grid=g, times=np.array([0.0, 1.0, 2.0]),
+                               frames=frames, meta={"dx": 1.0, "dt": 0.1})
+    buf = io.BytesIO()
+    traj.to_binary(buf)
+    buf.seek(0)
+    traj = kppsolve.Trajectory.from_binary(buf)
+    flat = subsuper.BoundCurve(kind="super", fn=lambda t, x: np.full_like(x, 0.9))
+    rep = subsuper.certify_ordering(traj, flat, relation, slack=0.0)
+    # the NaN fails the report, and a later finite violation does not
+    # displace it as the worst
+    assert not rep.passed
+    assert math.isnan(rep.max_violation) and rep.worst_time == 1.0
+    assert math.isnan(rep.rows[1][1]) and rep.rows[1][2] == 4.0
+    assert cli._round12(rep.max_violation) is None
+    assert same(rep, oracles.ordering_report(traj, g.x, flat, relation))
+
+
+def test_nan_in_the_initial_frame_is_an_initial_ordering_error():
+    frames = [np.full(5, 0.4), np.full(5, 0.4)]
+    frames[0][1] = math.nan
+    flat = subsuper.BoundCurve(kind="super", fn=lambda t, x: np.full_like(x, 0.9))
+    with pytest.raises(subsuper.InitialOrderingError):
+        subsuper.certify_ordering(_toy_traj(frames), flat, "above", slack=0.0)
+
+
+def test_ordering_check_needs_the_runs_frame_times():
+    traj = _toy_traj([np.full(5, 0.4), np.full(5, 0.4)])
+    flat = subsuper.BoundCurve(kind="super", fn=lambda t, x: np.full_like(x, 0.9))
+    check = subsuper.OrderingCheck(traj, flat, "above", slack=0.0)
+    check.step(0.0, traj.frames[0])
+    with pytest.raises(ValueError, match="stores t=1"):
+        check.step(0.5, traj.frames[1])
