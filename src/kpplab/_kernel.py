@@ -35,9 +35,11 @@ bits do not depend on the CPU.  The library is cached in the
 package's __pycache__ directory under a name keyed by a CRC of the flags
 and the source, written to a temporary file and renamed into place, so
 concurrent first imports do not clash; the cache is written whatever
-PYTHONDONTWRITEBYTECODE says.  Where __pycache__ cannot be written, the
-library is built in a temporary directory for this process only.  Without
-a C compiler the import raises ImportError; there is no other step.
+PYTHONDONTWRITEBYTECODE says.  A build that is cached removes the
+libraries that older sources or flags left there; a cache hit removes
+nothing.  Where __pycache__ cannot be written, the library is built in a
+temporary directory for this process only.  Without a C compiler the
+import raises ImportError; there is no other step.
 """
 
 import ctypes
@@ -89,6 +91,20 @@ def _build(target):
             os.remove(tmp)
 
 
+def _prune(keep):
+    """Remove the libraries beside `keep` that older sources or flags built
+    (never mkstemp's tmp*.so); OSError is ignored, as another process's
+    first import may be removing them too."""
+    import contextlib
+
+    where, name = os.path.split(keep)
+    with contextlib.suppress(OSError):
+        for old in os.listdir(where):
+            if old != name and old.startswith("_step-") and old.endswith(".so"):
+                with contextlib.suppress(OSError):
+                    os.remove(os.path.join(where, old))
+
+
 def _load():
     with open(_SOURCE, "rb") as fh:
         key = zlib.crc32(" ".join(FLAGS).encode() + b"\0" + fh.read())
@@ -99,6 +115,7 @@ def _load():
     try:
         os.makedirs(os.path.dirname(cached), exist_ok=True)
         _build(cached)
+        _prune(cached)
         return cached, ctypes.CDLL(cached)
     except OSError:
         pass

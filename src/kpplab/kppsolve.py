@@ -101,13 +101,11 @@ integral.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._files import opened, write_table
 from ._kernel import factor, layout, steps as _steps
 
 __all__ = [
@@ -119,8 +117,6 @@ __all__ = [
 
 # fields below this value count as "unoccupied" for boundary-safety checks
 WATCH_LEVEL = 0.05
-# the run record solve() keeps in Trajectory.meta, in KPP2 file order
-META_KEYS = ("dt", "dx", "stride", "margin", "t0", "t_end")
 # magnitudes below this (the subnormals) are flushed to 0 after each step
 TINY = np.finfo(float).tiny
 # a step is monotone while dt * sup a * max(1, 2 sup u - 1) stays at or below this
@@ -345,68 +341,6 @@ class Trajectory:
         if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)) + 1e-12:
             raise KeyError("no stored frame at t=%g (nearest %g)" % (t, self.times[k]))
         return k
-
-    def to_csv(self, file):
-        meta = " ".join("%s=%s" % (k, v) for k, v in sorted(self.meta.items()))
-        write_table(file, ["t"] + ["%.12g" % xi for xi in self.grid.x],
-                    ((t, *row) for t, row in zip(self.times, self.frames)),
-                    "frame=%s %s" % (self.frame, meta))
-
-    def to_binary(self, file):
-        """Compact layout: magic 'KPP2', little-endian int64 counts, float64
-        grid descriptor, the float64 run record (META_KEYS, NaN where meta
-        lacks a key), then times, frame shifts, and frames row-major.
-        `file` is a path or a binary stream (in-memory streams included).
-        Each block's buffer goes to the stream as it is: no copy of the
-        frames is made."""
-        mu = self.mu if self.mu is not None else math.nan
-        moving = 1.0 if self.frame == "moving" else 0.0
-        shifts = self.frame_shift if self.frame_shift is not None \
-            else np.zeros_like(self.times)
-        record = [self.meta.get(k, math.nan) for k in META_KEYS]
-        with opened(file, "wb") as fh:
-            fh.write(b"KPP2")
-            fh.write(np.asarray([self.times.size, self.grid.n], dtype="<i8"))
-            for block in ([self.grid.x_lo, self.grid.dx, moving, mu], record,
-                          self.times, shifts, self.frames):
-                fh.write(np.ascontiguousarray(block, dtype="<f8"))
-
-    @staticmethod
-    def from_binary(file):
-        """Read a KPP2 file.
-
-        Each block is read straight into a new writeable array, so the
-        frames are held once.  A file that ends early raises ValueError;
-        on a seekable stream that is checked before the arrays are
-        allocated, so a damaged frame count cannot ask for more memory
-        than the file holds."""
-        def read(fh, dtype, *shape):
-            out = np.empty(shape, dtype=dtype)
-            if fh.readinto(out) != out.nbytes:
-                raise ValueError("trajectory file ends inside a block")
-            return out
-
-        with opened(file, "rb") as fh:
-            if fh.read(4) != b"KPP2":
-                raise ValueError("not a KPP2 trajectory file")
-            n_frames, n_nodes = (int(v) for v in read(fh, "<i8", 2))
-            x_lo, dx, moving, mu = read(fh, "<f8", 4)
-            meta = {}
-            for key, value in zip(META_KEYS, read(fh, "<f8", len(META_KEYS))):
-                if not math.isnan(value):
-                    meta[key] = int(value) if key == "stride" else float(value)
-            if fh.seekable():
-                here = fh.tell()
-                left = fh.seek(0, io.SEEK_END) - fh.seek(here)
-                if left < 8 * n_frames * (2 + n_nodes):
-                    raise ValueError("trajectory file is shorter than its header says")
-            times = read(fh, "<f8", n_frames)
-            shifts = read(fh, "<f8", n_frames)
-            frames = read(fh, "<f8", n_frames, n_nodes)
-        grid = Grid1D(float(x_lo), float(x_lo + dx * (n_nodes - 1)), n_nodes)
-        return Trajectory(grid=grid, times=times, frames=frames,
-                          mu=float(mu) if moving else None,
-                          frame_shift=shifts, meta=meta)
 
 
 def _watched_sides(values):

@@ -613,6 +613,24 @@ def test_unwritable_cache_builds_the_step_for_the_process(tmp_path):
     assert out.stdout.split() == ["None"]
 
 
+def test_cold_build_prunes_older_libraries_and_a_warm_import_does_not(tmp_path):
+    root = _cold_copy(tmp_path)
+    cache = tmp_path / "kpplab" / "__pycache__"
+    cache.mkdir()
+    stale, partial = cache / "_step-00000000.so", cache / "tmpbuild.so"
+    stale.write_bytes(b"")
+    partial.write_bytes(b"")
+    out = _import_cli(root)
+    assert out.returncode == 0, out.stderr
+    library = out.stdout.split()[0]
+    assert os.path.dirname(library) == str(cache) and os.path.exists(library)
+    assert not stale.exists() and partial.exists()
+    stale.write_bytes(b"")
+    out = _import_cli(root)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [library] and stale.exists()
+
+
 def test_every_exported_name_resolves():
     import importlib
     import pkgutil

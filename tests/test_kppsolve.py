@@ -1,7 +1,6 @@
 """Solver mechanics: grids, initial data, stepping, storage, and errors."""
 
 import ctypes
-import io
 import math
 import platform
 import subprocess
@@ -726,64 +725,6 @@ def test_store_keeps_last_frame_when_stride_does_not_divide_steps():
     assert traj.frames.flags.c_contiguous and traj.frames.flags.owndata
 
 
-def _moving_trajectory():
-    p = coeff.make_periodic(1.0, 0.3, 4.0)
-    g = kppsolve.make_grid(-3.0, 3.0, 0.25)
-    f = kppsolve.init("front-like", g, {"mu": 0.8})
-    return kppsolve.solve(f, p, 1.0, kppsolve.SolveConfig(
-        dt=0.005, mu=0.8, margin=0.0))
-
-
-def _assert_same_trajectory(back, traj):
-    assert back.frame == "moving" and back.mu == pytest.approx(0.8)
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.frames, traj.frames)
-    assert np.allclose(back.frame_shift, traj.frame_shift)
-    assert back.grid.n == traj.grid.n and back.grid.x_lo == traj.grid.x_lo
-    assert back.meta == traj.meta
-
-
-def test_trajectory_binary_roundtrip(tmp_path):
-    traj = _moving_trajectory()
-    path = tmp_path / "run.bin"
-    traj.to_binary(str(path))
-    _assert_same_trajectory(kppsolve.Trajectory.from_binary(str(path)), traj)
-    # os.PathLike arguments are accepted as paths too
-    _assert_same_trajectory(kppsolve.Trajectory.from_binary(path), traj)
-    with pytest.raises(ValueError):
-        kppsolve.Trajectory.from_binary(io.BytesIO(b"NOPE" + b"\0" * 64))
-
-
-def test_trajectory_binary_roundtrip_in_memory(tmp_path):
-    traj = _moving_trajectory()
-    buf = io.BytesIO()
-    traj.to_binary(buf)
-    path = tmp_path / "run.bin"
-    traj.to_binary(path)
-    assert buf.getvalue() == path.read_bytes()
-    buf.seek(0)
-    back = kppsolve.Trajectory.from_binary(buf)
-    _assert_same_trajectory(back, traj)
-    assert back.frames.flags.writeable
-    with pytest.raises(ValueError):
-        kppsolve.Trajectory.from_binary(io.BytesIO(buf.getvalue()[:-8]))
-    # a damaged frame count: 2**40 frames would need 16 TiB
-    bad = (buf.getvalue()[:4] + np.asarray([2 ** 40], "<i8").tobytes()
-           + buf.getvalue()[12:])
-    with pytest.raises(ValueError, match="shorter than its header"):
-        kppsolve.Trajectory.from_binary(io.BytesIO(bad))
-
-
-def test_trajectory_binary_rejects_kpp1():
-    # the layout before KPP2, without the run record, is no longer read
-    traj = _moving_trajectory()
-    buf = io.BytesIO()
-    traj.to_binary(buf)
-    kpp1 = b"KPP1" + buf.getvalue()[4:]
-    with pytest.raises(ValueError, match="^not a KPP2 trajectory file$"):
-        kppsolve.Trajectory.from_binary(io.BytesIO(kpp1))
-
-
 def test_solve_config_rejects_nonpositive_mu():
     for mu in (0, -1):
         with pytest.raises(ValueError, match="positive exponent mu"):
@@ -799,33 +740,15 @@ def test_solve_config_rejects_non_finite_values(name, value):
         kppsolve.SolveConfig(**keys)
 
 
-def test_frame_follows_mu_through_binary_roundtrip():
+def test_frame_follows_mu():
     p = coeff.make_constant(1.0)
     g = kppsolve.make_grid(-3.0, 3.0, 0.25)
     f = kppsolve.init("front-like", g, {"mu": 0.8})
     for mu, frame in ((0.8, "moving"), (None, "fixed")):
         traj = kppsolve.solve(f, p, 0.1, kppsolve.SolveConfig(dt=0.005, mu=mu,
                                                                margin=0.0))
-        buf = io.BytesIO()
-        traj.to_binary(buf)
-        buf.seek(0)
-        back = kppsolve.Trajectory.from_binary(buf)
-        assert traj.frame == back.frame == frame
-        assert back.mu == mu
-
-
-def test_trajectory_csv_layout():
-    p = coeff.make_constant(1.0)
-    g = kppsolve.make_grid(0.0, 2.0, 0.5)
-    f = kppsolve.init("constant", g, {"value": 0.5})
-    traj = kppsolve.solve(f, p, 0.2, kppsolve.SolveConfig(dt=0.01, margin=0.0))
-    buf = io.StringIO()
-    traj.to_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert lines[1].split(",")[0] == "t"
-    assert len(lines) == 2 + traj.times.size
-    assert len(lines[2].split(",")) == 1 + g.n
+        assert traj.frame == frame
+        assert traj.mu == mu
 
 
 def test_moving_frame_shift_is_exact_integral():

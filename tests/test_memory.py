@@ -1,14 +1,14 @@
-"""Memory held by trajectories: the frames exist once per solve and per
-binary read, not at all in a binary write or a verifier call, and not at
-all in the stability, certify and takeover commands, which check each frame
-as kppsolve.march yields it; the verifiers' copy-free reductions give the
-same floats as the elementwise expressions they replace.
+"""Memory held by trajectories: the frames exist once per solve, not at
+all in a verifier call, and not at all in the stability, certify and
+takeover commands, which check each frame as kppsolve.march yields it; the
+verifiers' copy-free reductions give the same floats as the elementwise
+expressions they replace.
 
 Each peak is measured with tracemalloc, which sees numpy's array buffers,
 and compared with frames.nbytes of a trajectory on the certify grid
 (2001 nodes, 801 frames, about 12 MiB).  A second copy of the frames
-anywhere in the call shows as a ratio near 2 (near 1 for a write); a
-command that stored its run would show a ratio of at least 1.
+anywhere in the call shows as a ratio near 2; a command that stored its
+run would show a ratio of at least 1.
 """
 
 import tracemalloc
@@ -54,17 +54,6 @@ def test_trajectory_is_large_enough(traj):
 def test_solve_stores_frames_once(case, traj):
     path, field0, config = case
     assert peak_ratio(traj, lambda: kppsolve.solve(field0, path, 40.0, config)) <= 1.1
-
-
-def test_to_binary_writes_without_a_copy(traj, tmp_path):
-    out = tmp_path / "run.kpp2"
-    assert peak_ratio(traj, lambda: traj.to_binary(out)) <= 0.1
-
-
-def test_from_binary_reads_frames_once(traj, tmp_path):
-    out = tmp_path / "run.kpp2"
-    traj.to_binary(out)
-    assert peak_ratio(traj, lambda: kppsolve.Trajectory.from_binary(out)) <= 1.1
 
 
 def test_verify_stability_decay_makes_no_frame_copy(case, traj):
