@@ -11,43 +11,49 @@ purpose.
 The diffusion matrix I - dt L with mirror-ghost (zero-flux) ends is not
 symmetric, but halving its first and last rows makes it a symmetric
 positive definite M-matrix.  It is factored once per solve, each run on
-its own, as a twisted factorization N D N^T by kpp_factor in _step.c:
-rows above the run's middle (twist) row m = (n - 1) // 2 are eliminated
-top-down, rows below it bottom-up, and row m takes both eliminations, the
-top one first.  Each half is LAPACK dpttrf bit for bit on its block of
-rows (the bottom one flipped).  The march keeps the pivots as their
-reciprocals rounded toward zero, and multiplies by them where dpttrs
-divides.  Each step solves against the right-hand side with its end
-entries halved as well; halving is exact in binary, so this is the same
-linear system.
+its own, by kpp_factor in _step.c, in the order of the partition method
+applied twice: the run is cut at its middle (interface) row s =
+(n - 1) // 2, each half at its own middle (separator) row, and each of
+the four blocks this leaves is eliminated from both its ends toward its
+own middle (twist) row, which takes both eliminations, the top one first;
+then the separators, and row s last.  Each of the eight chains is LAPACK
+dpttrf bit for bit on its block of rows (the bottom ones flipped); every
+chain but the run's first and last carries fill multipliers to the
+separator or interface row it starts next to.  The march keeps the
+pivots as their reciprocals rounded toward zero, and multiplies by them
+where dpttrs divides.  Each step solves against the right-hand side with
+its end entries halved as well; halving is exact in binary, so this is
+the same linear system.
 
 A step is one pass of kpp_steps in _step.c, which kpplab._kernel compiles
-on first import with `cc -O2 -fPIC -shared -ffp-contract=off` and caches
-in the package's __pycache__.  In one pass over the field it makes the
-reaction, the upwind, the end-row halving, the two sweeps of the twisted
-solve (toward each run's twist row, then outward from it), the subnormal
-flush and each run's sup u.  Each entry comes from the same floating-point
-operations in the same order as the twisted step written out in Python
-floats, so every result is bitwise that step's.  Each multiply-subtract of
-the sweeps is one fma, which rounds once, on every CPU; -ffp-contract=off
-keeps the compiler from fusing any other multiply and add.  On the same
-field a step differs from LAPACK's one-chain dpttrs solve by at most two
-units in the last place of the step's largest entry on the test grids, and
-five on the 5001-node take-over grid.  Since the reciprocals round toward
+on first import with `cc -O2 -fPIC -shared -ffp-contract=off -pthread`
+and caches in the package's __pycache__.  In one pass over the field it
+makes the reaction, the upwind, the end-row halving, the two sweeps of
+the solve (toward each block's twist row, the separators and the
+interface row, then outward), the subnormal flush and each run's sup u.
+Each entry comes from the same floating-point operations in the same
+order as the step written out in Python floats, so every result is
+bitwise that step's.  Each multiply-subtract of the sweeps is one fma,
+which rounds once, on every CPU; -ffp-contract=off keeps the compiler
+from fusing any other multiply and add.  On the same field a step
+differs from LAPACK's one-chain dpttrs solve by at most two units in the
+last place of the step's largest entry on the test grids, and six on the
+5001-node take-over grid.  Since the reciprocals round toward
 zero, no step makes a field higher than dividing would, so a field at most
 1 stays at most 1.  The price is a bias toward 0: after the 20000 steps of
-a take-over run, its plateau sits 1.7e-15 below 1 and its front up to
-4.9e-13 below the one-chain march's.  Every multiplier of both
-eliminations is nonpositive and every pivot and reciprocal positive, so
-the step is exactly monotone in floating point.  The sweeps are chains of
-dependent fmas, whose latency is most of a step: the twisted solve makes
-each run two chains of half its length.  The runs of a march share no
-chain, so the kernel sweeps K runs in ceil(K / 2) groups of nearly equal
-size (5 runs as 2 + 2 + 1) whose chains advance node by node together, and
-their latencies overlap.  The steps from one stored frame to the next are
-one call of kpp_steps, a loop in C: Python is entered once per stored
-frame, not once per step, and ctypes releases the GIL for the length of
-the call, so marches on two threads overlap.
+a take-over run, its plateau sits 3.3e-16 below 1 and its front up to
+4.95e-13 below the one-chain march's.  Every multiplier and fill
+multiplier is nonpositive and every pivot and reciprocal positive, so the
+step is exactly monotone in floating point.  The sweeps are chains of
+dependent fmas, whose latency is most of a step: the order makes each run
+eight chains of an eighth of its length, and each half's four advance
+node by node together, so their latencies overlap.  A lone run of at least
+_kernel.N_SPLIT nodes is swept on two threads, a half each, when two CPUs
+are allowed and no other march is inside the kernel; the bits are the
+same.  The steps from one stored frame to the next are one call of
+kpp_steps, a loop in C: Python is entered once per stored frame, not once
+per step, and ctypes releases the GIL for the length of the call, so
+marches on two threads overlap.
 
 After each step, entries with |u| below the smallest normal float are set
 to 0.  The solution ahead of a front decays into subnormal numbers, which
@@ -72,11 +78,10 @@ path and grid each, sharing dt, t0 and t_end) as one system and yields
 (t, (u_1, ..., u_K)) at each stored time; march() is its one-run case.  The
 fields lie end to end in one vector, and the K diffusion matrices form one
 tridiagonal matrix whose off-diagonal entry is 0 between runs, factored
-once.  The kernel sweeps each run's block from its own first and last
-node toward its own twist row, which depends on the run's length alone,
-so runs share no chain: each run is bitwise the run marched alone,
-whatever its grid, and a NaN or an overflow stays in the run it arose
-in.  The kernel's call and the finiteness check of a stored frame cover
+once.  The kernel sweeps each run's block in an order that depends on
+the run's length alone, so runs share no chain: each run is bitwise the
+run marched alone, whatever its grid, and a NaN or an overflow stays in
+the run it arose in.  The kernel's call and the finiteness check of a stored frame cover
 the whole vector, so the fixed cost of a step is paid once for all runs.
 Each run keeps its own reaction rate, moving-frame shift, gate and margin
 bands.  The addresses the kernel reads (the runs' bounds, rates and
@@ -106,7 +111,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._kernel import factor, layout, steps as _steps
+from ._kernel import factor, fills, layout, steps as _steps
 
 __all__ = [
     "Grid1D", "Field", "SolveConfig", "Trajectory",
@@ -264,9 +269,9 @@ def frame_position(path, mu, t, t0=0.0):
 
 
 def _diffusion_ldlt(grids, dt):
-    """Twisted factor of backward Euler with I - dt * Laplacian
-    (zero-flux) on each grid, the grids' systems stacked as one
-    block-diagonal system.
+    """Factor of backward Euler with I - dt * Laplacian (zero-flux) on
+    each grid, in the step's elimination order, the grids' systems stacked
+    as one block-diagonal system.
 
     Zero-flux boundaries via mirror ghost nodes give row sums of exactly 1,
     so constants are preserved and the inverse is a monotone averaging.
@@ -274,27 +279,28 @@ def _diffusion_ldlt(grids, dt):
     1 elsewhere) gives the symmetric positive definite tridiagonal
     diag(w (1 + 2 lam)) with -lam off the diagonal, factored here in the
     compiled code of kpplab._kernel, each grid's block on its own: each
-    half of a block is bitwise LAPACK dpttrf on its rows.  The
+    chain of a block is bitwise LAPACK dpttrf on its rows.  The
     off-diagonal entry between one grid's last node and the next grid's
-    first is 0.  Returns (r, e): the pivots d as r = 1 / d rounded toward
-    zero, which the step (kpplab._kernel) multiplies by, and the
-    multipliers.  The step halves the right-hand side's end entries and
-    solves with the factor.
+    first is 0.  Returns (r, e, f): the pivots d as r = 1 / d rounded
+    toward zero, which the step (kpplab._kernel) multiplies by, the
+    multipliers and the fill multipliers (kpplab._kernel.fills of them).
+    The step halves the right-hand side's end entries and solves with the
+    factor.
     """
-    diag, off = [], []
-    for grid in grids:
+    bounds = np.cumsum([0] + [grid.n for grid in grids])
+    d, e = np.empty(bounds[-1]), np.zeros(bounds[-1] - 1)
+    f = np.empty(fills(bounds))
+    for grid, lo, hi in zip(grids, bounds[:-1], bounds[1:]):
         lam = dt / grid.dx ** 2
-        d = np.full(grid.n, 1.0 + 2.0 * lam)
-        d[0] = d[-1] = 0.5 * (1.0 + 2.0 * lam)
-        diag.append(d)
-        off += [-lam] * (grid.n - 1) + [0.0]
-    d, e = np.concatenate(diag), np.array(off[:-1])
+        d[lo:hi] = 1.0 + 2.0 * lam
+        d[lo] = d[hi - 1] = 0.5 * (1.0 + 2.0 * lam)
+        e[lo:hi - 1] = -lam
     # the reciprocals go over the pivots, which the step does not read
-    info = factor(np.cumsum([0] + [grid.n for grid in grids]), d, e, d)
+    info = factor(bounds, d, e, f, d)
     if info != 0:
         raise RuntimeError("the diffusion factor failed (info=%d) for dt=%g"
                            % (info, dt))
-    return d, e
+    return d, e, f
 
 
 def _check_step_bounds(a_max, t, dt, u_max, grid, config):
@@ -449,11 +455,21 @@ def march_runs(init_fields, paths, t_end, config):
             bands.append((nodes, side, margin))
 
     mids, a_max = np.empty((2, len(paths), n_steps))
-    starts = t0 + np.arange(n_steps) * dt
+    # the steps' start, midpoint and end times, each made in place (as
+    # t0 + k dt, t0 + (k + 0.5) dt and t0 + k dt + dt) so that no array of
+    # n_steps temporaries is alive beside them
+    starts, at = np.arange(n_steps, dtype=float), np.arange(n_steps, dtype=float)
+    starts *= dt
+    starts += t0
+    at += 0.5
+    at *= dt
+    at += t0
     for r, p in enumerate(paths):
-        mids[r] = p(t0 + (np.arange(n_steps) + 0.5) * dt)
-        a_max[r] = p.max_on(starts, starts + dt)
-    del starts
+        mids[r] = p(at)
+    at = np.add(starts, dt, out=at)
+    for r, p in enumerate(paths):
+        a_max[r] = p.max_on(starts, at)
+    del starts, at
     nus = None
     if config.mu is not None:
         dxs = np.array([[grid.dx] for grid in grids])

@@ -5,7 +5,7 @@ front-finding code paths beyond plain path evaluation a(t): quadrature is
 re-done with dense trapezoids on fresh sample grids, ODE references come
 from scipy's adaptive integrator, the front scan is a literal right-to-left
 loop, the solver's step is redone with numpy and LAPACK's dpttrs and,
-with the twisted solve the solver makes, in Python floats, and the ordering
+in the solver's own elimination order, in Python floats, and the ordering
 check is redone with the bound evaluated on the whole grid at each frame's
 time and its comparison region as a boolean mask.
 """
@@ -149,12 +149,103 @@ def fma(a, b, c):
         return math.inf if exact > 0 else -math.inf
 
 
+def twist(lo, hi):
+    """The twist row of the rows [lo, hi)."""
+    return lo + (hi - lo - 1) // 2
+
+
+def run_blocks(lo, hi):
+    """The interface row s of the run [lo, hi) and its two halves, each as
+    (separator t, [block above t, block below t]) with blocks as (first
+    row, end): [lo, t_L), [t_L + 1, s), [s + 1, t_R) and [t_R + 1, hi)."""
+    s = twist(lo, hi)
+    halves = []
+    for a, c in ((lo, s), (s + 1, hi)):
+        t = twist(a, c)
+        halves.append((t, [(a, t), (t + 1, c)]))
+    return s, halves
+
+
+def couplings(side, l):
+    """Whether block l of the half on side 0 (left) or 1 (right) couples to
+    a separator above it and below it (all but the run's two end
+    blocks)."""
+    return not (side == 0 and l == 0), not (side == 1 and l == 1)
+
+
+def _flush(v):
+    return 0.0 if abs(v) < TINY else v
+
+
+def factor(bounds, a, b):
+    """The solver's factor (kpp_factor) of the symmetric tridiagonal matrix
+    with diagonal a and off-diagonal b, in Python floats: (d, e, f) with f
+    the fill multipliers, n of the rows and two per run after them."""
+    d, e = [float(v) for v in a], [float(v) for v in b]
+    n = len(d)
+    f = [0.0] * (n + 2 * (len(bounds) - 1))
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        s, halves = run_blocks(lo, hi)
+        ds = d[s]
+        for side, (t, blocks) in enumerate(halves):
+            dt, c = d[t], 0.0
+            for l, (p, q) in enumerate(blocks):
+                above, below = couplings(side, l)
+                if p == q:
+                    if above and below:
+                        c = e[p - 1]
+                    continue
+                m = twist(p, q)
+                gu = e[p - 1] if above else 0.0
+                gv = e[q - 1] if below else 0.0
+                du = ds if side == 1 and l == 0 else dt
+                dv = ds if side == 0 and l == 1 else dt
+                for j in range(p, m):
+                    ei = e[j]
+                    e[j] = ei / d[j]
+                    d[j + 1] = d[j + 1] - e[j] * ei
+                    if above:
+                        f[j] = _flush(gu / d[j])
+                        du = du - f[j] * gu
+                        gu = -(e[j] * gu)
+                for j in range(q - 1, m, -1):
+                    ei = e[j - 1]
+                    e[j - 1] = ei / d[j]
+                    d[j - 1] = d[j - 1] - e[j - 1] * ei
+                    if below:
+                        f[j] = _flush(gv / d[j])
+                        dv = dv - f[j] * gv
+                        gv = -(e[j - 1] * gv)
+                fu = _flush(gu / d[m]) if above else 0.0
+                fv = _flush(gv / d[m]) if below else 0.0
+                if above:
+                    du = du - fu * gu
+                if below:
+                    dv = dv - fv * gv
+                if above and below:
+                    c = -(fu * gv)
+                    f[n + 2 * k + side] = fv
+                f[m] = fu if above else fv
+                if side == 1 and l == 0:
+                    ds, dt = du, dv
+                elif side == 0 and l == 1:
+                    dt, ds = du, dv
+                else:
+                    dt = dv if l == 0 else du
+            d[t] = dt
+            f[t] = _flush(c / dt)
+            ds = ds - f[t] * c
+        d[s] = ds
+    return d, e, f
+
+
 # -- one step of the solver: the runs' fields lie end to end in u, run r in
 # u[bounds[r]:bounds[r + 1]], with reaction rates[r] = dt a_r and upwind
 # Courant numbers nus[r] (None in the fixed frame).  lapack_step takes
 # LAPACK dpttrf's factor (d, e) of the stacked diffusion matrix with halved
-# end rows; float_step the twisted one of kppsolve._diffusion_ldlt as the
-# solver keeps it, (r, e) with r = 1 / d rounded toward zero
+# end rows; float_step the factor of kppsolve._diffusion_ldlt in the
+# solver's elimination order as the solver keeps it, (r, e, f) with
+# r = 1 / d rounded toward zero
 
 
 def lapack_step(u, bounds, rates, nus, d, e):
@@ -175,19 +266,24 @@ def lapack_step(u, bounds, rates, nus, d, e):
     return x, x.max()
 
 
-def twist(lo, hi):
-    """The twist row of the run [lo, hi)."""
-    return lo + (hi - lo - 1) // 2
-
-
-def float_step(u, bounds, rates, nus, r, e):
-    """The step in Python floats, one operation at a time, with the twisted
-    solve written out: in each run [lo, hi) with twist row m, y is
-    eliminated top-down over rows lo to m - 1 and bottom-up over rows
-    hi - 1 to m + 1, row m takes both (top first), and x runs outward from
-    x[m] = y[m] r[m].  Each multiply-subtract of the solve is one fma, and
-    each division by a pivot d a multiplication by r.  Returns the new
-    field, its max and the number of nonzero entries the flush set to 0."""
+def float_step(u, bounds, rates, nus, r, e, f):
+    """The step in Python floats, one operation at a time, with the solve
+    written out in the solver's order (run_blocks): in each block [p, q)
+    with twist row m, y is eliminated top-down over rows p to m - 1 and
+    bottom-up over rows q - 1 to m + 1, and row m takes both (top first).
+    Each block sums f y from 0 over the chain and twist row that couple to
+    its separator above, and over those that couple to the one below.  A
+    separator t gets y[t] = (b[t] + the upper block's sum) + the lower
+    block's, and its half's sum toward the interface row s is the sum of
+    its block next to s, then f[t] y[t]; y[s] = (b[s] + left) + right and
+    x[s] = y[s] r[s], then x[t] = y[t] r[t] - f[t] x[s], and x runs
+    outward from each twist row, x[m] = y[m] r[m] - fu x[above] -
+    fv x[below], each row of a coupled chain taking f x of its separator
+    off y r before its chain's term.  Each multiply-subtract of the solve
+    is one fma, and each division by a pivot a multiplication by r.
+    Returns the new field, its max and the number of nonzero entries the
+    flush set to 0."""
+    n_all = int(bounds[-1])
     x = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rate = float(rates[k])
@@ -197,19 +293,68 @@ def float_step(u, bounds, rates, nus, r, e):
             y = [a + nu * (c - a) for a, c in zip(y, y[1:])] + y[-1:]
         y[0] *= 0.5
         y[-1] *= 0.5
-        rr, er = r[lo:hi].tolist(), e[lo:hi - 1].tolist()
-        n, m = hi - lo, twist(0, hi - lo)
-        for i in range(1, m):
-            y[i] = fma(-y[i - 1], er[i - 1], y[i])
-        for i in range(n - 2, m, -1):
-            y[i] = fma(-y[i + 1], er[i], y[i])
-        y[m] = fma(-y[m + 1], er[m], fma(-y[m - 1], er[m - 1], y[m]))
-        xr = [0.0] * n
-        xr[m] = y[m] * rr[m]
-        for i in range(m - 1, -1, -1):
-            xr[i] = fma(-xr[i + 1], er[i], y[i] * rr[i])
-        for i in range(m + 1, n):
-            xr[i] = fma(-xr[i - 1], er[i - 1], y[i] * rr[i])
+        rr, er, fr = r[lo:hi].tolist(), e[lo:hi - 1].tolist(), f[lo:hi].tolist()
+        extra = f[n_all + 2 * k:n_all + 2 * k + 2].tolist()
+        s, halves = run_blocks(0, hi - lo)
+        fills, conts = {}, []
+        for side, (t, blocks) in enumerate(halves):
+            sums = []
+            for l, (p, q) in enumerate(blocks):
+                above, below = couplings(side, l)
+                su = sv = 0.0
+                if p < q:
+                    m = twist(p, q)
+                    for i in range(p + 1, m):
+                        y[i] = fma(-y[i - 1], er[i - 1], y[i])
+                    for i in range(q - 2, m, -1):
+                        y[i] = fma(-y[i + 1], er[i], y[i])
+                    if m > p:
+                        y[m] = fma(-y[m - 1], er[m - 1], y[m])
+                    if m < q - 1:
+                        y[m] = fma(-y[m + 1], er[m], y[m])
+                    fu = fr[m] if above else 0.0
+                    fv = (extra[side] if above else fr[m]) if below else 0.0
+                    fills[side, l] = fu, fv
+                    if above:
+                        for i in range(p, m):
+                            su = fma(-y[i], fr[i], su)
+                        su = fma(-y[m], fu, su)
+                    if below:
+                        for i in range(q - 1, m, -1):
+                            sv = fma(-y[i], fr[i], sv)
+                        sv = fma(-y[m], fv, sv)
+                sums.append((su, sv))
+            y[t] = (y[t] + sums[0][1]) + sums[1][0]
+            toward = sums[1][1] if side == 0 else sums[0][0]
+            conts.append(fma(-y[t], fr[t], toward))
+        xr = [0.0] * (hi - lo)
+        xs = xr[s] = ((y[s] + conts[0]) + conts[1]) * rr[s]
+        for side, (t, blocks) in enumerate(halves):
+            xt = xr[t] = fma(-xs, fr[t], y[t] * rr[t])
+            xu = [0.0 if side == 0 else xs, xt]
+            xv = [xt, xs if side == 0 else 0.0]
+            for l, (p, q) in enumerate(blocks):
+                if p == q:
+                    continue
+                above, below = couplings(side, l)
+                fu, fv = fills[side, l]
+                m = twist(p, q)
+                w = y[m] * rr[m]
+                if above:
+                    w = fma(-xu[l], fu, w)
+                if below:
+                    w = fma(-xv[l], fv, w)
+                xr[m] = w
+                for i in range(m - 1, p - 1, -1):
+                    w = y[i] * rr[i]
+                    if above:
+                        w = fma(-xu[l], fr[i], w)
+                    xr[i] = fma(-xr[i + 1], er[i], w)
+                for i in range(m + 1, q):
+                    w = y[i] * rr[i]
+                    if below:
+                        w = fma(-xv[l], fr[i], w)
+                    xr[i] = fma(-xr[i - 1], er[i - 1], w)
         x += xr
     out = np.array([0.0 if abs(w) < TINY else w for w in x])
     return out, out.max(), sum(1 for w in x if 0.0 < abs(w) < TINY)

@@ -2,8 +2,10 @@
 
 import ctypes
 import math
+import os
 import platform
 import subprocess
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -117,10 +119,10 @@ def test_constants_are_scheme_fixed_points():
     assert float(np.max(np.abs(traj.frames))) == 0.0
 
 
-def _kernel_march(bounds, rates, nus, d, e, u):
+def _kernel_march(bounds, rates, nus, r, e, f, u):
     """The compiled march of the field u whose gate never trips (dt sup a
     is 0 on every step)."""
-    return _kernel.layout(bounds, rates, nus, d, e, np.zeros_like(rates),
+    return _kernel.layout(bounds, rates, nus, r, e, f, np.zeros_like(rates),
                           kppsolve.GATE_LIMIT, u)
 
 
@@ -173,33 +175,53 @@ def _diffusion_matrix(grids, dt):
 @pytest.mark.parametrize("grids", FACTOR_GRIDS)
 @pytest.mark.parametrize("dt", [0.001, 0.003125, 0.005, 0.05, 0.2])
 def test_factor_is_dpttrf_bitwise(grids, dt):
-    # each run's twisted factor is LAPACK dpttrf on the block of rows lo to
-    # its twist row m, and on the block of rows m to hi - 1 flipped; the
-    # twist pivot takes the top elimination, then the bottom one
+    # each block [p, q) of a run, with twist row m, is LAPACK dpttrf on the
+    # rows p to m and on the rows m to q - 1 flipped; the twist pivot takes
+    # the top elimination, then the bottom one.  The whole factor, fill
+    # multipliers (flushed to 0 below the smallest normal float) and
+    # separator and interface pivots included, is the elimination written
+    # out in Python floats (oracles.factor).
     from scipy.linalg.lapack import dpttrf
 
     grids = [kppsolve.Grid1D(0.0, dx * (n - 1), n) for n, dx in grids]
     a, b = _diffusion_matrix(grids, dt)
     bounds = np.append(0, np.cumsum([g.n for g in grids]))
-    d, e, r = a.copy(), b.copy(), np.empty_like(a)
-    assert _kernel.factor(bounds, d, e, r) == 0
+    d, e = a.copy(), b.copy()
+    f, r = np.empty(_kernel.fills(bounds)), np.empty_like(a)
+    assert _kernel.factor(bounds, d, e, f, r) == 0
+    for got, ref in zip((d, e, f), oracles.factor(bounds.tolist(), a, b)):
+        assert np.array_equal(_bits(got), _bits(np.array(ref)))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        m = oracles.twist(lo, hi)
-        top_d, top_e, info = dpttrf(a[lo:m + 1], b[lo:m])
-        assert info == 0
-        assert np.array_equal(_bits(d[lo:m]), _bits(top_d[:-1]))
-        assert np.array_equal(_bits(e[lo:m]), _bits(top_e))
-        bottom_d, bottom_e, info = dpttrf(a[m:hi][::-1], b[m:hi - 1][::-1])
-        assert info == 0
-        assert np.array_equal(_bits(d[m + 1:hi]), _bits(bottom_d[-2::-1]))
-        assert np.array_equal(_bits(e[m:hi - 1]), _bits(bottom_e[::-1]))
-        pivot = float(a[m]) - float(e[m - 1]) * float(b[m - 1])
-        assert pivot == top_d[-1]
-        assert _bits(d[m]) == _bits(pivot - float(e[m]) * float(b[m]))
-    # the zero coupling between runs is left alone
+        _, halves = oracles.run_blocks(lo, hi)
+        for side, (t, blocks) in enumerate(halves):
+            for l, (p, q) in enumerate(blocks):
+                if p == q:
+                    continue
+                m = oracles.twist(p, q)
+                twist = float(a[m])
+                if m > p:
+                    top_d, top_e, info = dpttrf(a[p:m + 1], b[p:m])
+                    assert info == 0
+                    assert np.array_equal(_bits(d[p:m]), _bits(top_d[:-1]))
+                    assert np.array_equal(_bits(e[p:m]), _bits(top_e))
+                    twist -= float(e[m - 1]) * float(b[m - 1])
+                    assert twist == top_d[-1]
+                if m < q - 1:
+                    bottom_d, bottom_e, info = dpttrf(a[m:q][::-1],
+                                                      b[m:q - 1][::-1])
+                    assert info == 0
+                    assert np.array_equal(_bits(d[m + 1:q]),
+                                          _bits(bottom_d[-2::-1]))
+                    assert np.array_equal(_bits(e[m:q - 1]),
+                                          _bits(bottom_e[::-1]))
+                    twist -= float(e[m]) * float(b[m])
+                assert _bits(d[m]) == _bits(twist)
+    # pivots positive, multipliers and fill multipliers nonpositive, and
+    # the zero coupling between runs left alone
+    assert np.all(d > 0.0) and np.all(e <= 0.0) and np.all(f <= 0.0)
     assert np.all(_bits(e[bounds[1:-1] - 1]) == 0)
     # the solver's factor is this one, with its pivots as reciprocals
-    for got, ref in zip(kppsolve._diffusion_ldlt(grids, dt), (r, e)):
+    for got, ref in zip(kppsolve._diffusion_ldlt(grids, dt), (r, e, f)):
         assert np.array_equal(_bits(got), _bits(ref))
 
 
@@ -213,7 +235,7 @@ def test_reciprocal_pivots_round_toward_zero(grids, dt):
     d, e = _diffusion_matrix(grids, dt)
     r = np.empty_like(d)
     bounds = np.append(0, np.cumsum([g.n for g in grids]))
-    assert _kernel.factor(bounds, d, e, r) == 0
+    assert _kernel.factor(bounds, d, e, np.empty(_kernel.fills(bounds)), r) == 0
     assert np.all(r > 0.0)
     for dk, rk in set(zip(d.tolist(), r.tolist())):
         assert Fraction(rk) * Fraction(dk) <= 1 < \
@@ -231,7 +253,8 @@ def test_factor_reports_dpttrfs_info(d, e, info):
 
     d, e = np.array(d), np.array(e)
     assert dpttrf(d, e)[2] == info
-    assert _kernel.factor([0, d.size], d, e, np.empty_like(d)) == info
+    assert _kernel.factor([0, d.size], d, e, np.empty(d.size + 2),
+                          np.empty_like(d)) == info
 
 
 def test_stored_frames_have_no_subnormals():
@@ -249,26 +272,29 @@ def test_stored_frames_have_no_subnormals():
 
 # (x_lo, dx, n, Heaviside step x0): at dt = 0.001 the tail ahead of the
 # step on each of the first three grids passes through the subnormals at
-# every step.  Nine runs of very different lengths are swept in groups of
-# 3 (shortest 190), 3 (shortest 3) and 3 (shortest 4); five in groups of 3
-# and 2 (shortest 3).
+# every step.  Runs of very different lengths, down to the 3-node minimum;
+# the last five, of 5 to 9 nodes, have the interface row, the twist rows
+# and the ends next to each other.
 KERNEL_GRIDS = [(-10.0, 0.5, 200, 0.0), (-8.0, 0.4, 210, -2.0),
                 (-12.0, 0.6, 190, 1.5), (-5.0, 0.3, 57, -1.0),
                 (-1.0, 1.0, 3, 0.0), (-9.0, 0.45, 120, 0.5),
                 (-11.0, 0.5, 260, 1.0), (-3.0, 0.25, 31, -0.5),
-                (-2.0, 0.7, 4, 0.0)]
+                (-2.0, 0.7, 4, 0.0), (-1.0, 0.5, 5, 0.0),
+                (-1.5, 0.5, 6, 0.25), (-1.5, 0.5, 7, 0.0),
+                (-2.0, 0.5, 8, -0.5), (-2.0, 0.5, 9, 0.0)]
 
 
-# one step of the twisted solve differs from the dpttrf/dpttrs step on the
-# same field by at most this many units in the last place of the step's
-# largest entry (2 measured on these runs, of at most 260 nodes)
+# one step of the solver's solve differs from the dpttrf/dpttrs step on
+# the same field by at most this many units in the last place of the
+# step's largest entry (2 measured on these runs, of at most 260 nodes, in
+# the eight-chain order as in the two-chain one before it)
 LAPACK_ULPS = 2
-# the same distance on the 5001-node take-over grid (at most 5 measured
-# over the take-over run's 20000 steps, and 4 or 5 at nearly all of them)
-TAKEOVER_LAPACK_ULPS = 5
+# the same distance on the 5001-node take-over grid (at most 6 measured at
+# every 200th step of the take-over run's 20000; 5 in the two-chain order)
+TAKEOVER_LAPACK_ULPS = 6
 
 
-@pytest.mark.parametrize("runs", [1, 3, 5, 9])
+@pytest.mark.parametrize("runs", [1, 3, 5, 9, 14])
 @pytest.mark.parametrize("mu", [None, 0.8])
 def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
     from scipy.linalg.lapack import dpttrf
@@ -284,17 +310,17 @@ def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
                      for r in range(runs)])
     nus = None if mu is None else \
         (mu * mu + mids) / mu * dt / np.array([[g.dx] for g in grids])
-    r, e = kppsolve._diffusion_ldlt(grids, dt)
+    factor = kppsolve._diffusion_ldlt(grids, dt)
     lapack_d, lapack_e, _ = dpttrf(*_diffusion_matrix(grids, dt))
     ref = np.concatenate(fields)
-    march = _kernel_march(bounds, dt * mids, nus, r, e, ref)
+    march = _kernel_march(bounds, dt * mids, nus, *factor, ref)
     for k in range(n_steps):
         nu_k = None if nus is None else nus[:, k]
         got, tops = _kernel_step(march, k)
         lap, _ = oracles.lapack_step(ref, bounds, dt * mids[:, k], nu_k,
                                      lapack_d, lapack_e)
         ref, ref_top, n_flushed = oracles.float_step(ref, bounds, dt * mids[:, k],
-                                                     nu_k, r, e)
+                                                     nu_k, *factor)
         assert np.array_equal(_bits(got), _bits(ref)), "step %d" % k
         assert np.abs(lap - ref).max() <= \
             LAPACK_ULPS * np.spacing(np.abs(ref).max()), "step %d" % k
@@ -312,7 +338,7 @@ def test_kernel_step_near_the_lapack_step_on_the_take_over_grid():
 
     g, dt = kppsolve.make_grid(-100.0, 400.0, 0.1), 0.005
     bounds = np.array([0, g.n])
-    r, e = kppsolve._diffusion_ldlt([g], dt)
+    factor = kppsolve._diffusion_ldlt([g], dt)
     lapack_d, lapack_e, _ = dpttrf(*_diffusion_matrix([g], dt))
     frames = kppsolve.march(kppsolve.init("heaviside", g, {}),
                             coeff.make_constant(1.0), 27.0,
@@ -324,7 +350,7 @@ def test_kernel_step_near_the_lapack_step_on_the_take_over_grid():
             continue
         u = np.array(u)
         got, _ = _kernel_step(_kernel_march(bounds, np.full((1, 1), dt), None,
-                                            r, e, u), 0)
+                                            *factor, u), 0)
         lap, _ = oracles.lapack_step(u, bounds, np.array([dt]), None,
                                      lapack_d, lapack_e)
         # the level 1/2 has moved from x = 0 by about 2 t
@@ -404,15 +430,189 @@ def test_take_over_run_never_rises_above_1():
     assert max(tops) <= 1.0
 
 
-@pytest.mark.parametrize("ns", [(3,), (4,), (100,), (101,), (3, 4),
-                                (100, 101), (3, 4, 5, 100, 101)])
+# the take-over run marched to t = 30 (6000 steps) by the kernel is below
+# the one-chain dpttrf/dpttrs march of the same steps by at most this
+# (1.68e-13 measured; 4.95e-13 after all 20000 steps), and its plateau
+# below 1 by at most TAKEOVER_PLATEAU (3.3e-16 measured, where the LAPACK
+# march sits at 1): the bias of the reciprocal pivots rounded toward zero
+TAKEOVER_DRIFT = 3.4e-13
+TAKEOVER_PLATEAU = 6.7e-16
+
+
+def test_take_over_drift_from_the_lapack_march_is_bounded():
+    from scipy.linalg.lapack import dpttrf
+
+    g, dt = kppsolve.make_grid(-100.0, 400.0, 0.1), 0.005
+    bounds = np.array([0, g.n])
+    lapack_d, lapack_e, _ = dpttrf(*_diffusion_matrix([g], dt))
+    f = kppsolve.init("heaviside", g, {})
+    *_, (t, got) = kppsolve.march(f, coeff.make_constant(1.0), 30.0,
+                                  kppsolve.SolveConfig(dt=dt, margin=0.0,
+                                                       store_stride=6000))
+    assert t == 30.0
+    ref = f.values.copy()
+    for _ in range(6000):
+        ref, _ = oracles.lapack_step(ref, bounds, np.array([dt]), None,
+                                     lapack_d, lapack_e)
+    assert np.all(got - ref <= 0.0)
+    assert np.abs(got - ref).max() <= TAKEOVER_DRIFT
+    assert 1.0 - TAKEOVER_PLATEAU <= got.max() <= 1.0
+
+
+def _split_run(n_extra=0):
+    """A Heaviside run of N_SPLIT + n_extra nodes, which march sweeps on two
+    threads where two CPUs are allowed."""
+    n = _kernel.N_SPLIT + n_extra
+    g = kppsolve.Grid1D(-50.0, -50.0 + 0.1 * (n - 1), n)
+    return kppsolve.init("heaviside", g, {})
+
+
+@pytest.mark.parametrize("mu", [None, 1.0])
+def test_split_march_is_the_one_thread_march_bitwise(monkeypatch, mu):
+    # the same run marched with the CPUs this process has, two or more of
+    # which split it, and with one CPU allowed, which does not: every frame
+    # is the same, bit for bit, whatever the thread count
+    f, p = _split_run(7), coeff.make_periodic(1.0, 0.5, 0.07)
+    config = kppsolve.SolveConfig(dt=0.005, mu=mu, margin=0.0, store_stride=37)
+    split = [u for _, u in kppsolve.march(f, p, 10.0, config)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = [u for _, u in kppsolve.march(f, p, 10.0, config)]
+    assert len(split) == len(alone) == 56
+    for u, v in zip(split, alone):
+        assert np.array_equal(_bits(u), _bits(v))
+
+
+class _SpikeFrom1:
+    """a = 1, with sup a = 1000 on every step from t = 1, so the gate
+    refuses the step from t = 1."""
+    t_lo, t_hi = -math.inf, math.inf
+
+    def __call__(self, t):
+        return np.ones_like(t)
+
+    def max_on(self, s, t):
+        return np.where(np.asarray(s) >= 1.0 - 1e-9, 1000.0, 1.0)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts the threads in /proc/self/task")
+def test_no_thread_outlives_a_split_march():
+    def counts():
+        return len(os.listdir("/proc/self/task")), threading.active_count()
+
+    f, p = _split_run(1), coeff.make_constant(1.0)
+    config = kppsolve.SolveConfig(dt=0.005, margin=0.0, store_stride=20)
+    before = counts()
+    assert len(list(kppsolve.march(f, p, 2.0, config))) == 21
+    frames = kppsolve.march(f, p, 2.0, config)
+    next(frames), next(frames), next(frames)
+    frames.close()
+    with pytest.raises(kppsolve.StepSizeError, match="at t=1:"):
+        for _ in kppsolve.march(f, _SpikeFrom1(), 2.0, config):
+            pass
+    # the front reaches the right margin, [30, 50], at about t = 12
+    g = kppsolve.Grid1D(-250.0, 50.0, f.grid.n)
+    near = kppsolve.init("heaviside", g, {})
+    with pytest.raises(kppsolve.FrontMarginError, match="right"):
+        for _ in kppsolve.march(near, p, 40.0, kppsolve.SolveConfig(
+                dt=0.005, margin=20.0, store_stride=20)):
+            pass
+    assert counts() == before
+
+
+# a C program that marches one run of `n` nodes with the march split and
+# not split, in calls of 50 steps, in the fixed and the moving frame, and
+# prints "equal" when both give the same bits.  ThreadSanitizer cannot run
+# the loader's choice between the sweeps' clones (an ifunc resolver runs
+# before its runtime is set up), so the program builds them once, for any
+# CPU.
+_RACE_PROGRAM = r"""
+#define target_clones(...) used
+#include "%(source)s"
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+enum { N = %(n)d, STEPS = 300, STRIDE = 50 };
+
+static void run(int split, int moving, double *res)
+{
+    static double d[N], e[N], f[N + 2], u[N], spare[N], out[N];
+    static double rates[STEPS], nus[STEPS], dta[STEPS];
+    ptrdiff_t bounds[2] = {0, N};
+    double tops[1] = {1.0}, lam = 0.5;
+
+    for (ptrdiff_t i = 0; i < N; i++) {
+        d[i] = 1.0 + 2.0 * lam;
+        e[i] = -lam;
+        u[i] = i < N / 3 ? 1.0 : 0.0;
+    }
+    d[0] = d[N - 1] = 0.5 * (1.0 + 2.0 * lam);
+    if (kpp_factor(1, bounds, d, e, f, d) != 0)
+        exit(3);
+    for (ptrdiff_t k = 0; k < STEPS; k++) {
+        rates[k] = 0.005;
+        nus[k] = 0.1;
+        dta[k] = 0.0;
+    }
+    struct kpp_march m = {1, STEPS, bounds, rates, moving ? nus : NULL, d, e,
+                          f, dta, 0.5, spare, u, tops, split};
+    for (ptrdiff_t k = 0; k < STEPS; k += STRIDE) {
+        if (kpp_steps(&m, k, k + STRIDE, out) != k + STRIDE)
+            exit(2);
+        memcpy(u, out, sizeof u);
+        m.u = u;
+    }
+    memcpy(res, u, sizeof u);
+}
+
+int main(void)
+{
+    static double a[N], b[N];
+
+    for (int moving = 0; moving < 2; moving++) {
+        run(1, moving, a);
+        run(0, moving, b);
+        if (memcmp(a, b, sizeof a) != 0) {
+            puts("differ");
+            return 1;
+        }
+    }
+    puts("equal");
+    return 0;
+}
+"""
+
+
+def test_split_sweeps_have_no_data_race(tmp_path):
+    # ThreadSanitizer watches every access of the two threads of a split
+    # march; the test is skipped only where such a build cannot be made
+    program = tmp_path / "race.c"
+    program.write_text(_RACE_PROGRAM % {"source": _kernel._SOURCE,
+                                      "n": _kernel.N_SPLIT + 11})
+    done = subprocess.run(["cc", "-fsanitize=thread", "-pthread", "-O1", "-g",
+                           "-ffp-contract=off", "-o", str(tmp_path / "race"),
+                           str(program), "-lm"], capture_output=True, text=True)
+    if done.returncode != 0:
+        pytest.skip("no ThreadSanitizer build: %s" % done.stderr[-300:])
+    run = subprocess.run([str(tmp_path / "race")], capture_output=True,
+                         text=True, timeout=600)
+    assert "ThreadSanitizer" not in run.stderr, run.stderr
+    assert run.returncode == 0 and run.stdout.split() == ["equal"], \
+        run.stdout + run.stderr
+
+
+@pytest.mark.parametrize("ns", [(3,), (4,), (5,), (6,), (7,), (8,), (9,),
+                                (100,), (101,), (3, 4), (100, 101),
+                                (3, 4, 5, 100, 101), (5, 6, 7, 8, 9)])
 @pytest.mark.parametrize("lam", [0.05, 0.5, 40.0])
 def test_step_is_exactly_monotone(ns, lam):
     # with reaction rate 0 the step is halving, the twisted solve and the
     # flush; every multiplier -e of both eliminations and every pivot is
     # positive and rounding is monotone, so u <= v gives step(u) <= step(v)
     # entrywise with no tolerance, subnormal tails and twist rows next to
-    # an end (n = 3 and 4) included
+    # an end, and the interface and twist rows next to each other and to
+    # the ends (n = 3 to 9) included
     rng = np.random.default_rng(len(ns) * 1000 + sum(ns) + int(lam * 100))
     grids = [kppsolve.Grid1D(0.0, n - 1.0, n) for n in ns]
     bounds = np.append(0, np.cumsum(ns))
@@ -437,7 +637,8 @@ def _identity_step(values):
     on the values between two zero end entries: only the flush acts."""
     u = np.concatenate([[0.0], values, [0.0]])
     march = _kernel_march([0, u.size], np.zeros((1, 1)), None,
-                          np.ones(u.size), np.zeros(u.size - 1), u)
+                          np.ones(u.size), np.zeros(u.size - 1),
+                          np.zeros(u.size + 2), u)
     out, (top,) = _kernel_step(march, 0)
     return out[1:-1], top
 
@@ -461,15 +662,22 @@ def test_kernel_sup_is_ndarray_max():
         out, top = _identity_step(values)
         assert _bits(top) == _bits(np.append(out, 0.0).max())   # the two end zeros
     march = _kernel_march([0, 4], np.zeros((1, 1)), None, np.ones(4),
-                          np.zeros(3), [-1.0, -2.0, -3.0, 4.0])
+                          np.zeros(3), np.zeros(6), [-1.0, -2.0, -3.0, 4.0])
     out, (top,) = _kernel_step(march, 0)
     assert top == out[-1] == 2.0         # the last entry, halved
-    # a NaN anywhere spreads through the sweeps and is the sup, as in numpy
-    for at in (0, 3, 6):
-        values = np.linspace(0.0, 1.0, 7)
-        values[at] = math.nan
-        out, top = _identity_step(values)
-        assert math.isnan(top) and np.isnan(out).all()
+    # a NaN anywhere spreads through the sweeps and is the sup, as in numpy:
+    # in each block of a run of 43 nodes (interface row 21, separators 10
+    # and 32, twist rows 4, 15, 26 and 37), on those rows, next to them
+    # and at the ends
+    for at in (0, 2, 4, 9, 10, 11, 15, 20, 21, 22, 26, 31, 32, 33, 37, 42):
+        values = np.linspace(0.0, 1.0, 41)
+        u = np.concatenate([[0.0], values, [0.0]])
+        u[at] = math.nan
+        march = _kernel_march([0, u.size], np.zeros((1, 1)), None,
+                              np.ones(u.size), np.zeros(u.size - 1),
+                              np.zeros(u.size + 2), u)
+        out, (top,) = _kernel_step(march, 0)
+        assert math.isnan(top) and np.isnan(out).all(), at
     # an overflow to -inf stays in its own run, whichever side of the other
     # run it is on: the other run is bitwise its one-run step, and each
     # run's sup is ndarray.max of its own output
@@ -618,7 +826,7 @@ def test_layout_rejects_bounds_that_overrun_the_vector(bounds, n, match):
     runs = max(np.size(bounds) - 1, 1)
     with pytest.raises(ValueError, match=match):
         _kernel_march(bounds, np.zeros((runs, 1)), None, np.ones(n),
-                      np.zeros(n - 1), np.zeros(n))
+                      np.zeros(n - 1), np.zeros(n + 2 * runs), np.zeros(n))
 
 
 def test_step_size_gates():
