@@ -49,14 +49,22 @@ Each multiply-subtract of the sweeps is an fma in the source, which
 rounds once.  -ffp-contract=off keeps the compiler from fusing any other
 multiply and add, which is what keeps the rest bitwise numpy's and
 LAPACK's, and the whole step bitwise the step written out in Python
-floats.  No flag that changes rounding (-march=native, -ffast-math) may
-be added.  On x86 the functions holding the sweeps are built twice, with
-FMA instructions and with libm's fma for CPUs without them, and the
-loader picks one; both round each fma once, so a step's bits do not
-depend on the CPU.  The library is cached in the package's __pycache__
-directory under a name keyed by a CRC of the flags and the source,
-written to a temporary file and renamed into place, so concurrent first
-imports do not clash; the cache is written whatever
+floats.  No compile flag that changes rounding (-march=native,
+-ffast-math) may be added.  Flush-to-zero is no such flag: on x86-64
+kpp_steps sets it in MXCSR, a runtime mode of the calling thread, for the
+length of each call, and restores the caller's mode before it returns
+(the split's thread sets it too).  It rounds no result that is not tiny
+differently and makes a tiny one the signed 0 of its sign, so a front's
+subnormal tail costs no microcode assists; only entries below about
+1e-290 can differ from gradual underflow, which factor, ar1, Python and
+numpy keep.  On x86 the functions holding the sweeps are built twice,
+with FMA instructions and with libm's fma for CPUs without them, and the
+loader picks one; both round each fma once, and libm's is called under
+gradual underflow and its result flushed as the instruction's (kpp_fma),
+so a step's bits do not depend on the CPU.  The library is cached in the
+package's __pycache__ directory under a name keyed by a CRC of the flags
+and the source, written to a temporary file and renamed into place, so
+concurrent first imports do not clash; the cache is written whatever
 PYTHONDONTWRITEBYTECODE says.  A build that is cached removes the
 libraries that older sources or flags left there; a cache hit removes
 nothing.  Where __pycache__ cannot be written, the library is built in a

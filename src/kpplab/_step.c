@@ -36,9 +36,9 @@
  * couples its next row to that row once its first is eliminated, and so
  * on to the twist row: it carries one more multiplier f[j] per row, flushed
  * to 0 below DBL_MIN as the field is (the fill decays by the multipliers'
- * size per row, and subnormal ones only slow the sweeps down).  Every
- * chain but the run's first and last does.  The twist row of a block
- * between two separators couples them.  The forward sweep makes b on every
+ * size per row, and a subnormal one would be an operand of the sweeps at
+ * every step).  Every chain but the run's first and last does.  The twist
+ * row of a block between two separators couples them.  The forward sweep makes b on every
  * row four at a time, then y on each chain toward its twist row, and y on
  * each twist row; each block sums f y from 0, in chain order, over its
  * chain and twist row that couple to the separator above it, and over
@@ -56,23 +56,44 @@
  * complements that are M-matrices too, so every pivot stays positive and
  * every multiplier and fill entry nonpositive.  Both sweeps are then sums
  * of nonnegative multiples, each rounded by fma, a product or a sum, all
- * monotone roundings of monotone exact values, so the step is exactly
- * monotone in floating point (the flushed fill multipliers only drop
- * nonnegative terms).  The reciprocals round toward zero, so y r is never
- * larger in magnitude than y / d: no step lifts a field above 1.  The
- * price is a bias toward 0 (bounded in tests/test_kppsolve.py).
+ * monotone roundings of monotone exact values (under flush-to-zero each
+ * followed by the monotone map of a tiny result to 0), so the step is
+ * exactly monotone in floating point (the flushed fill multipliers only
+ * drop nonnegative terms).  The reciprocals round toward zero, so y r is
+ * never larger in magnitude than y / d: no step lifts a field above 1.
+ * The price is a bias toward 0 (bounded in tests/test_kppsolve.py).
  *
  * It writes the largest entry of each run r of out into tops[r], the
  * run's first NaN when it holds one (numpy's maximum.reduceat gives a NaN
  * too; the flush leaves no -0.0 to tie with 0.0).  Each entry is made by
  * the same floating-point operations, in the same order, as the step in
- * Python floats (float_step in tests/oracles.py) on the run alone, so the
- * result is bitwise that step's.  Each multiply-subtract of the sweeps is
- * one explicit fma, which rounds once; every other multiply and add rounds
- * on its own, which holds only while the compiler fuses none of them,
- * hence -ffp-contract=off.  The reaction, upwind and halving are bitwise
- * numpy's elementwise calls.  Runs share no entry of the factor, so a NaN
+ * Python floats (float_step in tests/oracles.py, which flushes each result
+ * as FTZ does) on the run alone, so the result is bitwise that step's.
+ * Each multiply-subtract of the sweeps is one explicit fma, which rounds
+ * once; every other multiply and add rounds on its own, which holds only
+ * while the compiler fuses none of them, hence -ffp-contract=off.  The
+ * reaction, upwind and halving are bitwise numpy's elementwise calls but
+ * where FTZ flushes a result.  Runs share no entry of the factor, so a NaN
  * or an overflow stays in its own run.
+ *
+ * On x86-64 kpp_steps runs under flush-to-zero: it sets MXCSR's FTZ bit
+ * on entry and restores the caller's MXCSR on its one return, and the
+ * split's thread sets the bit when it starts.  No operation of a step then
+ * makes a subnormal: a result that is tiny after rounding (x86 rounds to
+ * 53 bits with an unbounded exponent, then decides) becomes the signed 0
+ * of its sign.  A front's tail decays through the subnormal range at every
+ * step until about t = 60, and on Intel cores each subnormal result of a
+ * multiply or an fma costs a microcode assist.  A result that is not tiny
+ * rounds as under gradual underflow; a flushed one drops a term below
+ * DBL_MIN, which can move only an entry within about 2^53 DBL_MIN (1e-292)
+ * of 0, or one the sweeps reach from such an entry: in the take-over run
+ * only entries below 2.3e-290 moved, and only at t <= 50.  The flush
+ * after the solve stays: FTZ leaves -0.0 where a tiny result was negative,
+ * and the caller's field may hold subnormals (DAZ is not set; the first
+ * operation on each flushes it).  MXCSR is per thread, so Python and
+ * numpy, kpp_factor and kpp_ar1 keep the caller's gradual underflow.
+ * Elsewhere the steps underflow gradually, as before, and entries below
+ * about 1e-290 may differ from x86-64's.
  *
  * Each chain is a sequence of dependent fmas.  A half's four chains
  * advance together, node j of each before node j + 1, so their latencies
@@ -111,6 +132,9 @@
 #include <stdint.h>
 #include <string.h>
 #include <time.h>
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 #define STACK (64 * 1024)      /* the right half's thread stack, in bytes */
 #define SPINS 4096             /* polls of a handoff before each yield */
@@ -123,13 +147,46 @@
 /* The sweeps round each multiply-subtract once, in an explicit fma.  On
    x86 the functions that hold them, and the two that work four doubles at
    a time, are built twice: with the FMA instructions (and the AVX they
-   come with), and for CPUs without them, where fma is libm's, correctly
-   rounded too; the loader picks one, and both give the same bits.
+   come with), and for CPUs without them, where fma is libm's (through
+   kpp_fma below), correctly rounded too; the loader picks one, and both
+   give the same bits.
    aarch64 has FMA in its base instruction set. */
 #if defined(__x86_64__) || defined(__i386__)
 #define FMA_CLONES __attribute__((target_clones("fma", "default")))
 #else
 #define FMA_CLONES
+#endif
+
+#if defined(__x86_64__)
+/* Under flush-to-zero libm's fma is not an FMA instruction: on CPUs
+   without FMA it splits its operands, and FTZ drops the low parts that
+   fall below DBL_MIN, which moved results near 2^-1000 by 1e-8 relative.
+   So every fma call the compiler emits (the default clone's, and
+   reciprocal's) goes to kpp_fma, which calls libm's under gradual
+   underflow and flushes the result as the instruction would under FTZ:
+   to the signed 0 of its sign where it is tiny after rounding with an
+   unbounded exponent.  A result of DBL_MIN may hide such a tiny value;
+   the same fma on 2^64 times the smaller factor and c shows it. */
+extern double libm_fma(double, double, double) __asm__("fma");
+double fma(double, double, double) __asm__("kpp_fma");
+
+__attribute__((visibility("hidden"))) double
+kpp_fma(double a, double b, double c)
+{
+    const unsigned csr = _mm_getcsr();
+    double r;
+
+    if (!(csr & _MM_FLUSH_ZERO_ON))
+        return libm_fma(a, b, c);
+    _mm_setcsr(csr & ~_MM_FLUSH_ZERO_ON);
+    r = libm_fma(a, b, c);
+    if (fabs(r) < DBL_MIN || (fabs(r) == DBL_MIN && fabs(fabs(a) < fabs(b)
+            ? libm_fma(a * 0x1p64, b, c * 0x1p64)
+            : libm_fma(a, b * 0x1p64, c * 0x1p64)) < 0x1p64 * DBL_MIN))
+        r = copysign(0.0, r);
+    _mm_setcsr(csr);
+    return r;
+}
 #endif
 
 struct kpp_march {
@@ -839,6 +896,9 @@ static void right_steps(struct split *p)
 
 static void *right_thread(void *p)
 {
+#if defined(__x86_64__)
+    _mm_setcsr(_mm_getcsr() | _MM_FLUSH_ZERO_ON);
+#endif
     right_steps(p);
     return NULL;
 }
@@ -980,6 +1040,11 @@ static ptrdiff_t split_steps(struct kpp_march *m, ptrdiff_t k, ptrdiff_t k1,
 ptrdiff_t kpp_steps(struct kpp_march *m, ptrdiff_t k, ptrdiff_t k1,
                     double *out)
 {
+#if defined(__x86_64__)
+    const unsigned csr = _mm_getcsr();
+
+    _mm_setcsr(csr | _MM_FLUSH_ZERO_ON);
+#endif
     const int alone = atomic_fetch_add(&in_flight, 1) == 0;
 
     if (m->split && m->runs == 1 && alone && k < k1) {
@@ -994,6 +1059,9 @@ ptrdiff_t kpp_steps(struct kpp_march *m, ptrdiff_t k, ptrdiff_t k1,
         m->u = out;
     }
     atomic_fetch_sub(&in_flight, 1);
+#if defined(__x86_64__)
+    _mm_setcsr(csr);
+#endif
     return k;
 }
 

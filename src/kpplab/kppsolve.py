@@ -56,10 +56,18 @@ per step, and ctypes releases the GIL for the length of the call, so
 marches on two threads overlap.
 
 After each step, entries with |u| below the smallest normal float are set
-to 0.  The solution ahead of a front decays into subnormal numbers, which
-only slow the arithmetic down.  The flush map is non-decreasing, so
-composing it with the monotone step keeps the step monotone, and values at
-or below -tiny are left alone so that a positivity fault still shows.
+to 0.  The solution ahead of a front decays through the subnormal numbers,
+and on Intel cores each operation that makes one pays a microcode assist.
+So on x86-64 kpp_steps runs under flush-to-zero, where no operation of a
+step makes a subnormal: a result that is tiny after rounding becomes the
+signed 0 of its sign (a caller's subnormal entry goes so at the first
+operation on it), and the flush after the step only turns the -0.0s that
+this leaves into 0.  Entries below about 1e-290 may then differ from
+gradual underflow, which other architectures keep; the take-over,
+stability and certify artifacts stayed byte-identical.  The flush map is
+non-decreasing, so composing it with the monotone step keeps the step
+monotone, and values at or below -tiny are left alone so that a
+positivity fault still shows.
 
 A step-size gate keeps each step monotone: dt * sup a * max(1, 2 sup u - 1)
 <= 1/2, with sup a taken over the whole step, since paths need not be

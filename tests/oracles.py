@@ -5,12 +5,14 @@ front-finding code paths beyond plain path evaluation a(t): quadrature is
 re-done with dense trapezoids on fresh sample grids, ODE references come
 from scipy's adaptive integrator, the front scan is a literal right-to-left
 loop, the solver's step is redone with numpy and LAPACK's dpttrs and,
-in the solver's own elimination order, in Python floats, and the ordering
+in the solver's own elimination order, in Python floats (flushed as x86-64's
+flush-to-zero flushes each result), and the ordering
 check is redone with the bound evaluated on the whole grid at each frame's
 time and its comparison region as a boolean mask.
 """
 
 import math
+import platform
 from fractions import Fraction
 
 import numpy as np
@@ -266,6 +268,55 @@ def lapack_step(u, bounds, rates, nus, d, e):
     return x, x.max()
 
 
+# x86-64 makes each step under flush-to-zero: an operation whose result is
+# tiny gives the signed 0 of its sign in its place.  x86 decides tininess
+# after rounding with an unbounded exponent, so a result goes to 0 where its
+# exact value, rounded to 53 bits, is below TINY: where the exact value is
+# below _EDGE, TINY less half a unit of that rounding there
+FTZ = platform.machine() in ("x86_64", "AMD64")
+_EDGE = Fraction(TINY) * (1 - Fraction(1, 2 ** 54))
+
+
+class Arithmetic:
+    """The operations of a step in Python floats, each rounded once, then
+    flushed to a signed 0 where FTZ makes its result tiny; `flushed` counts
+    the nonzero results so made.  A Python result of exactly +-TINY may
+    round from below _EDGE, so it is decided from the exact value."""
+
+    def __init__(self):
+        self.flushed = 0
+
+    def _flush(self, v, exact):
+        if not FTZ or (abs(v) == TINY and abs(exact) >= _EDGE):
+            return v
+        self.flushed += 1
+        return math.copysign(0.0, v)
+
+    def add(self, a, b):
+        v = a + b
+        if v and -TINY <= v <= TINY:
+            v = self._flush(v, Fraction(a) + Fraction(b))
+        return v
+
+    def sub(self, a, b):
+        v = a - b
+        if v and -TINY <= v <= TINY:
+            v = self._flush(v, Fraction(a) - Fraction(b))
+        return v
+
+    def mul(self, a, b):
+        v = a * b
+        if v and -TINY <= v <= TINY:
+            v = self._flush(v, Fraction(a) * Fraction(b))
+        return v
+
+    def fma(self, a, b, c):
+        v = fma(a, b, c)
+        if v and -TINY <= v <= TINY:
+            v = self._flush(v, Fraction(a) * Fraction(b) + Fraction(c))
+        return v
+
+
 def float_step(u, bounds, rates, nus, r, e, f):
     """The step in Python floats, one operation at a time, with the solve
     written out in the solver's order (run_blocks): in each block [p, q)
@@ -280,19 +331,25 @@ def float_step(u, bounds, rates, nus, r, e, f):
     outward from each twist row, x[m] = y[m] r[m] - fu x[above] -
     fv x[below], each row of a coupled chain taking f x of its separator
     off y r before its chain's term.  Each multiply-subtract of the solve
-    is one fma, and each division by a pivot a multiplication by r.
-    Returns the new field, its max and the number of nonzero entries the
-    flush set to 0."""
+    is one fma, and each division by a pivot a multiplication by r; every
+    operation is an Arithmetic one, so flushed where FTZ.  Returns the new
+    field, its max, the number of nonzero results of operations that FTZ
+    made 0, and the number of nonzero entries the flush after the solve
+    set to 0."""
     n_all = int(bounds[-1])
+    op = Arithmetic()
+    add, mul, ffma = op.add, op.mul, op.fma
     x = []
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rate = float(rates[k])
-        y = [w + (rate * w) * (1.0 - w) for w in u[lo:hi].tolist()]
+        y = [add(w, mul(mul(rate, w), op.sub(1.0, w)))
+             for w in u[lo:hi].tolist()]
         if nus is not None:
             nu = float(nus[k])
-            y = [a + nu * (c - a) for a, c in zip(y, y[1:])] + y[-1:]
-        y[0] *= 0.5
-        y[-1] *= 0.5
+            y = [add(a, mul(nu, op.sub(c, a))) for a, c in zip(y, y[1:])] + \
+                y[-1:]
+        y[0] = mul(y[0], 0.5)
+        y[-1] = mul(y[-1], 0.5)
         rr, er, fr = r[lo:hi].tolist(), e[lo:hi - 1].tolist(), f[lo:hi].tolist()
         extra = f[n_all + 2 * k:n_all + 2 * k + 2].tolist()
         s, halves = run_blocks(0, hi - lo)
@@ -305,32 +362,32 @@ def float_step(u, bounds, rates, nus, r, e, f):
                 if p < q:
                     m = twist(p, q)
                     for i in range(p + 1, m):
-                        y[i] = fma(-y[i - 1], er[i - 1], y[i])
+                        y[i] = ffma(-y[i - 1], er[i - 1], y[i])
                     for i in range(q - 2, m, -1):
-                        y[i] = fma(-y[i + 1], er[i], y[i])
+                        y[i] = ffma(-y[i + 1], er[i], y[i])
                     if m > p:
-                        y[m] = fma(-y[m - 1], er[m - 1], y[m])
+                        y[m] = ffma(-y[m - 1], er[m - 1], y[m])
                     if m < q - 1:
-                        y[m] = fma(-y[m + 1], er[m], y[m])
+                        y[m] = ffma(-y[m + 1], er[m], y[m])
                     fu = fr[m] if above else 0.0
                     fv = (extra[side] if above else fr[m]) if below else 0.0
                     fills[side, l] = fu, fv
                     if above:
                         for i in range(p, m):
-                            su = fma(-y[i], fr[i], su)
-                        su = fma(-y[m], fu, su)
+                            su = ffma(-y[i], fr[i], su)
+                        su = ffma(-y[m], fu, su)
                     if below:
                         for i in range(q - 1, m, -1):
-                            sv = fma(-y[i], fr[i], sv)
-                        sv = fma(-y[m], fv, sv)
+                            sv = ffma(-y[i], fr[i], sv)
+                        sv = ffma(-y[m], fv, sv)
                 sums.append((su, sv))
-            y[t] = (y[t] + sums[0][1]) + sums[1][0]
+            y[t] = add(add(y[t], sums[0][1]), sums[1][0])
             toward = sums[1][1] if side == 0 else sums[0][0]
-            conts.append(fma(-y[t], fr[t], toward))
+            conts.append(ffma(-y[t], fr[t], toward))
         xr = [0.0] * (hi - lo)
-        xs = xr[s] = ((y[s] + conts[0]) + conts[1]) * rr[s]
+        xs = xr[s] = mul(add(add(y[s], conts[0]), conts[1]), rr[s])
         for side, (t, blocks) in enumerate(halves):
-            xt = xr[t] = fma(-xs, fr[t], y[t] * rr[t])
+            xt = xr[t] = ffma(-xs, fr[t], mul(y[t], rr[t]))
             xu = [0.0 if side == 0 else xs, xt]
             xv = [xt, xs if side == 0 else 0.0]
             for l, (p, q) in enumerate(blocks):
@@ -339,25 +396,26 @@ def float_step(u, bounds, rates, nus, r, e, f):
                 above, below = couplings(side, l)
                 fu, fv = fills[side, l]
                 m = twist(p, q)
-                w = y[m] * rr[m]
+                w = mul(y[m], rr[m])
                 if above:
-                    w = fma(-xu[l], fu, w)
+                    w = ffma(-xu[l], fu, w)
                 if below:
-                    w = fma(-xv[l], fv, w)
+                    w = ffma(-xv[l], fv, w)
                 xr[m] = w
                 for i in range(m - 1, p - 1, -1):
-                    w = y[i] * rr[i]
+                    w = mul(y[i], rr[i])
                     if above:
-                        w = fma(-xu[l], fr[i], w)
-                    xr[i] = fma(-xr[i + 1], er[i], w)
+                        w = ffma(-xu[l], fr[i], w)
+                    xr[i] = ffma(-xr[i + 1], er[i], w)
                 for i in range(m + 1, q):
-                    w = y[i] * rr[i]
+                    w = mul(y[i], rr[i])
                     if below:
-                        w = fma(-xv[l], fr[i], w)
-                    xr[i] = fma(-xr[i - 1], er[i - 1], w)
+                        w = ffma(-xv[l], fr[i], w)
+                    xr[i] = ffma(-xr[i - 1], er[i - 1], w)
         x += xr
     out = np.array([0.0 if abs(w) < TINY else w for w in x])
-    return out, out.max(), sum(1 for w in x if 0.0 < abs(w) < TINY)
+    return (out, out.max(), op.flushed,
+            sum(1 for w in x if 0.0 < abs(w) < TINY))
 
 
 def ordering_report(frames, x, bound, relation, region=None, slack=0.0):

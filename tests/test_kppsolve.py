@@ -5,13 +5,14 @@ import math
 import os
 import platform
 import subprocess
+import sys
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kpplab import _kernel, coeff, equilibria, kppsolve
+from kpplab import _kernel, coeff, equilibria, fronts, kppsolve
 
 import oracles
 
@@ -319,15 +320,21 @@ def test_kernel_step_is_the_reference_step_bitwise(runs, mu):
         got, tops = _kernel_step(march, k)
         lap, _ = oracles.lapack_step(ref, bounds, dt * mids[:, k], nu_k,
                                      lapack_d, lapack_e)
-        ref, ref_top, n_flushed = oracles.float_step(ref, bounds, dt * mids[:, k],
-                                                     nu_k, *factor)
+        ref, ref_top, n_ftz, n_flushed = oracles.float_step(
+            ref, bounds, dt * mids[:, k], nu_k, *factor)
         assert np.array_equal(_bits(got), _bits(ref)), "step %d" % k
         assert np.abs(lap - ref).max() <= \
             LAPACK_ULPS * np.spacing(np.abs(ref).max()), "step %d" % k
         assert np.array_equal(_bits(tops),
                               _bits(np.maximum.reduceat(ref, bounds[:-1])))
         assert _bits(tops.max()) == _bits(ref_top)
-        assert n_flushed > 0, "step %d" % k
+        # the tails cross the underflow range at every step: under FTZ the
+        # operations make the 0s there, and the flush after the solve finds
+        # no subnormal left; elsewhere it is the flush that makes them
+        if oracles.FTZ:
+            assert n_ftz > 0 and n_flushed == 0, "step %d" % k
+        else:
+            assert n_ftz == 0 and n_flushed > 0, "step %d" % k
 
 
 def test_kernel_step_near_the_lapack_step_on_the_take_over_grid():
@@ -415,6 +422,22 @@ def test_step_bits_do_not_depend_on_the_fma_clone(tmp_path):
             assert steps(march, 0, n_steps, out.ctypes.data) == n_steps
             outs.append(out)
         assert np.array_equal(_bits(outs[0]), _bits(outs[1]))
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="steps run under flush-to-zero on x86-64 only")
+def test_step_bits_do_not_depend_on_libms_fma():
+    # the test above with glibc told that the CPU has no FMA (its
+    # glibc.cpu.hwcaps tunable, from glibc 2.33), so that libm's fma, which
+    # the default clone calls, is glibc's software one: under flush-to-zero
+    # alone it loses the low parts of its split operands near 2^-1000
+    env = dict(os.environ, GLIBC_TUNABLES="glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "%s::test_step_bits_do_not_depend_on_the_fma_clone" % __file__],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    assert "1 passed" in done.stdout
 
 
 def test_take_over_run_never_rises_above_1():
@@ -654,6 +677,112 @@ def test_flush_changes_only_subnormals():
     assert np.array_equal(_bits(out[~keep]), _bits(np.zeros(np.sum(~keep))))
     assert np.all(np.diff(out) >= 0.0)      # still non-decreasing
     assert top == 1.0
+
+
+def test_oracle_flushes_products_as_the_kernel_does():
+    # each row of a step with reaction rate 0 and the identity's factor
+    # with r = b is u b: products that Python rounds to +-TINY, some from
+    # below _EDGE (a signed 0 under FTZ), some from between _EDGE and TINY
+    # (TINY, as x86 decides tininess after rounding), some from above
+    rng = np.random.default_rng(23)
+    a = np.ldexp(rng.uniform(1.0, 2.0, 400), -511) * \
+        rng.choice([-1.0, 1.0], 400)
+    b = np.abs(kppsolve.TINY / a) * \
+        (1.0 + rng.integers(-3, 4, 400) * 2.0 ** -53)
+    exact = [abs(Fraction(p) * Fraction(q)) for p, q in zip(a, b)]
+    assert sum(e < oracles._EDGE and p * q == kppsolve.TINY
+               for e, p, q in zip(exact, np.abs(a), b)) > 10
+    assert sum(oracles._EDGE <= e < kppsolve.TINY for e in exact) > 10
+    u = np.concatenate([[0.0], a, [0.0]])
+    march = _kernel_march([0, u.size], np.zeros((1, 1)), None,
+                          np.concatenate([[1.0], b, [1.0]]),
+                          np.zeros(u.size - 1), np.zeros(u.size + 2), u)
+    got, _ = _kernel_step(march, 0)
+    op = oracles.Arithmetic()
+    ref = [op.mul(float(p), float(q)) for p, q in zip(a, b)]
+    ref = np.array([0.0 if abs(v) < kppsolve.TINY else v for v in ref])
+    assert np.array_equal(_bits(got[1:-1]), _bits(ref))
+    assert (op.flushed > 10) == oracles.FTZ
+
+
+@pytest.mark.parametrize("mu", [None, 0.8])
+def test_subnormal_initial_data_steps_as_the_oracle(mu):
+    # the caller's field may hold subnormals: a front-like tail through
+    # the whole subnormal range, and TINY / 8, -TINY / 8 and the least
+    # subnormal written into Heaviside tails.  Under FTZ the first
+    # operation on each makes a signed 0, and the flush after the solve
+    # makes every -0.0 a 0.0: the first stepped frame holds neither
+    dt, n_steps = 0.001, 20
+    grids, fields = [], []
+    for x_lo, dx, n, x0 in KERNEL_GRIDS[:3]:
+        grids.append(kppsolve.Grid1D(x_lo, x_lo + dx * (n - 1), n))
+        fields.append(kppsolve.init("heaviside", grids[-1], {"x0": x0}).values)
+    fields[0] = kppsolve.init("front-like", grids[0],
+                              {"mu": 8.0, "x0": -60.0}).values
+    fields[1][150::7] = kppsolve.TINY / 8
+    fields[1][153::7] = -kppsolve.TINY / 8
+    fields[2][120::5] = np.nextafter(0.0, 1.0)
+    u = np.concatenate(fields)
+    assert np.count_nonzero((u != 0.0) & (np.abs(u) < kppsolve.TINY)) > 20
+    bounds = np.append(0, np.cumsum([g.n for g in grids]))
+    rates = np.full((3, n_steps), 2.0 * dt)
+    nus = None if mu is None else np.full((3, n_steps), 0.3)
+    factor = kppsolve._diffusion_ldlt(grids, dt)
+    march, ref = _kernel_march(bounds, rates, nus, *factor, u), u
+    for k in range(n_steps):
+        got, _ = _kernel_step(march, k)
+        ref, _, n_ftz, n_flushed = oracles.float_step(
+            ref, bounds, rates[:, k], None if nus is None else nus[:, k],
+            *factor)
+        assert np.array_equal(_bits(got), _bits(ref)), "step %d" % k
+        if k == 0:
+            assert not np.any((np.abs(got) < kppsolve.TINY) &
+                              (_bits(got) != 0))
+            assert n_ftz > 20 if oracles.FTZ else n_flushed > 20
+
+
+def test_a_march_leaves_the_callers_floating_point_mode():
+    # kpp_steps flushes underflow on x86-64 only for the length of a call,
+    # on both threads of a split march, and restores the caller's mode on
+    # every return: numpy and Python go on making subnormals after a split
+    # march, a march refused at a step and a check that marches on a
+    # worker thread, on the calling thread and on a thread that marched
+    def gradual():
+        return (np.float64(kppsolve.TINY) / 2.0 != 0.0 and
+                math.ldexp(1.0, -1070) != 0.0)
+
+    assert gradual()
+    take_over = kppsolve.make_grid(-100.0, 400.0, 0.1)
+    assert take_over.n >= _kernel.N_SPLIT
+    for _ in kppsolve.march(kppsolve.init("heaviside", take_over, {}),
+                            coeff.make_constant(1.0), 2.0,
+                            kppsolve.SolveConfig(dt=0.005, store_stride=100)):
+        pass
+    assert gradual()
+    # the spike case of test_step_size_gates, refused at its spike
+    f = kppsolve.init("constant", kppsolve.make_grid(0.0, 5.0, 0.5),
+                      {"value": 1.0})
+    with pytest.raises(kppsolve.StepSizeError):
+        kppsolve.solve(f, coeff.make_two_level(), 20.0,
+                       kppsolve.SolveConfig(dt=0.2, margin=0.0))
+    assert gradual()
+    fronts.subadditivity_check(coeff.make_constant(1.0), [2.0, 4.0], dx=0.2,
+                               dt=0.01, margin=30.0)
+    assert gradual()
+    seen = []
+
+    def worker():
+        for _ in kppsolve.march(_split_run(), coeff.make_constant(1.0), 1.0,
+                                kppsolve.SolveConfig(dt=0.005, margin=0.0,
+                                                     store_stride=50)):
+            pass
+        seen.append(gradual())
+
+    thread = threading.Thread(target=worker)
+    thread.start()
+    thread.join()
+    assert seen == [True]
+    assert gradual()
 
 
 def test_kernel_sup_is_ndarray_max():
