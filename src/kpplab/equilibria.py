@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import write_table
-from .coeff import _UniformSamples
+from .coeff import _BLOCK, _UniformSamples
 from .kppsolve import verify
 
 __all__ = [
@@ -71,7 +71,9 @@ def logistic_solution(u0, path, ts):
 def _log_weight(noise, t):
     """P(t) = t + integral of xi from 0 to t, so exp(P)' = (1 + xi) exp(P)."""
     t = np.asarray(t, dtype=float)
-    return t + noise.integral(0.0, t)
+    P = np.asarray(noise.integral(0.0, t))
+    P += t
+    return P
 
 
 def _weights(noise, t_min, ts):
@@ -84,16 +86,24 @@ def _weights(noise, t_min, ts):
     W / (c + integral of G) then has only that integral's O(dt^2) trapezoid
     error; reading W off G instead would add (P'' + P'^2) dt^2 / 8 between
     noise samples, large for rough xi.
+
+    exp is taken in place, in the arrays the logs were built in.
     """
     dt = noise.dt
     j0 = max(int(math.floor((t_min - noise.t_lo) / dt)), 0)
     j1 = int(math.ceil((float(ts.max()) - noise.t_lo) / dt))
     j1 = min(max(j1, j0 + 1), noise.values.size - 1)
     s = noise.t_lo + dt * np.arange(j0, j1 + 1)
+    s0 = s[0]
     P = _log_weight(noise, s)
+    del s
     shift = float(P.max())
-    return (np.exp(_log_weight(noise, ts) - shift),
-            _UniformSamples(s[0], dt, np.exp(P - shift)))
+    P -= shift
+    np.exp(P, out=P)
+    W = _log_weight(noise, ts)
+    W -= shift
+    np.exp(W, out=W)
+    return W, _UniformSamples(s0, dt, P)
 
 
 def real_noise_ode_solution(u0, noise, ts):
@@ -147,6 +157,10 @@ def equilibrium_values(noise, ts, t_trunc):
     leave the normal floats (near 750 time units at the default noise);
     that raises ValueError naming the range instead of dividing by an
     underflowed integral.
+
+    Block rule: the history is integrated coeff._BLOCK times at a time and
+    each block divided into W in place, so no temporary is as long as ts;
+    the quotients are bitwise those of W / history in one pass.
     """
     ts = np.asarray(ts, dtype=float)
     t_min, t_max = float(ts.min()), float(ts.max())
@@ -156,12 +170,16 @@ def equilibrium_values(noise, ts, t_trunc):
             "truncation %g needs history from %g"
             % (noise.t_lo, t_min, t_max, t_trunc, t_min - t_trunc))
     W, G = _weights(noise, t_min - t_trunc, ts)
-    history = G.integral(ts - t_trunc, ts)
-    if min(W.min(), history.min()) < np.finfo(float).tiny:
-        raise ValueError(
-            "the equilibrium's weights underflow on the horizon [%g, %g]: "
-            "evaluate it on shorter ranges" % (t_min, t_max))
-    return W / history
+    Y, times = W.reshape(-1), ts.reshape(-1)
+    for i in range(0, Y.size, _BLOCK):
+        t = times[i:i + _BLOCK]
+        history = G.integral(t - t_trunc, t)
+        if min(Y[i:i + _BLOCK].min(), history.min()) < np.finfo(float).tiny:
+            raise ValueError(
+                "the equilibrium's weights underflow on the horizon [%g, %g]: "
+                "evaluate it on shorter ranges" % (t_min, t_max))
+        Y[i:i + _BLOCK] /= history
+    return W
 
 
 @dataclass

@@ -184,6 +184,18 @@ def test_degenerate_grid_step_or_horizon_is_a_usage_error(command, overrides,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("noise_dt", ["0", "-0.001"])
+def test_noise_dt_that_is_not_positive_is_a_usage_error(noise_dt, capsys):
+    # 0 used to end in a ZeroDivisionError traceback, and -0.001 in
+    # "error: math domain error"
+    argv = ["mean", "--set", "r_min=2", "--set", "horizon=[0,20]",
+            "--set", "path_kind=noise-equilibrium", "--set", "seed=1",
+            "--set", "noise_dt=" + noise_dt]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(
+        "error: noise sample spacing dt must be finite and positive")
+
+
 @pytest.mark.parametrize("label", ["../../escape", "sub/run", "..", ".", ""])
 def test_label_must_be_a_plain_file_name(label, tmp_path, capsys):
     out_dir = tmp_path / "a" / "b"

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -418,6 +419,64 @@ def test_empty_queries_give_empty_arrays(make):
     for out in (p(empty), p.integral(empty, empty), p.min_on(empty, empty),
                 p.max_on(empty, empty)):
         assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+BLOCK = coeff._BLOCK
+
+
+@pytest.mark.parametrize("make", [
+    lambda: coeff.make_constant(1.3),
+    lambda: coeff.make_periodic(1.0, 0.5, 3.0),
+    coeff.make_two_level,
+    lambda: coeff.TabulatedPath(-1.0, 0.01, 1.5 + np.sin(0.1 * np.arange(5000))),
+    lambda: coeff.make_noise(5, t_lo=-1.0, t_hi=45.0, dt=0.01),
+    lambda: coeff.make_periodic(1.0, 0.5, 3.0).shift(-0.7),
+    lambda: coeff.make_two_level().shift(-2.1),
+    lambda: coeff.TabulatedPath(-1.0, 0.01, 1.5 + np.sin(0.1 * np.arange(5000))).shift(0.3),
+    lambda: coeff.make_noise(5, t_lo=-1.0, t_hi=45.0, dt=0.01).shift(1.7),
+], ids=["constant", "periodic", "two-level", "tabulated", "noise", "periodic-shifted",
+        "two-level-shifted", "tabulated-shifted", "noise-shifted"])
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_blocked_queries_equal_one_pass_evaluation(make, n):
+    rng = np.random.default_rng(n)
+    s, t = rng.uniform(0.0, 40.0, (2, n))
+    # one pass through the unshifted clock, on a fresh path, so a
+    # two-level table grown block by block is compared with one grown at once
+    ref = make()
+    off = ref.offset
+    a, b = np.minimum(s + off, t + off), np.maximum(s + off, t + off)
+    ref_lo, ref_hi = ref._extrema_on(a, b)
+    ref_integral = ref._primitive(t + off) - ref._primitive(s + off)
+    ref_from_0 = ref._primitive(t + off) - ref._primitive(np.asarray(0.0) + off)
+    p = make()
+    assert np.array_equal(p.integral(s, t), ref_integral)
+    assert np.array_equal(p.integral(0.0, t), ref_from_0)
+    assert np.array_equal(p(t), ref._eval(t + off))
+    assert np.array_equal(p.min_on(s, t), ref_lo)
+    assert np.array_equal(p.max_on(s, t), ref_hi)
+    # the broadcast shape is kept
+    m = n // 2
+    grid = (2, m)
+    assert np.array_equal(p.integral(s[:2 * m].reshape(grid), t[:2 * m].reshape(grid)),
+                          ref_integral[:2 * m].reshape(grid))
+    assert np.array_equal(p.max_on(s[:2 * m].reshape(grid), t[:2 * m].reshape(grid)),
+                          ref_hi[:2 * m].reshape(grid))
+
+
+def test_a_blocked_query_out_of_range_names_the_whole_range():
+    p = coeff.make_noise(5, t_lo=0.0, t_hi=10.0, dt=0.01)
+    t = np.linspace(1.0, 9.0, 3 * BLOCK + 5)
+    t[-1] = 12.5                       # past the samples, in the last block
+    for query, whole in ((p, "[1, 12.5]"), (lambda t: p.integral(0.5, t), "[0.5, 12.5]"),
+                         (lambda t: p.max_on(t, 2.0), "[1, 12.5]")):
+        with pytest.raises(ValueError, match=re.escape("query time range " + whole)):
+            query(t)
+
+
+def test_noise_rejects_a_sample_spacing_that_is_not_finite_and_positive():
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise sample spacing dt"):
+            coeff.make_noise(1, dt=dt, t_lo=-5.0, t_hi=5.0)
 
 
 def test_build_b_constant_is_flat():

@@ -60,6 +60,17 @@ def test_history_weights_integral_differentiates_to_the_weights():
     assert np.max(np.abs(mean / G(ts) - 1.0)) < 1e-10
 
 
+def test_equilibrium_values_are_the_weights_over_their_history():
+    # blocked in equilibrium_values, one pass here: the same quotients
+    noise = coeff.make_noise(3, t_lo=-60.0, t_hi=70.0, dt=1e-3)
+    t_trunc = equilibria.truncation_horizon(noise)
+    ts = np.linspace(0.0, 50.0, 3 * coeff._BLOCK + 5)
+    W, G = equilibria._weights(noise, ts.min() - t_trunc, ts)
+    history = G._primitive(ts) - G._primitive(ts - t_trunc)
+    assert np.array_equal(equilibria.equilibrium_values(noise, ts, t_trunc),
+                          W / history)
+
+
 def test_truncation_horizon_controls_tail():
     noise = coeff.make_noise(8, xi_max=0.5, t_lo=-60.0, t_hi=60.0)
     for tol in (1e-6, 1e-8, 1e-10):

@@ -9,6 +9,12 @@ and compared with frames.nbytes of a trajectory on the certify grid
 (2001 nodes, 801 frames, about 12 MiB).  A second copy of the frames
 anywhere in the call shows as a ratio near 2; a command that stored its
 run would show a ratio of at least 1.
+
+Building the fanout-noise workload's noise and its equilibrium path is
+measured the same way, in units of the noise's samples (220001 floats,
+1.68 MiB): the noise holds its samples and their prefix integral, and the
+path build holds a few arrays of its own length plus block-sized
+temporaries of the path queries.
 """
 
 import tracemalloc
@@ -17,6 +23,7 @@ import numpy as np
 import pytest
 
 from kpplab import cli, coeff, equilibria, kppsolve, subsuper
+from test_coeff import FANOUT_NOISE
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +41,8 @@ def traj(case):
     return kppsolve.solve(field0, path, 40.0, config)
 
 
-def peak_ratio(traj, fn):
-    """Peak traced allocation during fn(), in units of traj.frames.nbytes."""
+def traced_peak(fn):
+    """Peak traced allocation during fn(), in bytes above the start."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -43,7 +50,12 @@ def peak_ratio(traj, fn):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - before) / traj.frames.nbytes
+    return peak - before
+
+
+def peak_ratio(traj, fn):
+    """Peak traced allocation during fn(), in units of traj.frames.nbytes."""
+    return traced_peak(fn) / traj.frames.nbytes
 
 
 def test_trajectory_is_large_enough(traj):
@@ -60,6 +72,29 @@ def test_verify_stability_decay_makes_no_frame_copy(case, traj):
     path = case[0]
     assert peak_ratio(
         traj, lambda: equilibria.verify_stability_decay(traj, path)) <= 0.1
+
+
+@pytest.fixture(scope="module")
+def fanout_noise():
+    # a first small noise, so that loading the compiled kernel is not traced
+    coeff.NoisePath(1, **dict(FANOUT_NOISE, t_lo=0.0, t_hi=1.0))
+    return coeff.NoisePath(1, **FANOUT_NOISE)
+
+
+def test_noise_path_holds_its_samples_and_prefix_only(fanout_noise):
+    # 2.0 samples' worth: the samples and their prefix integral, drawn,
+    # scaled, recursed and squashed in place (5.0 when each step made a
+    # new array)
+    peak = traced_peak(lambda: coeff.NoisePath(1, **FANOUT_NOISE))
+    assert peak / fanout_noise.values.nbytes <= 2.5
+
+
+def test_equilibrium_path_build_holds_no_noise_length_temporaries(fanout_noise):
+    # 2.8 samples' worth: the history weights G and their prefix (0.6 of
+    # the noise each), the times and W (0.45 each), and block temporaries
+    # (5.3 when each query and weight step made noise-length arrays)
+    peak = traced_peak(lambda: coeff.equilibrium_path(fanout_noise, 0.0, 100.0))
+    assert peak / fanout_noise.values.nbytes <= 3.5
 
 
 # the memory-test grid and run as command configs: 801 frames of 2001 nodes
